@@ -12,6 +12,7 @@ from .errors import (
     DCError,
     IllConditionedGap,
     Inconsistent,
+    NonFinite,
     NotAppreciable,
     NotHermitian,
     NotOrthogonal,
@@ -86,7 +87,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BadEigenspace", "DCError", "IllConditionedGap", "Inconsistent",
-    "NotAppreciable", "NotHermitian", "NotOrthogonal", "NotSkewSymmetric",
+    "NonFinite", "NotAppreciable", "NotHermitian", "NotOrthogonal", "NotSkewSymmetric",
     "ShapeMismatch", "SingularStandardPart", "UnknownEigenvalue",
     "DEFAULT_TOL", "EPS_J", "EPS_K", "I_UNIT", "ONE", "DualComplex", "Tolerances",
     "dc_abs", "dc_conj", "dc_inv", "dc_mul", "dc_similar",

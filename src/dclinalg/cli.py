@@ -37,6 +37,7 @@ from .errors import (
     DCError,
     IllConditionedGap,
     Inconsistent,
+    NonFinite,
     NotAppreciable,
     NotHermitian,
     NotOrthogonal,
@@ -49,8 +50,8 @@ from .scalar import Tolerances
 from .spectral import herm_spectral, verify_spectral
 from .svd import dc_svd, verify_svd
 
-_VALIDATION_ERRORS = (NotHermitian, ShapeMismatch, NotAppreciable, NotOrthogonal,
-                      NotSkewSymmetric, BadEigenspace, UnknownEigenvalue)
+_VALIDATION_ERRORS = (NotHermitian, ShapeMismatch, NonFinite, NotAppreciable,
+                      NotOrthogonal, NotSkewSymmetric, BadEigenspace, UnknownEigenvalue)
 _NUMERICAL_ERRORS = (IllConditionedGap, Inconsistent, AccuracyError)
 
 

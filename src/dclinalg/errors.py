@@ -9,6 +9,10 @@ class ShapeMismatch(DCError):
     """Operand shapes do not conform."""
 
 
+class NonFinite(DCError):
+    """A matrix entry is NaN or infinite."""
+
+
 class NotAppreciable(DCError):
     """A value whose standard part must be nonzero is (numerically) infinitesimal."""
 

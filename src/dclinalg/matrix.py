@@ -8,14 +8,14 @@ rule is
 
 and the conjugate transpose is (conj(A_st).T, -A_I.T).  Vectors are n-by-1
 matrices.  All instances are immutable; the component arrays are copied on
-construction and marked read-only.
+construction, checked to be finite, and marked read-only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularStandardPart
+from .errors import NonFinite, ShapeMismatch, SingularStandardPart
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 
 _EPS = float(np.finfo(float).eps)
@@ -30,6 +30,10 @@ class DCMatrix:
         st = np.array(standard, dtype=complex, order="C")
         if st.ndim != 2:
             raise ShapeMismatch(f"expected a 2-d array, got ndim={st.ndim}")
+        # count_nonzero costs half of .all() on the small vectors that the
+        # eigenpair routines build by the hundred
+        if np.count_nonzero(np.isfinite(st)) != st.size:
+            raise NonFinite("standard part has a NaN or infinite entry")
         if infinitesimal is None:
             inf = np.zeros_like(st)
         else:
@@ -37,6 +41,8 @@ class DCMatrix:
             if inf.shape != st.shape:
                 raise ShapeMismatch(
                     f"component shapes differ: {st.shape} vs {inf.shape}")
+            if np.count_nonzero(np.isfinite(inf)) != inf.size:
+                raise NonFinite("infinitesimal part has a NaN or infinite entry")
         st.setflags(write=False)
         inf.setflags(write=False)
         self.standard = st

@@ -7,11 +7,16 @@ reduces it to a block diagonal with 1x1 real blocks (right eigenvalues) and
 subeigenvalues).  The reduction runs in three stages:
 
 1. diagonalize the standard part and group its eigenvalues into clusters;
-2. a unitary correction whose infinitesimal off-diagonal blocks are scaled
-   by inverse cluster gaps removes all coupling between clusters;
+2. a unitary correction removes all coupling between clusters.  Its
+   infinitesimal part is the rotated infinitesimal part C divided entry by
+   entry by the gap between the representative eigenvalues of the row's and
+   the column's clusters, in one masked divide that leaves the diagonal
+   cluster blocks zero;
 3. each remaining diagonal cluster block, lam*I plus a skew-symmetric
    infinitesimal part, is put into canonical form by a complex unitary
-   transpose-congruence (youla_skew).
+   transpose-congruence (youla_skew).  A 1x1 cluster is canonical already,
+   since its infinitesimal part is zero: it becomes one Eigen block with
+   no youla_skew call and no rotation of its column.
 
 Stage 2 divides by cluster gaps, so nearly-but-not-quite-equal eigenvalues
 abort with IllConditionedGap instead of silently amplifying error.
@@ -197,18 +202,6 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     return q, pairs, n - k
 
 
-def _cluster_descending(w: np.ndarray, tau: float):
-    """Single-linkage clusters of a descending real sequence; returns slices."""
-    slices = []
-    start = 0
-    for i in range(1, len(w)):
-        if w[i - 1] - w[i] > tau:
-            slices.append(slice(start, i))
-            start = i
-    slices.append(slice(start, len(w)))
-    return slices
-
-
 def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Block spectral decomposition U* A U = Sigma of a Hermitian dual complex matrix.
 
@@ -229,38 +222,49 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     v = v[:, ::-1]
     wmax = float(np.abs(w).max()) if n else 0.0
     tau = tol.group_tol * (1.0 + wmax)
-    slices = _cluster_descending(w, tau)
-    for i in range(len(slices) - 1):
-        gap = w[slices[i].stop - 1] - w[slices[i + 1].start]
-        if gap < 10 * tau:
-            raise IllConditionedGap(
-                f"distinct eigenvalue clusters separated by {gap:.3e} < {10 * tau:.3e}")
-    reps = [float(np.mean(w[sl])) for sl in slices]
+    # single-linkage clusters of the descending eigenvalues: a new cluster
+    # starts wherever the next value drops by more than tau
+    starts = np.flatnonzero(np.diff(w, prepend=np.inf) < -tau)
+    sizes = np.diff(starts, append=n)
+    gaps = w[starts[1:] - 1] - w[starts[1:]]
+    bad = np.flatnonzero(gaps < 10 * tau)
+    if bad.size:
+        raise IllConditionedGap(
+            f"distinct eigenvalue clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
+    reps = w[starts]
+    for k in np.flatnonzero(sizes > 1):
+        reps[k] = np.mean(w[starts[k]:starts[k] + sizes[k]])
 
     s_mat = v.conj().T
     c = s_mat @ a_inf @ s_mat.T
     c = (c - c.T) / 2  # exact skew-symmetry for the block reductions
 
-    p_inf = np.zeros((n, n), dtype=complex)
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            cij = c[slices[i], slices[j]]
-            gap = reps[i] - reps[j]
-            p_inf[slices[i], slices[j]] = cij / gap
-            p_inf[slices[j], slices[i]] = cij.T / gap
+    # the gap between the representatives of the clusters of i and j is zero
+    # exactly inside a diagonal cluster block and, past the gap check, nonzero
+    # everywhere else; c is exactly skew and the gap antisymmetric, so the
+    # lower blocks equal the transposed upper ones
+    rep = np.repeat(reps, sizes)
+    gap = rep[:, None] - rep[None, :]
+    p_inf = np.divide(c, gap, out=np.zeros_like(c), where=gap != 0)
 
+    # U = (S + P conj(S) eps*j)* W with W block diagonal, one block per
+    # cluster; a 1x1 cluster's block is 1, so its columns need no product
+    u_st = v.copy()
+    u_inf = -(p_inf @ np.conj(s_mat)).T
     blocks: list[SpectralBlock] = []
-    w_diag = np.zeros((n, n), dtype=complex)
-    for sl, rep in zip(slices, reps):
+    for start, size, lam in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
+        if size == 1:
+            blocks.append(SpectralBlock("Eigen", lam))
+            continue
+        sl = slice(start, start + size)
         q, pairs, null_dim = youla_skew(c[sl, sl], tol)
-        d = q.shape[0]
-        perm = list(range(2 * len(pairs), d)) + list(range(2 * len(pairs)))
-        w_diag[sl, sl] = np.conj(q[:, perm])
-        blocks.extend(SpectralBlock("Eigen", rep) for _ in range(null_dim))
-        blocks.extend(SpectralBlock("Sub", rep, s) for s in pairs)
-
-    ps = mat_mul(DCMatrix(np.eye(n), p_inf), DCMatrix(s_mat))
-    u = mat_mul(conj_transpose(ps), DCMatrix(w_diag))
+        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
+        w_blk = np.conj(q[:, perm])
+        u_st[:, sl] = u_st[:, sl] @ w_blk
+        u_inf[:, sl] = u_inf[:, sl] @ np.conj(w_blk)
+        blocks.extend(SpectralBlock("Eigen", lam) for _ in range(null_dim))
+        blocks.extend(SpectralBlock("Sub", lam, s) for s in pairs)
+    u = DCMatrix(u_st, u_inf)
 
     sigma = assemble_blocks(blocks)
     resid = component_norms(mat_mul(mat_mul(conj_transpose(u), a), u) - sigma)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dclinalg.spectral as spectral_mod
+import dclinalg.svd as svd_mod
 from conftest import cgauss, rand_dcmatrix
 from dclinalg import (
     EPS_J,
@@ -18,6 +20,7 @@ from dclinalg import (
     classify_multiplicity,
     component_norms,
     conj_transpose,
+    dc_svd,
     double_eig_classify,
     from_scalars,
     gen_random,
@@ -34,6 +37,7 @@ from dclinalg import (
     verify_subeigenpair,
     youla_skew,
 )
+from oracle import herm_spectral_loop
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
 
@@ -199,6 +203,113 @@ def test_planted_round_trip():
                    ("Sub", 3.0, round(abs(0.7 + 0.4j), 7)),
                    ("Sub", 1.0, round(abs(-1.3 + 0.2j), 7)), ("Eigen", -2.0, None)]
     assert max(dec.residual) <= 1e-9
+
+
+# ------------------------------------------- array form against the loop form
+
+def level_sizes(kind, n, rng):
+    """Sizes of the eigenvalue levels of a planted spectrum of dimension n."""
+    if kind == "distinct":
+        return [1] * n
+    if kind == "clustered":
+        size = min(n, 8)
+        return [size] * (n // size)
+    if kind == "one-cluster":
+        return [n]
+    sizes = []  # mixed: singletons between clusters of two to five
+    while sum(sizes) < n:
+        sizes.append(min(int(rng.choice([1, 1, 1, 2, 3, 5])), n - sum(sizes)))
+    return sizes
+
+
+def planted_levels(kind, n, seed):
+    """Planted Hermitian matrix and its level sizes; a level of size s >= 2
+    holds one Sub block and s - 2 Eigen blocks."""
+    rng = np.random.default_rng(seed)
+    sizes = level_sizes(kind, n, rng)
+    lams = np.linspace(2.0, -2.0, len(sizes)) + rng.uniform(-0.1, 0.1, len(sizes)) / len(sizes)
+    blocks = []
+    for size, lam in zip(sizes, lams):
+        if size == 1:
+            blocks.append(SpectralBlock("Eigen", float(lam)))
+        else:
+            mu = rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            blocks.append(SpectralBlock("Sub", float(lam), mu))
+            blocks.extend(SpectralBlock("Eigen", float(lam)) for _ in range(size - 2))
+    return planted(tuple(blocks), seed), sizes
+
+
+def assert_matches_loop_form(got, ref, sizes):
+    """The array form against the loop form on a spectrum with these level sizes.
+
+    Blocks and the columns of 1x1 clusters come out equal entry for entry.
+    A multi-member cluster's columns are one product with its W block, which
+    the loop form takes inside a product with the whole block-diagonal W;
+    BLAS may round those two differently in the last bit, unless the matrix
+    is one cluster and the products are the same.
+    """
+    eps = np.finfo(float).eps
+    assert got.blocks == ref.blocks
+    single = np.repeat(np.array(sizes) == 1, sizes)
+    exact = single.all() or len(sizes) == 1
+    for part in ("standard", "infinitesimal"):
+        g, r = getattr(got.U, part), getattr(ref.U, part)
+        np.testing.assert_array_equal(g[:, single], r[:, single])
+        if exact:
+            np.testing.assert_array_equal(g, r)
+        else:
+            np.testing.assert_allclose(g, r, rtol=0,
+                                       atol=8 * eps * max(1.0, float(np.abs(r).max())))
+    if exact:
+        assert got.residual == ref.residual
+    else:
+        np.testing.assert_allclose(got.residual, ref.residual, rtol=0, atol=64 * eps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+@pytest.mark.parametrize("kind", ["distinct", "clustered", "mixed"])
+def test_array_form_matches_loop_form(kind, n):
+    for seed in range(3):
+        a, sizes = planted_levels(kind, n, 700 + 10 * n + seed)
+        assert_matches_loop_form(herm_spectral(a), herm_spectral_loop(a), sizes)
+
+
+def test_array_form_matches_loop_form_on_one_cluster():
+    a, sizes = planted_levels("one-cluster", 12, 790)
+    dec = herm_spectral(a)
+    assert len({b.lam for b in dec.blocks}) == 1 and len(dec.blocks) == 11
+    assert_matches_loop_form(dec, herm_spectral_loop(a), sizes)
+
+
+def test_youla_skew_skips_one_by_one_clusters(monkeypatch):
+    calls = []
+
+    def counting(c, tol=spectral_mod.DEFAULT_TOL):
+        calls.append(c.shape[0])
+        return youla_skew(c, tol)
+
+    monkeypatch.setattr(spectral_mod, "youla_skew", counting)
+    herm_spectral(gen_random("hermitian", 64, 64, 41))
+    assert calls == []
+    for kind in ("clustered", "mixed"):
+        a, sizes = planted_levels(kind, 64, 42)
+        calls.clear()
+        herm_spectral(a)
+        assert calls == [s for s in sizes if s > 1]
+
+
+@pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
+def test_svd_matches_loop_form(monkeypatch, shape):
+    a = rand_dcmatrix(np.random.default_rng(43), *shape)
+    got = dc_svd(a)
+    monkeypatch.setattr(svd_mod, "herm_spectral", herm_spectral_loop)
+    ref = dc_svd(a)
+    for got_f, ref_f in ((got.U, ref.U), (got.V, ref.V)):
+        np.testing.assert_array_equal(got_f.standard, ref_f.standard)
+        np.testing.assert_array_equal(got_f.infinitesimal, ref_f.infinitesimal)
+    assert got.standard_blocks == ref.standard_blocks
+    assert got.infinitesimal_values == ref.infinitesimal_values
+    assert got.residual == ref.residual
 
 
 # --------------------------------------------------- subeigenpair verification
