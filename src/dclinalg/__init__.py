@@ -30,7 +30,6 @@ from .scalar import (
     DualComplex,
     Tolerances,
     dc_abs,
-    dc_conj,
     dc_inv,
     dc_mul,
     dc_similar,
@@ -40,7 +39,6 @@ from .matrix import (
     component_norms,
     conj_transpose,
     frobenius_norm,
-    from_complex,
     from_scalars,
     gen_random,
     identity,
@@ -84,22 +82,3 @@ from .svd import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccuracyError", "BadEigenspace", "DCError", "IllConditionedGap", "Inconsistent",
-    "NonFinite", "NotAppreciable", "NotHermitian", "NotOrthogonal", "NotSkewSymmetric",
-    "ShapeMismatch", "SingularStandardPart", "UnknownEigenvalue",
-    "DEFAULT_TOL", "EPS_J", "EPS_K", "I_UNIT", "ONE", "DualComplex", "Tolerances",
-    "dc_abs", "dc_conj", "dc_inv", "dc_mul", "dc_similar",
-    "DCMatrix", "component_norms", "conj_transpose", "frobenius_norm", "from_complex",
-    "from_scalars", "gen_random", "identity", "inner", "is_hermitian", "is_unitary",
-    "mat_inv", "mat_mul", "vector_norm", "zeros",
-    "RightEigenPair", "complex_right_eigs", "dual_right_eigs", "simple_eig_lift",
-    "verify_eigenpair",
-    "DoubleEigClassification", "SpectralBlock", "SpectralDecomposition",
-    "assemble_blocks", "classify_multiplicity", "double_eig_classify", "herm_spectral",
-    "is_pd", "is_psd", "subeigenpairs", "verify_spectral", "verify_subeigenpair",
-    "youla_skew",
-    "SingularBlock", "SvdResult", "assemble_layout", "dc_svd", "standard_rank",
-    "verify_svd",
-]

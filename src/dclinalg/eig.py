@@ -91,6 +91,23 @@ def _left_null_basis(m: np.ndarray, tau: float) -> np.ndarray:
     return u[:, n - dim:] if dim else u[:, :0]
 
 
+def _eig_clusters(a: DCMatrix, tol: Tolerances):
+    """Per eigenvalue cluster of A_st, yield (lam, eigenspace basis, M, null(M*) basis).
+
+    lam is the cluster mean and M = conj(lam) I - A_st, the matrix of the
+    consistency system for the infinitesimal vector part.
+    """
+    if a.rows != a.cols:
+        raise ShapeMismatch("eigenvalues need a square matrix")
+    a_st = a.standard
+    vals = np.linalg.eigvals(a_st)
+    tau = tol.group_tol * (1.0 + (float(np.abs(vals).max()) if vals.size else 0.0))
+    for group in _cluster_complex(vals, tau):
+        lam = complex(np.mean(vals[group]))
+        m = np.conj(lam) * np.eye(a.rows) - a_st
+        yield lam, _eigenspace_basis(a_st, lam, tau), m, _left_null_basis(m, tau)
+
+
 def _lstsq_resid(m: np.ndarray, b: np.ndarray):
     x = np.linalg.lstsq(m, b, rcond=None)[0]
     return x, float(np.linalg.norm(m @ x - b))
@@ -106,19 +123,10 @@ def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[Right
     the smallest singular direction of N* A_I conj(V).  The list may be
     empty; some matrices have no complex right eigenvalue.
     """
-    if a.rows != a.cols:
-        raise ShapeMismatch("eigenvalues need a square matrix")
-    n = a.rows
-    a_st, a_inf = a.standard, a.infinitesimal
+    a_inf = a.infinitesimal
     accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
-    vals = np.linalg.eigvals(a_st)
-    tau = tol.group_tol * (1.0 + (float(np.abs(vals).max()) if vals.size else 0.0))
     out = []
-    for group in _cluster_complex(vals, tau):
-        lam = complex(np.mean(vals[group]))
-        basis = _eigenspace_basis(a_st, lam, tau)
-        m = np.conj(lam) * np.eye(n) - a_st
-        nleft = _left_null_basis(m, tau)
+    for lam, basis, m, nleft in _eig_clusters(a, tol):
         if nleft.shape[1] == 0:
             x_st = _normalize_phase(basis[:, 0])
         else:
@@ -146,8 +154,6 @@ def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEig
     eigenvalues of a non-Hermitian standard part are flagged with a warning
     since nothing guarantees the returned set is complete there.
     """
-    if a.rows != a.cols:
-        raise ShapeMismatch("eigenvalues need a square matrix")
     if is_hermitian(a, tol):
         dec = herm_spectral(a, tol)
         out = []
@@ -161,18 +167,12 @@ def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEig
         return out
 
     n = a.rows
-    a_st, a_inf = a.standard, a.infinitesimal
+    a_inf = a.infinitesimal
     accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
-    vals = np.linalg.eigvals(a_st)
-    tau = tol.group_tol * (1.0 + (float(np.abs(vals).max()) if vals.size else 0.0))
     out = []
-    for group in _cluster_complex(vals, tau):
-        lam = complex(np.mean(vals[group]))
-        basis = _eigenspace_basis(a_st, lam, tau)
+    for lam, basis, m, nleft in _eig_clusters(a, tol):
         warning = ("clustered eigenvalue of the standard part; returned pairs "
                    "may be incomplete") if basis.shape[1] > 1 else None
-        m = np.conj(lam) * np.eye(n) - a_st
-        nleft = _left_null_basis(m, tau)
         kept_class: list[float] = []
         for col in range(basis.shape[1]):
             x_st = _normalize_phase(basis[:, col])

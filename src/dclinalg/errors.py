@@ -2,7 +2,13 @@
 
 
 class DCError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    exit_code is the dctool exit status: 2 for input that fails validation,
+    3 for a numerical failure on valid input.
+    """
+
+    exit_code = 2
 
 
 class ShapeMismatch(DCError):
@@ -20,6 +26,8 @@ class NotAppreciable(DCError):
 class SingularStandardPart(DCError):
     """The standard part has no inverse, so the matrix is not invertible."""
 
+    exit_code = 3
+
 
 class NotHermitian(DCError):
     """The matrix is not Hermitian (standard part Hermitian, infinitesimal part skew)."""
@@ -36,9 +44,13 @@ class NotOrthogonal(DCError):
 class Inconsistent(DCError):
     """A linear system that should be consistent has a large residual."""
 
+    exit_code = 3
+
 
 class IllConditionedGap(DCError):
     """Two distinct eigenvalue clusters are too close; the reduction would amplify error."""
+
+    exit_code = 3
 
 
 class BadEigenspace(DCError):
@@ -51,3 +63,5 @@ class UnknownEigenvalue(DCError):
 
 class AccuracyError(DCError):
     """An internal residual check failed; the computed factor was rejected."""
+
+    exit_code = 3

@@ -66,9 +66,6 @@ class DCMatrix:
     def column(self, j: int) -> "DCMatrix":
         return DCMatrix(self.standard[:, j:j + 1], self.infinitesimal[:, j:j + 1])
 
-    def conj_transpose(self) -> "DCMatrix":
-        return conj_transpose(self)
-
     def transpose(self) -> "DCMatrix":
         return DCMatrix(self.standard.T, self.infinitesimal.T)
 
@@ -128,10 +125,6 @@ def identity(n: int) -> DCMatrix:
 def zeros(m: int, n: int) -> DCMatrix:
     return DCMatrix(np.zeros((m, n), dtype=complex))
 
-def from_complex(standard) -> DCMatrix:
-    """Embed an ordinary complex matrix (zero infinitesimal part)."""
-    return DCMatrix(standard)
-
 def from_scalars(rows) -> DCMatrix:
     """Build a matrix from nested sequences of DualComplex (or plain complex) entries."""
     entries = [[e if isinstance(e, DualComplex) else DualComplex(e) for e in row]
@@ -165,6 +158,16 @@ def component_norms(a: DCMatrix) -> tuple[float, float]:
     return (float(np.linalg.norm(a.standard)), float(np.linalg.norm(a.infinitesimal)))
 
 
+def residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, target: DCMatrix) -> tuple[float, float]:
+    """Component norms of the two-sided residual U* A V - target."""
+    return component_norms(mat_mul(mat_mul(conj_transpose(u), a), v) - target)
+
+
+def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
+    """Component norms of U* U - I."""
+    return component_norms(mat_mul(conj_transpose(u), u) - identity(u.rows))
+
+
 def mat_inv(a: DCMatrix) -> DCMatrix:
     """Inverse (X + Y*eps*j)^-1 = X^-1 - X^-1 Y conj(X^-1) eps*j."""
     if a.rows != a.cols:
@@ -189,8 +192,7 @@ def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric."""
     if a.rows != a.cols:
         return False
-    r = mat_mul(conj_transpose(a), a) - identity(a.rows)
-    rs, ri = component_norms(r)
+    rs, ri = unitarity_defect(a)
     return rs <= tol.resid_tol and ri <= tol.resid_tol
 
 

@@ -73,10 +73,8 @@ class DualComplex:
         return abs(self.standard) > zero_tol
 
     def conjugate(self) -> "DualComplex":
+        """Conjugate: negates the i, eps*j and eps*k coordinates."""
         return DualComplex(self.standard.conjugate(), -self.infinitesimal)
-
-    def inverse(self, zero_tol: float = 0.0) -> "DualComplex":
-        return dc_inv(self, zero_tol)
 
     def __abs__(self) -> float:
         return abs(self.standard)
@@ -145,11 +143,6 @@ def dc_mul(p: DualComplex, q: DualComplex) -> DualComplex:
         p.standard * q.standard,
         p.standard * q.infinitesimal + p.infinitesimal * q.standard.conjugate(),
     )
-
-
-def dc_conj(q: DualComplex) -> DualComplex:
-    """Conjugate: negates the i, eps*j and eps*k coordinates."""
-    return q.conjugate()
 
 
 def dc_abs(q: DualComplex) -> float:

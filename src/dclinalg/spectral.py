@@ -43,11 +43,11 @@ from .errors import (
 from .matrix import (
     DCMatrix,
     component_norms,
-    conj_transpose,
-    identity,
     inner,
     is_hermitian,
     mat_mul,
+    residual,
+    unitarity_defect,
 )
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 
@@ -266,19 +266,15 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
         blocks.extend(SpectralBlock("Sub", lam, s) for s in pairs)
     u = DCMatrix(u_st, u_inf)
 
-    sigma = assemble_blocks(blocks)
-    resid = component_norms(mat_mul(mat_mul(conj_transpose(u), a), u) - sigma)
-    return SpectralDecomposition(u, tuple(blocks), resid)
+    return SpectralDecomposition(u, tuple(blocks), residual(a, u, u, assemble_blocks(blocks)))
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:
     """Componentwise residual of U* A U against the blocks, including unitarity of U."""
     if a.shape != dec.U.shape or dec.n != a.rows:
         raise ShapeMismatch("decomposition does not match the matrix shape")
-    r = mat_mul(mat_mul(conj_transpose(dec.U), a), dec.U) - dec.sigma()
-    uu = mat_mul(conj_transpose(dec.U), dec.U) - identity(a.rows)
-    rs, ri = component_norms(r)
-    us, ui = component_norms(uu)
+    rs, ri = residual(a, dec.U, dec.U, dec.sigma())
+    us, ui = unitarity_defect(dec.U)
     return (max(rs, us), max(ri, ui))
 
 

@@ -20,14 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matrix import (
-    DCMatrix,
-    component_norms,
-    conj_transpose,
-    identity,
-    mat_inv,
-    mat_mul,
-)
+from .matrix import DCMatrix, conj_transpose, mat_mul, residual, unitarity_defect
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import herm_spectral
 
@@ -94,16 +87,13 @@ def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def _svd_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
-    r = mat_mul(mat_mul(conj_transpose(u), a), v) - layout
-    uu = mat_mul(conj_transpose(u), u) - identity(u.rows)
-    vv = mat_mul(conj_transpose(v), v) - identity(v.rows)
-    rs, ri = component_norms(r)
-    us, ui = component_norms(uu)
-    vs, vi = component_norms(vv)
+    rs, ri = residual(a, u, v, layout)
+    us, ui = unitarity_defect(u)
+    vs, vi = unitarity_defect(v)
     return (max(rs, us, vs), max(ri, ui, vi))
 
 
-def verify_svd(a: DCMatrix, res: SvdResult, tol: Tolerances = DEFAULT_TOL):
+def verify_svd(a: DCMatrix, res: SvdResult):
     """Componentwise residual of U* A V against the block layout, including
     the unitarity defects of U and V; returns the maxima as a pair."""
     if res.U.shape != (a.rows, a.rows) or res.V.shape != (a.cols, a.cols):
@@ -148,8 +138,13 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     vp = dec.U
     if r > 0:
         v1 = DCMatrix(vp.standard[:, :r], vp.infinitesimal[:, :r])
-        sigma_r = assemble_layout(r, r, sig_blocks, ())
-        u1 = mat_mul(mat_mul(a, v1), mat_inv(sigma_r))
+        # (sigma I + N eps*j)^-1 = I/sigma - N/sigma^2 eps*j per block, with the
+        # infinitesimal part formed as -(X^-1 N) X^-1, the order of mat_inv
+        inv_blocks = []
+        for b in sig_blocks:
+            s = 1 / b.sigma
+            inv_blocks.append(SingularBlock(s, None if b.nu is None else -(s * b.nu) * s))
+        u1 = mat_mul(mat_mul(a, v1), assemble_layout(r, r, inv_blocks, ()))
         x1, y1 = u1.standard, u1.infinitesimal
     else:
         x1 = np.zeros((m, 0), dtype=complex)
@@ -175,7 +170,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     v_embed = np.eye(n, dtype=complex)
     if r < m and r < n:
         v2 = DCMatrix(vp.standard[:, r:], vp.infinitesimal[:, r:])
-        corner = mat_mul(mat_mul(conj_transpose(u2), a), v2)
+        corner = conj_transpose(u2) @ a @ v2
         g = corner.infinitesimal  # the standard part vanishes up to roundoff
         ug, d, vgh = np.linalg.svd(g)
         gcut = max(tol.zero_tol, 64 * max(m, n) * _EPS) * max(1.0, float(d[0]) if d.size else 0.0)

@@ -21,7 +21,6 @@ from dclinalg import (
     complex_right_eigs,
     conj_transpose,
     dc_abs,
-    dc_conj,
     dc_inv,
     dc_mul,
     dc_svd,
@@ -97,7 +96,7 @@ def test_criterion_3_scalar_oracle_suite():
             q = DualComplex.from_reals(*row[1])
             r = DualComplex.from_reals(*row[2])
             assert close(dc_mul(p, q), oracle.mul(p, q))
-            assert close(dc_conj(p), oracle.conj(p))
+            assert close(p.conjugate(), oracle.conj(p))
             if p.is_appreciable(1e-8):
                 assert close(dc_inv(p), oracle.inv(p))
             # algebra laws
@@ -106,7 +105,7 @@ def test_criterion_3_scalar_oracle_suite():
             assert close(dc_mul(q + r, p), dc_mul(q, p) + dc_mul(r, p))
             assert abs(dc_abs(dc_mul(p, q)) - dc_abs(p) * dc_abs(q)) \
                 <= 1e-13 * max(1.0, dc_abs(p) * dc_abs(q))
-            assert close(dc_conj(dc_mul(p, q)), dc_mul(dc_conj(q), dc_conj(p)))
+            assert close(dc_mul(p, q).conjugate(), dc_mul(q.conjugate(), p.conjugate()))
             nil = DualComplex(0, p.infinitesimal)
             assert dc_mul(nil, nil) == DualComplex(0)
 

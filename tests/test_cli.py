@@ -2,11 +2,22 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import FIXTURES
+from dclinalg import DCError, DCMatrix, SingularStandardPart, errors, gen_random, jsonio
 from dclinalg.cli import JobSpec, main, run
 from dclinalg.scalar import Tolerances
+
+# exit status per error class: 2 rejects the input, 3 is a numerical failure
+EXIT_CODES = {
+    "NotHermitian": 2, "ShapeMismatch": 2, "NonFinite": 2, "NotAppreciable": 2,
+    "NotOrthogonal": 2, "NotSkewSymmetric": 2, "BadEigenspace": 2, "UnknownEigenvalue": 2,
+    "IllConditionedGap": 3, "Inconsistent": 3, "AccuracyError": 3, "SingularStandardPart": 3,
+}
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, DCError) and c is not DCError]
 
 
 def dctool(*args, env=None):
@@ -73,6 +84,33 @@ def test_exit_code_numerical_failure(tmp_path):
     path = tmp_path / "gap.json"
     path.write_text(json.dumps(gap))
     assert main(["spectral", "--input", str(path)]) == 3
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_error_class_carries_its_exit_code(cls):
+    assert cls.exit_code == EXIT_CODES[cls.__name__]
+
+
+def test_singular_standard_part_exits_numerical(monkeypatch, capsys):
+    def singular(a, tol):
+        raise SingularStandardPart("standard part is numerically singular")
+
+    monkeypatch.setattr("dclinalg.cli.dc_svd", singular)
+    assert main(["svd", "--input", str(FIXTURES / "example1.json")]) == 3
+    assert "SingularStandardPart" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectral", "eig"])
+def test_near_overflow_input_exits_numerical(tmp_path, capsys, command):
+    # finite entries whose Hermitian part overflows inside the routine; numpy's
+    # LinAlgError is a ValueError but must not read as malformed input (1)
+    h = gen_random("hermitian", 4, 4, 3)
+    src = tmp_path / "big.json"
+    big = DCMatrix(h.standard * 1e308, h.infinitesimal)
+    src.write_text(json.dumps(jsonio.encode_matrix(big)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--input", str(src)]) == 3
+    assert "LinAlgError" in capsys.readouterr().err
 
 
 def test_verify_strict_tolerance_fails(tmp_path):

@@ -138,6 +138,9 @@ def test_sub_blocks_square_back_to_gram_blocks():
     assert got_sub[0].sigma ** 2 == pytest.approx(gram_sub[0].lam, abs=1e-10)
     assert abs(2 * got_sub[0].sigma * got_sub[0].nu) == pytest.approx(
         abs(gram_sub[0].mu), abs=1e-10)
+    # U_1 = A V_1 Sigma_r^-1 with the closed-form inverse of the coupled block
+    assert max(res.residual) <= 1e-12
+    assert max(verify_svd(a, res)) <= 1e-12
 
 
 def test_unitary_invariance_of_singular_values():
