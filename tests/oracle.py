@@ -6,7 +6,8 @@ the basis (1, i, eps*j, eps*k).  Left multiplication by p is the linear map
 below, read off the componentwise product formula; it is ground truth
 independent of the packed complex representation used by the library.  The
 Hermitian spectral decomposition has a loop-based reference,
-herm_spectral_loop.
+herm_spectral_loop, and the right eigenpair routines have their SVD-per-cluster
+references, complex_right_eigs_svd and dual_right_eigs_svd.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from dclinalg import (
     DualComplex,
     IllConditionedGap,
     NotHermitian,
+    RightEigenPair,
     ShapeMismatch,
     SpectralBlock,
     SpectralDecomposition,
@@ -24,9 +26,17 @@ from dclinalg import (
     assemble_blocks,
     component_norms,
     conj_transpose,
+    herm_spectral,
     is_hermitian,
     mat_mul,
     youla_skew,
+)
+from dclinalg.eig import (
+    _EPS,
+    _eigenspace_basis,
+    _left_null_basis,
+    _lstsq_resid,
+    _normalize_phase,
 )
 
 
@@ -139,3 +149,109 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
     sigma = assemble_blocks(blocks)
     resid = component_norms(mat_mul(mat_mul(conj_transpose(u), a), u) - sigma)
     return SpectralDecomposition(u, tuple(blocks), resid)
+
+
+def verify_eigenpair_products(a: DCMatrix, value: DualComplex, x: DCMatrix):
+    """Component norms of A x - x value through DCMatrix products."""
+    return component_norms(mat_mul(a, x) - x * value)
+
+
+def cluster_complex_loop(vals: np.ndarray, tau: float):
+    """Loop form of eig._cluster_complex: each value joins the first group,
+    in creation order, that holds a value within tau, else starts a group."""
+    order = np.lexsort((vals.imag, vals.real))
+    groups: list[list[int]] = []
+    for idx in order:
+        placed = False
+        for g in groups:
+            if any(abs(vals[idx] - vals[j]) <= tau for j in g):
+                g.append(int(idx))
+                placed = True
+                break
+        if not placed:
+            groups.append([int(idx)])
+    return groups
+
+
+def _eig_clusters_svd(a: DCMatrix, tol: Tolerances):
+    """Per cluster of eigvals(A_st): lam, SVD eigenspace basis, M, SVD null(M*) basis."""
+    if a.rows != a.cols:
+        raise ShapeMismatch("eigenvalues need a square matrix")
+    a_st = a.standard
+    vals = np.linalg.eigvals(a_st)
+    tau = tol.group_tol * (1.0 + (float(np.abs(vals).max()) if vals.size else 0.0))
+    for group in cluster_complex_loop(vals, tau):
+        lam = complex(np.mean(vals[group]))
+        m = np.conj(lam) * np.eye(a.rows) - a_st
+        yield lam, _eigenspace_basis(a_st, lam, tau), m, _left_null_basis(m, tau)
+
+
+def complex_right_eigs_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
+    """complex_right_eigs with two SVDs and a least-squares solve per cluster."""
+    a_inf = a.infinitesimal
+    accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
+    out = []
+    for lam, basis, m, nleft in _eig_clusters_svd(a, tol):
+        if nleft.shape[1] == 0:
+            x_st = _normalize_phase(basis[:, 0])
+        else:
+            b_map = nleft.conj().T @ a_inf @ np.conj(basis)
+            _, _, bvt = np.linalg.svd(b_map)
+            x_st = _normalize_phase(basis @ np.conj(bvt[-1]))
+        x_inf, resid = _lstsq_resid(m, a_inf @ np.conj(x_st))
+        if resid <= accept:
+            vec = DCMatrix(x_st[:, None], x_inf[:, None])
+            value = DualComplex(lam)
+            out.append(RightEigenPair(value, vec, verify_eigenpair_products(a, value, vec)))
+    return out
+
+
+def dual_right_eigs_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
+    """dual_right_eigs with two SVDs and least-squares solves per cluster."""
+    if is_hermitian(a, tol):
+        dec = herm_spectral(a, tol)
+        out = []
+        off = 0
+        for blk in dec.blocks:
+            if blk.kind == "Eigen":
+                vec = dec.U.column(off)
+                value = DualComplex(blk.lam)
+                out.append(RightEigenPair(value, vec, verify_eigenpair_products(a, value, vec)))
+            off += blk.dim
+        return out
+    n = a.rows
+    a_inf = a.infinitesimal
+    accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
+    out = []
+    for lam, basis, m, nleft in _eig_clusters_svd(a, tol):
+        warning = ("clustered eigenvalue of the standard part; returned pairs "
+                   "may be incomplete") if basis.shape[1] > 1 else None
+        kept_class: list[float] = []
+        for col in range(basis.shape[1]):
+            x_st = _normalize_phase(basis[:, col])
+            rhs = a_inf @ np.conj(x_st)
+            lam_inf = 0j
+            if nleft.shape[1]:
+                tn = nleft.conj().T @ x_st
+                tb = nleft.conj().T @ rhs
+                denom = float(np.vdot(tn, tn).real)
+                if denom > (64 * n * _EPS) ** 2:
+                    lam_inf = complex(np.vdot(tn, tb) / denom)
+            x_inf, _ = _lstsq_resid(m, rhs - lam_inf * x_st)
+            resid = float(np.linalg.norm(lam_inf * x_st + m @ x_inf - rhs))
+            if resid > accept:
+                continue
+            class_tol = 1e-8 * (1.0 + abs(lam))
+            if abs(lam.imag) > class_tol:
+                if kept_class:
+                    continue
+                kept_class.append(0.0)
+            else:
+                if any(abs(abs(lam_inf) - prev) <= class_tol for prev in kept_class):
+                    continue
+                kept_class.append(abs(lam_inf))
+            vec = DCMatrix(x_st[:, None], x_inf[:, None])
+            value = DualComplex(lam, lam_inf)
+            out.append(RightEigenPair(value, vec, verify_eigenpair_products(a, value, vec),
+                                      warning))
+    return out

@@ -56,6 +56,14 @@ def test_verify_round_trip(tmp_path):
         assert main(["verify", "--input", str(out)]) == 0
 
 
+def test_eig_general_input_round_trip(tmp_path):
+    src, out = tmp_path / "g.json", tmp_path / "g.eig.json"
+    src.write_text(json.dumps(jsonio.encode_matrix(gen_random("general", 24, 24, 21))))
+    assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
+    assert len(json.loads(out.read_text())["complex_pairs"]) == 24
+    assert main(["verify", "--input", str(out)]) == 0
+
+
 def test_exit_code_validation_failure():
     # the first worked example is not Hermitian
     assert main(["spectral", "--input", str(FIXTURES / "example1.json")]) == 2

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import dclinalg.eig as eig_mod
 from conftest import cgauss, rand_dc, rand_dcmatrix
 from dclinalg import (
+    DEFAULT_TOL,
     EPS_J,
     DCMatrix,
     DualComplex,
     Inconsistent,
+    NonFinite,
     NotAppreciable,
     Tolerances,
     complex_right_eigs,
@@ -18,6 +21,12 @@ from dclinalg import (
     inner,
     simple_eig_lift,
     verify_eigenpair,
+)
+from oracle import (
+    cluster_complex_loop,
+    complex_right_eigs_svd,
+    dual_right_eigs_svd,
+    verify_eigenpair_products,
 )
 
 EX1 = DCMatrix(np.eye(2), np.eye(2))
@@ -226,3 +235,135 @@ def test_simple_eig_lift_rejects_non_eigenvector():
     a = gen_random("hermitian", 4, 4, 77)
     with pytest.raises(Inconsistent):
         simple_eig_lift(a, 123.0, np.ones(4))
+
+
+def test_verify_eigenpair_bit_equal_to_products():
+    rng = np.random.default_rng(10)
+    for n in (1, 3, 8, 17):
+        for _ in range(5):
+            a = rand_dcmatrix(rng, n, n)
+            x = rand_dcmatrix(rng, n, 1)
+            value = rand_dc(rng)
+            assert verify_eigenpair(a, value, x) == verify_eigenpair_products(a, value, x)
+    a = rand_dcmatrix(rng, 6, 6)
+    for p in dual_right_eigs(a) + complex_right_eigs(a):
+        assert (verify_eigenpair(a, p.value, p.vector)
+                == verify_eigenpair_products(a, p.value, p.vector))
+
+
+def test_verify_eigenpair_overflow_raises_nonfinite():
+    # the DCMatrix form raises on the overflowed product; a NaN norm would
+    # be dropped by the max() that collects residuals
+    big = np.full((2, 2), 1e308)
+    x = DCMatrix(np.ones((2, 1)))
+    for a, part in ((DCMatrix(big), "standard"), (DCMatrix(np.eye(2), big), "infinitesimal")):
+        for check in (verify_eigenpair, verify_eigenpair_products):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(NonFinite, match=part):
+                check(a, DualComplex(1), x)
+    # finite entries whose norm overflows give inf in both forms
+    with np.errstate(over="ignore"):
+        a = DCMatrix(np.full((2, 2), 1e200))
+        assert verify_eigenpair(a, DualComplex(1), x) == (np.inf, 0.0)
+        assert verify_eigenpair_products(a, DualComplex(1), x) == (np.inf, 0.0)
+
+
+def _clustering_inputs():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 5, 40):
+        yield cgauss(rng, n, 1).ravel(), 0.3
+    # chains with steps on both sides of tau, and values that reach two groups
+    for _ in range(20):
+        steps = rng.uniform(0.5, 1.2, 12) * np.exp(2j * np.pi * rng.uniform(size=12))
+        yield np.cumsum(steps), 1.0
+        yield rng.uniform(-2, 2, 30) + 1j * rng.uniform(-2, 2, 30), 0.7
+    # exact lattice: neighbours at distance exactly tau, with repeated values
+    lattice = np.array([x + 1j * y for x in range(4) for y in range(3)]) * 0.25
+    yield np.concatenate([lattice, lattice[::3]]), 0.25
+    yield np.array([0, 0.5, 0.25 + 0.25j, 1.0, 0.75, 0.5j, 0.5]), 0.25
+
+
+def test_cluster_complex_matches_loop_form():
+    for vals, tau in _clustering_inputs():
+        assert eig_mod._cluster_complex(vals, tau) == cluster_complex_loop(vals, tau)
+
+
+def _reference_cases():
+    for n in (4, 16, 48):
+        rng = np.random.default_rng([12, n])
+        yield f"complex-{n}", DCMatrix(cgauss(rng, n, n), cgauss(rng, n, n))
+    rng = np.random.default_rng(13)
+    a_st = rng.standard_normal((8, 8))
+    yield "real", DCMatrix(a_st, cgauss(rng, 8, 8))
+    yield "real-no-inf", DCMatrix(a_st)
+    # Jordan-like block: 2 and 2 + delta clustered at 1e-10, separate but
+    # with nearly parallel eigenvectors at 1e-6
+    for delta in (1e-10, 1e-6):
+        t = np.diag([2.0, 2.0 + delta, -1.0 + 1j, 0.5j, 3.0]).astype(complex)
+        t[0, 1] = 1.0
+        q, _ = np.linalg.qr(cgauss(rng, 5, 5))
+        yield f"near-defective-{delta:g}", DCMatrix(q @ t @ q.conj().T, cgauss(rng, 5, 5))
+    yield "EX1", EX1
+
+
+REFERENCE_CASES = list(_reference_cases())
+
+
+@pytest.mark.parametrize("name,a", REFERENCE_CASES, ids=[c[0] for c in REFERENCE_CASES])
+@pytest.mark.parametrize("routine,reference", [(complex_right_eigs, complex_right_eigs_svd),
+                                               (dual_right_eigs, dual_right_eigs_svd)],
+                         ids=["complex", "dual"])
+def test_right_eigs_match_svd_reference(name, a, routine, reference):
+    pairs, ref = routine(a), reference(a)
+    assert len(pairs) == len(ref)
+    tol = 1e-12 * (1 + np.linalg.norm(a.standard))
+    ref_vals = np.array([[p.value.standard, p.value.infinitesimal] for p in ref])
+    matched = set()
+    for p in pairs:
+        dist = np.abs(ref_vals - [p.value.standard, p.value.infinitesimal]).max(axis=1)
+        j = int(np.argmin(dist))
+        assert dist[j] <= tol, (name, p.value)
+        matched.add(j)
+        if name.startswith("complex"):
+            # a simple, well separated eigenvalue has one unit eigenvector up to phase
+            assert np.linalg.norm(p.vector.standard - ref[j].vector.standard) <= 1e-9
+    assert len(matched) == len(pairs)
+    accept = DEFAULT_TOL.resid_tol * (1 + np.linalg.norm(a.infinitesimal))
+    for p in pairs:
+        assert max(verify_eigenpair(a, p.value, p.vector)) <= accept
+
+
+def _count_calls(monkeypatch):
+    calls = {"_eigenspace_basis": 0, "_left_null_basis": 0, "lstsq": 0}
+
+    def counted(owner, name):
+        inner_fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner_fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(eig_mod, "_eigenspace_basis")
+    counted(eig_mod, "_left_null_basis")
+    counted(np.linalg, "lstsq")
+    return calls
+
+
+def test_distinct_spectrum_skips_svd_helpers(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    rng = np.random.default_rng(14)
+    a = rand_dcmatrix(rng, 24, 24)
+    assert len(complex_right_eigs(a)) == 24
+    assert len(dual_right_eigs(a)) == 24
+    assert calls == {"_eigenspace_basis": 0, "_left_null_basis": 0, "lstsq": 0}
+
+
+def test_real_standard_part_keeps_svd_path(monkeypatch):
+    # conj(lam) is an eigenvalue of a real A_st for every eigenvalue lam, so M
+    # is singular and the unsolvable directions come from the SVD
+    calls = _count_calls(monkeypatch)
+    rng = np.random.default_rng(15)
+    a = DCMatrix(rng.standard_normal((6, 6)))
+    assert len(complex_right_eigs(a)) == 6
+    assert calls["_left_null_basis"] == 6 and calls["lstsq"] == 6
