@@ -7,8 +7,8 @@
     dctool gen --kind hermitian --m 4 --n 4 --seed 7 --output a.json
 
 Result documents embed the input matrix, so `verify` needs no second file.
-Batch mode (--input-dir) processes every *.json in a directory concurrently
-and writes one output file per input; all writes are atomic
+Batch mode (--input-dir) processes every *.json in a directory concurrently,
+one worker thread per CPU, and writes one output file per input; all writes are atomic
 (write-then-rename).  Exit codes: 0 success, 1 malformed input, 2
 validation failure, 3 numerical failure.
 
@@ -192,7 +192,7 @@ def run(spec: JobSpec) -> int:
         out_dir = spec.output_path if spec.output_path is not None else spec.input_dir
         jobs = [(path, Path(out_dir) / f"{path.stem}.{spec.command}.json")
                 for path in inputs]
-        with ThreadPoolExecutor(max_workers=min(8, len(jobs))) as pool:
+        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
             codes = list(pool.map(lambda job: _run_one(spec, job[0], job[1]), jobs))
         return max(codes)
     if spec.command != "gen" and spec.input_path is None:

@@ -13,9 +13,11 @@ construction, checked to be finite, and marked read-only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import NonFinite, ShapeMismatch, SingularStandardPart
+from .errors import AccuracyError, NonFinite, ShapeMismatch, SingularStandardPart
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 
 _EPS = float(np.finfo(float).eps)
@@ -164,8 +166,46 @@ def residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, target: DCMatrix) -> tuple[f
 
 
 def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
-    """Component norms of U* U - I."""
-    return component_norms(mat_mul(conj_transpose(u), u) - identity(u.rows))
+    """Component norms of U* U - I.
+
+    The infinitesimal part of U* U is M - M^T with M = U_st* U_I, so one
+    product gives it where the general product rule takes two.
+    """
+    x, y = u.standard, u.infinitesimal
+    xh = x.conj().T
+    m = xh @ y
+    return (float(np.linalg.norm(xh @ x - np.eye(u.cols))), float(np.linalg.norm(m - m.T)))
+
+
+def _fro(x: np.ndarray) -> float:
+    # one BLAS dot product; np.linalg.norm copies the real and imaginary parts
+    # first, which costs as much again on the small matrices bounds are made for
+    v = x.ravel(order="K")
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def check_residual(resid: tuple[float, float], a: DCMatrix, factors_inf,
+                   dropped: tuple[float, float], tol: Tolerances) -> None:
+    """Raise AccuracyError unless a decomposition's residual pair is explained.
+
+    A residual of U* A V against the layout, with or without the unitarity
+    defects of the factors, is made of rounding error and of what the
+    decomposition chose to drop (cluster spreads, values below a cutoff),
+    whose norms the caller passes in `dropped`.  Rounding error is bounded
+    by f (||A_st|| + sqrt(n)) on the standard part and by
+    f (||A_I|| + (||A_st|| + 1) sum ||F_I||) on the infinitesimal part, the
+    sum running over the infinitesimal parts F_I of the two factors, with
+    f = max(resid_tol, 64 n eps).  A non-finite residual always raises.
+    """
+    n = max(a.shape)
+    f = max(tol.resid_tol, 64 * n * _EPS)
+    st, inf = _fro(a.standard), _fro(a.infinitesimal)
+    bound = (f * (st + math.sqrt(n)) + dropped[0],
+             f * (inf + (st + 1.0) * sum(_fro(x) for x in factors_inf)) + dropped[1])
+    if not (math.isfinite(resid[0]) and math.isfinite(resid[1])
+            and resid[0] <= bound[0] and resid[1] <= bound[1]):
+        raise AccuracyError(f"residual ({resid[0]:.3e}, {resid[1]:.3e}) exceeds "
+                            f"its bound ({bound[0]:.3e}, {bound[1]:.3e})")
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:

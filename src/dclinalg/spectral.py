@@ -19,7 +19,9 @@ subeigenvalues).  The reduction runs in three stages:
    no youla_skew call and no rotation of its column.
 
 Stage 2 divides by cluster gaps, so nearly-but-not-quite-equal eigenvalues
-abort with IllConditionedGap instead of silently amplifying error.
+abort with IllConditionedGap instead of silently amplifying error.  The
+final two-sided residual is compared with a bound scaled by the norms of A
+and of U's infinitesimal part, and AccuracyError is raised above it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
 )
 from .matrix import (
     DCMatrix,
+    check_residual,
     component_norms,
     inner,
     is_hermitian,
@@ -265,8 +268,14 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
         blocks.extend(SpectralBlock("Eigen", lam) for _ in range(null_dim))
         blocks.extend(SpectralBlock("Sub", lam, s) for s in pairs)
     u = DCMatrix(u_st, u_inf)
-
-    return SpectralDecomposition(u, tuple(blocks), residual(a, u, u, assemble_blocks(blocks)))
+    resid = residual(a, u, u, assemble_blocks(blocks))
+    # dropped by design: the spread of each cluster around the mean its
+    # blocks carry, and the parts of A that are not Hermitian, at most
+    # resid_tol / 2 each once is_hermitian has passed
+    half = tol.resid_tol / 2
+    check_residual(resid, a, (u_inf, u_inf),
+                   (float(np.linalg.norm(w - rep)) + half, half), tol)
+    return SpectralDecomposition(u, tuple(blocks), resid)
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:

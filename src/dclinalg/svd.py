@@ -3,26 +3,40 @@
 U* A V is reduced to a block layout with an r x r leading block Sigma_r of
 positive standard singular values (1x1 blocks sigma, or coupled 2x2 blocks
 (sigma, nu)), followed by a p x p purely infinitesimal diagonal D*eps*j,
-and zeros elsewhere.  The construction decomposes the Hermitian positive
-semi-definite matrix A*A, takes block square roots (a 2x2 block (sigma^2,
-mu) maps to (sigma, nu = mu/(2 sigma))), forms the left factor columns as
-A V1 Sigma_r^{-1}, completes them to a dual complex unitary, and factors
-the remaining purely infinitesimal corner by an ordinary complex SVD.
-Wide matrices run the same construction on the conjugate transpose.
+and zeros elsewhere.  The construction starts from one complex SVD
+A_st = P S Q* and B = P* A_I conj(Q), and runs in three stages:
+
+1. cluster the singular values: those at or below the rank cutoff form the
+   cluster at zero, the positive ones chain into clusters wherever
+   neighbours lie within tau = group_tol * sigma_1;
+2. U = P (I + X eps*j) and V = Q (I + Y eps*j), with X and Y complex
+   symmetric, turn the infinitesimal part of U* A V into B + S Y - X S.
+   One masked array solve of the 2x2 systems of the entry pairs (i, j),
+   (j, i), whose determinant is sigma_i^2 - sigma_j^2, zeroes it between
+   clusters and against the extra rows or columns of a tall or wide input;
+   inside a positive cluster it removes the symmetric part of B's block;
+3. each positive cluster's remaining block, sigma I plus a skew-symmetric
+   infinitesimal part, is put into canonical form by youla_skew, whose
+   rotation acts on the columns of U and V alike; a 1x1 cluster is
+   canonical already.  The corner at zero is purely infinitesimal, and its
+   complex SVD gives D.
+
+Clusters, the one at zero included, closer than 10 tau raise
+IllConditionedGap, since stage 2 divides by their gaps; a final residual
+above its bound raises AccuracyError.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch
-from .matrix import DCMatrix, conj_transpose, mat_mul, residual, unitarity_defect
+from .errors import IllConditionedGap, ShapeMismatch
+from .matrix import DCMatrix, check_residual, residual, unitarity_defect
 from .scalar import DEFAULT_TOL, Tolerances
-from .spectral import herm_spectral
+from .spectral import youla_skew
 
 _EPS = float(np.finfo(float).eps)
 
@@ -73,9 +87,7 @@ def assemble_layout(m: int, n: int, standard_blocks, infinitesimal_values) -> DC
 
 
 def _rank_cutoff(smax: float, dim: int, zero_tol: float) -> float:
-    # the A*A route squares the conditioning, so the user cutoff is floored
-    # at the sqrt of the eigensolver noise level
-    return max(zero_tol, 8.0 * math.sqrt(dim * _EPS)) * smax
+    return max(zero_tol, 64 * dim * _EPS) * smax
 
 
 def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -102,87 +114,98 @@ def verify_svd(a: DCMatrix, res: SvdResult):
 
 
 def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
-    """Singular value decomposition of an m x n dual complex matrix."""
+    """Singular value decomposition of an m x n dual complex matrix.
+
+    Standard blocks come in descending sigma, within a cluster 1x1 blocks
+    before coupled ones, coupled ones by descending nu; nu is the canonical
+    positive real produced by youla_skew, and D descends.
+    """
     m, n = a.shape
-    if m < n:
-        flipped = dc_svd(conj_transpose(a), tol)
-        r, p = flipped.standard_rank, flipped.infinitesimal_rank
-        # conjugate transposition of the layout negates the D block; flipping
-        # the sign of the matching columns of the new V restores it
-        v_st = flipped.U.standard.copy()
-        v_inf = flipped.U.infinitesimal.copy()
-        v_st[:, r:r + p] *= -1
-        v_inf[:, r:r + p] *= -1
-        u_new, v_new = flipped.V, DCMatrix(v_st, v_inf)
-        layout = assemble_layout(m, n, flipped.standard_blocks, flipped.infinitesimal_values)
-        resid = _svd_residual(a, u_new, v_new, layout)
-        return SvdResult(u_new, v_new, flipped.standard_blocks,
-                         flipped.infinitesimal_values, r, p, resid)
+    k, big = min(m, n), max(m, n)
+    p_st, s, qh = np.linalg.svd(a.standard)
+    q_st = qh.conj().T
+    b = p_st.conj().T @ a.infinitesimal @ qh.T  # P* A_I conj(Q)
 
-    dec = herm_spectral(mat_mul(conj_transpose(a), a), tol)
-    lam_max = max((b.lam for b in dec.blocks), default=0.0)
-    smax = math.sqrt(max(lam_max, 0.0))
-    cut = _rank_cutoff(smax, max(m, n), tol.zero_tol)
-    sig_blocks: list[SingularBlock] = []
-    r = 0
-    for b in dec.blocks:  # descending, so positive blocks form a prefix
-        sigma = math.sqrt(max(b.lam, 0.0))
-        if sigma <= cut:
-            break
-        if b.kind == "Eigen":
-            sig_blocks.append(SingularBlock(sigma))
-        else:
-            sig_blocks.append(SingularBlock(sigma, b.mu / (2 * sigma)))
-        r += sig_blocks[-1].dim
+    smax = float(s[0]) if k else 0.0
+    r = int(np.sum(s > _rank_cutoff(smax, big, tol.zero_tol)))
+    tau = tol.group_tol * smax
+    # single-linkage clusters of the positive values; the values at or below
+    # the rank cutoff form one more cluster at zero, and every cluster,
+    # that one included, must stand 10 tau clear of the next
+    starts = np.flatnonzero(np.diff(s[:r], prepend=np.inf) < -tau)
+    sizes = np.diff(starts, append=r)
+    ends = starts + sizes
+    gaps = s[ends - 1] - np.append(s, 0.0)[ends]
+    bad = np.flatnonzero(gaps < 10 * tau)
+    if bad.size:
+        raise IllConditionedGap(
+            f"distinct singular value clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
+    reps = s[starts]
+    for c in np.flatnonzero(sizes > 1):
+        reps[c] = np.mean(s[starts[c]:ends[c]])
 
-    vp = dec.U
-    if r > 0:
-        v1 = DCMatrix(vp.standard[:, :r], vp.infinitesimal[:, :r])
-        # (sigma I + N eps*j)^-1 = I/sigma - N/sigma^2 eps*j per block, with the
-        # infinitesimal part formed as -(X^-1 N) X^-1, the order of mat_inv
-        inv_blocks = []
-        for b in sig_blocks:
-            s = 1 / b.sigma
-            inv_blocks.append(SingularBlock(s, None if b.nu is None else -(s * b.nu) * s))
-        u1 = mat_mul(mat_mul(a, v1), assemble_layout(r, r, inv_blocks, ()))
-        x1, y1 = u1.standard, u1.infinitesimal
-    else:
-        x1 = np.zeros((m, 0), dtype=complex)
-        y1 = np.zeros((m, 0), dtype=complex)
+    # U = P (I + X eps*j) and V = Q (I + Y eps*j) with X, Y complex symmetric
+    # turn the infinitesimal part of U* A V into B + S Y - X S.  Padded to
+    # big x big, with S zero past k, the pair (i, j), (j, i) of it vanishes for
+    #   X_ij = sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
+    #   Y_ij = -sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
+    # sym and skew the parts of B.  Inside a positive cluster only the sym
+    # term is taken, which leaves the skew part for youla_skew and zeroes the
+    # diagonal of a 1x1 cluster; the corner at zero is left alone.
+    label = np.full(big, -1)
+    label[:r] = np.repeat(np.arange(starts.size), sizes)
+    sig = np.zeros(big)
+    sig[:k] = s
+    bp = np.zeros((big, big), dtype=complex)
+    bp[:m, :n] = b
+    sym = (bp + bp.T) / 2
+    skew = (bp - bp.T) / 2
+    zero = label < 0
+    t_sym = np.divide(sym, sig[:, None] + sig[None, :], out=np.zeros_like(sym),
+                      where=~(zero[:, None] & zero[None, :]))
+    t_skew = np.divide(skew, sig[:, None] - sig[None, :], out=np.zeros_like(skew),
+                       where=label[:, None] != label[None, :])
+    u_st, u_inf = p_st, p_st @ (t_sym - t_skew)[:m, :m]
+    v_st, v_inf = q_st, q_st @ (-t_sym - t_skew)[:n, :n]
 
-    if r < m:
-        if r > 0:
-            qfull, _ = np.linalg.qr(x1, mode="complete")
-            x2 = qfull[:, r:]
-            y2 = x1 @ (x2.conj().T @ y1).T  # keeps U_st* U_I symmetric
-        else:
-            x2 = np.eye(m, dtype=complex)
-            y2 = np.zeros((m, m), dtype=complex)
-        u2 = DCMatrix(x2, y2)
-        uprime = DCMatrix(np.hstack([x1, x2]), np.hstack([y1, y2]))
-    else:
-        u2 = None
-        uprime = DCMatrix(x1, y1)
+    # a cluster's skew block B_c goes to canonical form as W* B_c conj(W) with
+    # W = conj(Q_c), Q_c from youla_skew; W rotates U's and V's columns alike,
+    # which leaves the standard block sigma I as it is
+    blocks: list[SingularBlock] = []
+    for start, size, sigma in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
+        if size == 1:
+            blocks.append(SingularBlock(sigma))
+            continue
+        sl = slice(start, start + size)
+        q, pairs, null_dim = youla_skew(skew[sl, sl], tol)
+        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
+        w_blk = np.conj(q[:, perm])
+        for f_st, f_inf in ((u_st, u_inf), (v_st, v_inf)):
+            f_st[:, sl] = f_st[:, sl] @ w_blk
+            f_inf[:, sl] = f_inf[:, sl] @ np.conj(w_blk)
+        blocks.extend(SingularBlock(sigma) for _ in range(null_dim))
+        blocks.extend(SingularBlock(sigma, nu) for nu in pairs)
 
-    inf_vals: tuple[float, ...] = ()
+    # the corner at zero is purely infinitesimal, B[r:, r:]; its complex SVD
+    # G = U_g D V_g^H gives D through U_g on the left and conj(V_g) on the
+    # right, since eps*j conjugates the factor it passes
+    d = np.zeros(0)
     p = 0
-    u_embed = np.eye(m, dtype=complex)
-    v_embed = np.eye(n, dtype=complex)
-    if r < m and r < n:
-        v2 = DCMatrix(vp.standard[:, r:], vp.infinitesimal[:, r:])
-        corner = conj_transpose(u2) @ a @ v2
-        g = corner.infinitesimal  # the standard part vanishes up to roundoff
-        ug, d, vgh = np.linalg.svd(g)
-        gcut = max(tol.zero_tol, 64 * max(m, n) * _EPS) * max(1.0, float(d[0]) if d.size else 0.0)
+    if r < k:
+        ug, d, vgh = np.linalg.svd(b[r:, r:])
+        gcut = max(tol.zero_tol, 64 * big * _EPS) * max(1.0, float(d[0]))
         p = int(np.sum(d > gcut))
-        inf_vals = tuple(float(x) for x in d[:p])
-        u_embed[r:, r:] = ug
-        # eps*j conjugates the factor it passes, so the embedded right factor
-        # must be the elementwise conjugate of the SVD one
-        v_embed[r:, r:] = vgh.T
+        u_st[:, r:] = u_st[:, r:] @ ug
+        u_inf[:, r:] = u_inf[:, r:] @ np.conj(ug)
+        v_st[:, r:] = v_st[:, r:] @ vgh.T
+        v_inf[:, r:] = v_inf[:, r:] @ vgh.conj().T
+    inf_vals = tuple(float(x) for x in d[:p])
 
-    u = mat_mul(uprime, DCMatrix(u_embed))
-    v = mat_mul(vp, DCMatrix(v_embed))
-    layout = assemble_layout(m, n, sig_blocks, inf_vals)
+    u, v = DCMatrix(u_st, u_inf), DCMatrix(v_st, v_inf)
+    layout = assemble_layout(m, n, blocks, inf_vals)
     resid = _svd_residual(a, u, v, layout)
-    return SvdResult(u, v, tuple(sig_blocks), inf_vals, r, p, resid)
+    kept = np.zeros(k)
+    kept[:r] = np.repeat(reps, sizes)
+    check_residual(resid, a, (u_inf, v_inf),
+                   (float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))), tol)
+    return SvdResult(u, v, tuple(blocks), inf_vals, r, p, resid)

@@ -6,9 +6,12 @@ the basis (1, i, eps*j, eps*k).  Left multiplication by p is the linear map
 below, read off the componentwise product formula; it is ground truth
 independent of the packed complex representation used by the library.  The
 Hermitian spectral decomposition has a loop-based reference,
-herm_spectral_loop, and the right eigenpair routines have their SVD-per-cluster
-references, complex_right_eigs_svd and dual_right_eigs_svd.
+herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
+references, complex_right_eigs_svd and dual_right_eigs_svd, and the SVD has
+its Gram-matrix form, dc_svd_gram.
 """
+
+import math
 
 import numpy as np
 
@@ -20,10 +23,13 @@ from dclinalg import (
     NotHermitian,
     RightEigenPair,
     ShapeMismatch,
+    SingularBlock,
     SpectralBlock,
     SpectralDecomposition,
+    SvdResult,
     Tolerances,
     assemble_blocks,
+    assemble_layout,
     component_norms,
     conj_transpose,
     herm_spectral,
@@ -31,6 +37,7 @@ from dclinalg import (
     mat_mul,
     youla_skew,
 )
+from dclinalg.svd import _svd_residual
 from dclinalg.eig import (
     _EPS,
     _eigenspace_basis,
@@ -255,3 +262,97 @@ def dual_right_eigs_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
             out.append(RightEigenPair(value, vec, verify_eigenpair_products(a, value, vec),
                                       warning))
     return out
+
+
+def dc_svd_gram(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
+    """The Gram-matrix form of dc_svd, kept as a reference for the direct form.
+
+    It decomposes A*A with herm_spectral, takes block square roots, forms the
+    left factor as A V_1 Sigma_r^-1, completes it by QR, factors the
+    remaining infinitesimal corner by a complex SVD, and runs wide matrices
+    on the conjugate transpose.  Its rank cutoff is floored at
+    8 sqrt(dim eps) sigma_1, since squaring the matrix squares its
+    conditioning.
+    """
+    m, n = a.shape
+    if m < n:
+        flipped = dc_svd_gram(conj_transpose(a), tol)
+        r, p = flipped.standard_rank, flipped.infinitesimal_rank
+        # conjugate transposition of the layout negates the D block; flipping
+        # the sign of the matching columns of the new V restores it
+        v_st = flipped.U.standard.copy()
+        v_inf = flipped.U.infinitesimal.copy()
+        v_st[:, r:r + p] *= -1
+        v_inf[:, r:r + p] *= -1
+        u_new, v_new = flipped.V, DCMatrix(v_st, v_inf)
+        layout = assemble_layout(m, n, flipped.standard_blocks, flipped.infinitesimal_values)
+        resid = _svd_residual(a, u_new, v_new, layout)
+        return SvdResult(u_new, v_new, flipped.standard_blocks,
+                         flipped.infinitesimal_values, r, p, resid)
+
+    dec = herm_spectral(mat_mul(conj_transpose(a), a), tol)
+    lam_max = max((b.lam for b in dec.blocks), default=0.0)
+    smax = math.sqrt(max(lam_max, 0.0))
+    cut = max(tol.zero_tol, 8.0 * math.sqrt(max(m, n) * _EPS)) * smax
+    sig_blocks = []
+    r = 0
+    for b in dec.blocks:  # descending, so positive blocks form a prefix
+        sigma = math.sqrt(max(b.lam, 0.0))
+        if sigma <= cut:
+            break
+        if b.kind == "Eigen":
+            sig_blocks.append(SingularBlock(sigma))
+        else:
+            sig_blocks.append(SingularBlock(sigma, b.mu / (2 * sigma)))
+        r += sig_blocks[-1].dim
+
+    vp = dec.U
+    if r > 0:
+        v1 = DCMatrix(vp.standard[:, :r], vp.infinitesimal[:, :r])
+        # (sigma I + N eps*j)^-1 = I/sigma - N/sigma^2 eps*j per block
+        inv_blocks = []
+        for b in sig_blocks:
+            s = 1 / b.sigma
+            inv_blocks.append(SingularBlock(s, None if b.nu is None else -(s * b.nu) * s))
+        u1 = mat_mul(mat_mul(a, v1), assemble_layout(r, r, inv_blocks, ()))
+        x1, y1 = u1.standard, u1.infinitesimal
+    else:
+        x1 = np.zeros((m, 0), dtype=complex)
+        y1 = np.zeros((m, 0), dtype=complex)
+
+    if r < m:
+        if r > 0:
+            qfull, _ = np.linalg.qr(x1, mode="complete")
+            x2 = qfull[:, r:]
+            y2 = x1 @ (x2.conj().T @ y1).T  # keeps U_st* U_I symmetric
+        else:
+            x2 = np.eye(m, dtype=complex)
+            y2 = np.zeros((m, m), dtype=complex)
+        u2 = DCMatrix(x2, y2)
+        uprime = DCMatrix(np.hstack([x1, x2]), np.hstack([y1, y2]))
+    else:
+        u2 = None
+        uprime = DCMatrix(x1, y1)
+
+    inf_vals = ()
+    p = 0
+    u_embed = np.eye(m, dtype=complex)
+    v_embed = np.eye(n, dtype=complex)
+    if r < m and r < n:
+        v2 = DCMatrix(vp.standard[:, r:], vp.infinitesimal[:, r:])
+        corner = conj_transpose(u2) @ a @ v2
+        g = corner.infinitesimal  # the standard part vanishes up to roundoff
+        ug, d, vgh = np.linalg.svd(g)
+        gcut = max(tol.zero_tol, 64 * max(m, n) * _EPS) * max(1.0, float(d[0]) if d.size else 0.0)
+        p = int(np.sum(d > gcut))
+        inf_vals = tuple(float(x) for x in d[:p])
+        u_embed[r:, r:] = ug
+        # eps*j conjugates the factor it passes, so the embedded right factor
+        # must be the elementwise conjugate of the SVD one
+        v_embed[r:, r:] = vgh.T
+
+    u = mat_mul(uprime, DCMatrix(u_embed))
+    v = mat_mul(vp, DCMatrix(v_embed))
+    layout = assemble_layout(m, n, sig_blocks, inf_vals)
+    resid = _svd_residual(a, u, v, layout)
+    return SvdResult(u, v, tuple(sig_blocks), inf_vals, r, p, resid)

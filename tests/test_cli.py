@@ -121,6 +121,20 @@ def test_near_overflow_input_exits_numerical(tmp_path, capsys, command):
     assert "LinAlgError" in capsys.readouterr().err
 
 
+def test_svd_near_overflow_input_exits_numerical(tmp_path, capsys):
+    # the same input through svd: no product of A with itself overflows into
+    # a NonFinite factor; the final residual reads inf and is rejected as a
+    # numerical failure
+    h = gen_random("hermitian", 4, 4, 3)
+    src = tmp_path / "big.json"
+    big = DCMatrix(h.standard * 1e308, h.infinitesimal)
+    src.write_text(json.dumps(jsonio.encode_matrix(big)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["svd", "--input", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert "AccuracyError" in err and "NonFinite" not in err
+
+
 def test_verify_strict_tolerance_fails(tmp_path):
     out = tmp_path / "spec.json"
     assert main(["gen", "--kind", "hermitian", "--m", "5", "--seed", "9",

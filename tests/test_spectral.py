@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import dclinalg.spectral as spectral_mod
-import dclinalg.svd as svd_mod
+import oracle
 from conftest import cgauss, rand_dcmatrix
 from dclinalg import (
     EPS_J,
+    AccuracyError,
     BadEigenspace,
     DCMatrix,
     DualComplex,
@@ -20,7 +21,6 @@ from dclinalg import (
     classify_multiplicity,
     component_norms,
     conj_transpose,
-    dc_svd,
     double_eig_classify,
     from_scalars,
     gen_random,
@@ -37,7 +37,7 @@ from dclinalg import (
     verify_subeigenpair,
     youla_skew,
 )
-from oracle import herm_spectral_loop
+from oracle import dc_svd_gram, herm_spectral_loop
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
 
@@ -300,16 +300,33 @@ def test_youla_skew_skips_one_by_one_clusters(monkeypatch):
 
 @pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
 def test_svd_matches_loop_form(monkeypatch, shape):
+    # the Gram form of the SVD decomposes A*A; the loop form in its place
+    # must give the same factors
     a = rand_dcmatrix(np.random.default_rng(43), *shape)
-    got = dc_svd(a)
-    monkeypatch.setattr(svd_mod, "herm_spectral", herm_spectral_loop)
-    ref = dc_svd(a)
+    got = dc_svd_gram(a)
+    monkeypatch.setattr(oracle, "herm_spectral", herm_spectral_loop)
+    ref = dc_svd_gram(a)
     for got_f, ref_f in ((got.U, ref.U), (got.V, ref.V)):
         np.testing.assert_array_equal(got_f.standard, ref_f.standard)
         np.testing.assert_array_equal(got_f.infinitesimal, ref_f.infinitesimal)
     assert got.standard_blocks == ref.standard_blocks
     assert got.infinitesimal_values == ref.infinitesimal_values
     assert got.residual == ref.residual
+
+
+def test_corrupted_eigh_raises_accuracy_error(monkeypatch):
+    a = gen_random("hermitian", 8, 8, 44)
+    eigh = np.linalg.eigh
+
+    def corrupted(x, *args, **kwargs):
+        w, v = eigh(x, *args, **kwargs)
+        v = v.copy()
+        v[0, 0] += 1e-6
+        return w, v
+
+    monkeypatch.setattr(spectral_mod.np.linalg, "eigh", corrupted)
+    with pytest.raises(AccuracyError):
+        herm_spectral(a)
 
 
 # --------------------------------------------------- subeigenpair verification

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import dclinalg.spectral as spectral_mod
+import dclinalg.svd as svd_mod
 from conftest import cgauss, rand_dcmatrix
 from dclinalg import (
     EPS_J,
+    AccuracyError,
     DCMatrix,
+    IllConditionedGap,
     ShapeMismatch,
     SingularBlock,
     SvdResult,
+    assemble_layout,
     component_norms,
     conj_transpose,
     dc_svd,
@@ -22,6 +27,10 @@ from dclinalg import (
     verify_svd,
     zeros,
 )
+from dclinalg.matrix import unitarity_defect
+from oracle import dc_svd_gram
+
+EPS = np.finfo(float).eps
 
 
 def all_sigmas(res):
@@ -184,3 +193,127 @@ def test_wide_matrix_layout_orientation():
     lay = mat_mul(mat_mul(conj_transpose(res.U), a), res.V)
     np.testing.assert_allclose(lay.infinitesimal[1, 1], 1.0, atol=1e-12)
     assert max(res.residual) <= 1e-12
+
+
+# ------------------------------------------------ direct construction from A_st
+
+def haar(rng, n):
+    q, r = np.linalg.qr(cgauss(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def dual_norm(a):
+    return float(np.linalg.norm(a.standard)) + float(np.linalg.norm(a.infinitesimal))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sigma_ladder_keeps_the_small_value(seed):
+    # sigma = 1e-4 squares to 1e-8, which clustering on the Gram matrix merged
+    # with 0; on sigma itself it stands far above the rank cutoff
+    rng = np.random.default_rng(300 + seed)
+    s = np.array([1, .5, .3, .1, 1e-4, 0])
+    a = DCMatrix(haar(rng, 6) @ np.diag(s) @ haar(rng, 6).conj().T, 1e-3 * cgauss(rng, 6, 6))
+    res = dc_svd(a)
+    assert res.standard_rank == 5 and res.infinitesimal_rank == 1
+    np.testing.assert_allclose(all_sigmas(res), s[:5], rtol=1e-10)
+    assert max(res.residual) <= 1e-12
+    assert max(verify_svd(a, res)) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [(1, .5 + 5e-8, .5, .2), (1, .5, .2, 5e-8), (1, .5, .2, 5e-8, 0)])
+def test_close_clusters_raise_ill_conditioned_gap(s):
+    # clusters 5e-8 apart, below 10 tau = 1e-7; the cluster at zero counts
+    # like any other, with or without members
+    n = len(s)
+    rng = np.random.default_rng(n)
+    a = DCMatrix(haar(rng, n) @ np.diag(s) @ haar(rng, n).conj().T, cgauss(rng, n, n))
+    with pytest.raises(IllConditionedGap):
+        dc_svd(a)
+
+
+@pytest.mark.parametrize("seed", range(9201, 9211))
+@pytest.mark.parametrize("m,n", [(96, 64), (64, 96)])
+def test_rank32_at_scale(seed, m, n):
+    # the construction of the benchmark's rank-32 inputs, which the Gram form
+    # rejected with AccuracyError in youla_skew on the null cluster
+    rng = np.random.default_rng(seed)
+    rank, scale = 32, 4 * np.sqrt(32)
+    g = cgauss(rng, m, rank) @ cgauss(rng, rank, n)
+    a = DCMatrix(g * (scale / np.sqrt(rank)), cgauss(rng, m, n))
+    res = dc_svd(a)
+    assert res.standard_rank == rank
+    assert res.infinitesimal_rank == min(m, n) - rank
+    np.testing.assert_allclose(all_sigmas(res),
+                               np.linalg.svd(a.standard, compute_uv=False)[:rank],
+                               atol=1e-12 * dual_norm(a))
+    assert max(verify_svd(a, res)) <= 1e-12 * dual_norm(a)
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_factor_defects_do_not_grow_with_kappa_squared(kappa):
+    n = 64
+    rng = np.random.default_rng(int(np.log10(kappa)))
+    s = np.logspace(0, -np.log10(kappa), n)
+    a = DCMatrix(haar(rng, n) @ np.diag(s) @ haar(rng, n).conj().T, cgauss(rng, n, n))
+    res = dc_svd(a)
+    assert res.standard_rank == n
+    for f in (res.U, res.V):
+        defect_st, defect_inf = unitarity_defect(f)
+        assert defect_st <= 1e-12 * dual_norm(a)
+        assert defect_inf <= 64 * n * EPS * np.linalg.norm(f.infinitesimal)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_planted_coupled_clusters_match_gram_form(seed):
+    blocks = (SingularBlock(3.0, .7), SingularBlock(3.0), SingularBlock(3.0, .4),
+              SingularBlock(1.5), SingularBlock(1.0, .2))
+    layout = assemble_layout(10, 9, blocks, (.9,))
+    a = mat_mul(mat_mul(gen_random("unitary", 10, 10, 60 + seed), layout),
+                conj_transpose(gen_random("unitary", 9, 9, 70 + seed)))
+    got, ref = dc_svd(a), dc_svd_gram(a)
+    # within a cluster, 1x1 blocks come first, then coupled ones by descending nu
+    for res in (got, ref):
+        assert (res.standard_rank, res.infinitesimal_rank) == (8, 1)
+        assert [b.dim for b in res.standard_blocks] == [1, 2, 2, 1, 2]
+        assert [b.sigma for b in res.standard_blocks] == pytest.approx(
+            [3.0, 3.0, 3.0, 1.5, 1.0], abs=1e-12)
+        assert [abs(b.nu) for b in res.standard_blocks if b.nu is not None] == pytest.approx(
+            [.7, .4, .2], abs=1e-12)
+        assert res.infinitesimal_values == pytest.approx((.9,), abs=1e-12)
+    assert max(got.residual) <= 1e-12
+
+
+def test_no_herm_spectral_call(monkeypatch):
+    calls = []
+    original = spectral_mod.herm_spectral
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "herm_spectral", counting)
+    monkeypatch.setattr(svd_mod, "herm_spectral", counting, raising=False)
+    rng = np.random.default_rng(11)
+    g = cgauss(rng, 12, 3) @ cgauss(rng, 3, 8)
+    for a in (rand_dcmatrix(rng, 12, 8), rand_dcmatrix(rng, 8, 12),
+              DCMatrix(g, cgauss(rng, 12, 8)), DCMatrix(np.eye(4), cgauss(rng, 4, 4))):
+        dc_svd(a)
+    assert calls == []
+
+
+def test_corrupted_svd_raises_accuracy_error(monkeypatch):
+    a = rand_dcmatrix(np.random.default_rng(12), 6, 5)
+    svd = np.linalg.svd
+
+    def corrupted(x, *args, **kwargs):
+        out = svd(x, *args, **kwargs)
+        if kwargs.get("compute_uv", True) and x.shape == (6, 5):
+            p, s, qh = out
+            p = p.copy()
+            p[0, 0] += 1e-6
+            return p, s, qh
+        return out
+
+    monkeypatch.setattr(svd_mod.np.linalg, "svd", corrupted)
+    with pytest.raises(AccuracyError):
+        dc_svd(a)
