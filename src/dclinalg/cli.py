@@ -8,9 +8,9 @@
 
 Result documents embed the input matrix, so `verify` needs no second file.
 Batch mode (--input-dir) processes every *.json in a directory concurrently,
-one worker thread per CPU, and writes one output file per input; all writes are atomic
-(write-then-rename).  Exit codes: 0 success, 1 malformed input, 2
-validation failure, 3 numerical failure.
+one worker thread per usable CPU, and writes one output file per input; all
+writes are atomic (write-then-rename).  Exit codes: 0 success, 1 malformed
+input, 2 validation failure, 3 numerical failure.
 
 Default tolerances can be overridden by --group-tol/--resid-tol/--zero-tol
 or the DCTOOL_TOL environment variable ("group=1e-7,resid=1e-8,zero=1e-11",
@@ -192,7 +192,11 @@ def run(spec: JobSpec) -> int:
         out_dir = spec.output_path if spec.output_path is not None else spec.input_dir
         jobs = [(path, Path(out_dir) / f"{path.stem}.{spec.command}.json")
                 for path in inputs]
-        with ThreadPoolExecutor(max_workers=min(os.cpu_count() or 1, len(jobs))) as pool:
+        # one thread per CPU this process may run on; os.cpu_count() counts
+        # the CPUs of the host, whatever the affinity mask allows
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
             codes = list(pool.map(lambda job: _run_one(spec, job[0], job[1]), jobs))
         return max(codes)
     if spec.command != "gen" and spec.input_path is None:

@@ -177,15 +177,8 @@ def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
     return (float(np.linalg.norm(xh @ x - np.eye(u.cols))), float(np.linalg.norm(m - m.T)))
 
 
-def _fro(x: np.ndarray) -> float:
-    # one BLAS dot product; np.linalg.norm copies the real and imaginary parts
-    # first, which costs as much again on the small matrices bounds are made for
-    v = x.ravel(order="K")
-    return math.sqrt(np.vdot(v, v).real)
-
-
-def check_residual(resid: tuple[float, float], a: DCMatrix, factors_inf,
-                   dropped: tuple[float, float], tol: Tolerances) -> None:
+def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, float],
+                   factors_inf: float, dropped: tuple[float, float], tol: Tolerances) -> None:
     """Raise AccuracyError unless a decomposition's residual pair is explained.
 
     A residual of U* A V against the layout, with or without the unitarity
@@ -193,15 +186,15 @@ def check_residual(resid: tuple[float, float], a: DCMatrix, factors_inf,
     decomposition chose to drop (cluster spreads, values below a cutoff),
     whose norms the caller passes in `dropped`.  Rounding error is bounded
     by f (||A_st|| + sqrt(n)) on the standard part and by
-    f (||A_I|| + (||A_st|| + 1) sum ||F_I||) on the infinitesimal part, the
-    sum running over the infinitesimal parts F_I of the two factors, with
-    f = max(resid_tol, 64 n eps).  A non-finite residual always raises.
+    f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||)) on the infinitesimal
+    part, with f = max(resid_tol, 64 n eps), n the larger dimension of A.
+    The caller passes a_norms = (||A_st||, ||A_I||) and
+    factors_inf = ||U_I|| + ||V_I||, from whatever unitarily equivalent
+    form of them it holds.  A non-finite residual always raises.
     """
-    n = max(a.shape)
     f = max(tol.resid_tol, 64 * n * _EPS)
-    st, inf = _fro(a.standard), _fro(a.infinitesimal)
-    bound = (f * (st + math.sqrt(n)) + dropped[0],
-             f * (inf + (st + 1.0) * sum(_fro(x) for x in factors_inf)) + dropped[1])
+    bound = (f * (a_norms[0] + math.sqrt(n)) + dropped[0],
+             f * (a_norms[1] + (a_norms[0] + 1.0) * factors_inf) + dropped[1])
     if not (math.isfinite(resid[0]) and math.isfinite(resid[1])
             and resid[0] <= bound[0] and resid[1] <= bound[1]):
         raise AccuracyError(f"residual ({resid[0]:.3e}, {resid[1]:.3e}) exceeds "

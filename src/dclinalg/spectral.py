@@ -271,9 +271,11 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     resid = residual(a, u, u, assemble_blocks(blocks))
     # dropped by design: the spread of each cluster around the mean its
     # blocks carry, and the parts of A that are not Hermitian, at most
-    # resid_tol / 2 each once is_hermitian has passed
+    # resid_tol / 2 each once is_hermitian has passed.  The norms of w and c
+    # are those of A's Hermitian parts
     half = tol.resid_tol / 2
-    check_residual(resid, a, (u_inf, u_inf),
+    check_residual(resid, n, (float(np.linalg.norm(w)), float(np.linalg.norm(c))),
+                   2 * float(np.linalg.norm(u_inf)),
                    (float(np.linalg.norm(w - rep)) + half, half), tol)
     return SpectralDecomposition(u, tuple(blocks), resid)
 

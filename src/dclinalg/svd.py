@@ -6,9 +6,9 @@ positive standard singular values (1x1 blocks sigma, or coupled 2x2 blocks
 and zeros elsewhere.  The construction starts from one complex SVD
 A_st = P S Q* and B = P* A_I conj(Q), and runs in three stages:
 
-1. cluster the singular values: those at or below the rank cutoff form the
-   cluster at zero, the positive ones chain into clusters wherever
-   neighbours lie within tau = group_tol * sigma_1;
+1. cluster the singular values: those at or below the rank cutoff, which is
+   at least 10 tau, form the cluster at zero, the positive ones chain into
+   clusters wherever neighbours lie within tau = group_tol * sigma_1;
 2. U = P (I + X eps*j) and V = Q (I + Y eps*j), with X and Y complex
    symmetric, turn the infinitesimal part of U* A V into B + S Y - X S.
    One masked array solve of the 2x2 systems of the entry pairs (i, j),
@@ -18,8 +18,9 @@ A_st = P S Q* and B = P* A_I conj(Q), and runs in three stages:
 3. each positive cluster's remaining block, sigma I plus a skew-symmetric
    infinitesimal part, is put into canonical form by youla_skew, whose
    rotation acts on the columns of U and V alike; a 1x1 cluster is
-   canonical already.  The corner at zero is purely infinitesimal, and its
-   complex SVD gives D.
+   canonical already.  The corner at zero keeps its infinitesimal part,
+   whose complex SVD gives D; its standard part, at most the cutoff, is
+   dropped.
 
 Clusters, the one at zero included, closer than 10 tau raise
 IllConditionedGap, since stage 2 divides by their gaps; a final residual
@@ -86,8 +87,10 @@ def assemble_layout(m: int, n: int, standard_blocks, infinitesimal_values) -> DC
     return DCMatrix(st, inf)
 
 
-def _rank_cutoff(smax: float, dim: int, zero_tol: float) -> float:
-    return max(zero_tol, 64 * dim * _EPS) * smax
+def _rank_cutoff(smax: float, dim: int, tol: Tolerances) -> float:
+    # a value within 10 tau = 10 group_tol sigma_1 of zero joins the cluster
+    # at zero, which the gap rule would otherwise make stand 10 tau clear
+    return max(tol.zero_tol, 64 * dim * _EPS, 10 * tol.group_tol) * smax
 
 
 def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -95,7 +98,7 @@ def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
     svals = np.linalg.svd(a.standard, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > _rank_cutoff(float(svals[0]), max(a.shape), tol.zero_tol)))
+    return int(np.sum(svals > _rank_cutoff(float(svals[0]), max(a.shape), tol)))
 
 
 def _svd_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
@@ -127,11 +130,13 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     b = p_st.conj().T @ a.infinitesimal @ qh.T  # P* A_I conj(Q)
 
     smax = float(s[0]) if k else 0.0
-    r = int(np.sum(s > _rank_cutoff(smax, big, tol.zero_tol)))
+    r = int(np.sum(s > _rank_cutoff(smax, big, tol)))
     tau = tol.group_tol * smax
     # single-linkage clusters of the positive values; the values at or below
     # the rank cutoff form one more cluster at zero, and every cluster,
-    # that one included, must stand 10 tau clear of the next
+    # that one included, must stand 10 tau clear of the next.  Any value
+    # above the cutoff stands that far from 0, so only a member of the
+    # cluster at zero can fail the last gap
     starts = np.flatnonzero(np.diff(s[:r], prepend=np.inf) < -tau)
     sizes = np.diff(starts, append=r)
     ends = starts + sizes
@@ -186,7 +191,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
         blocks.extend(SingularBlock(sigma) for _ in range(null_dim))
         blocks.extend(SingularBlock(sigma, nu) for nu in pairs)
 
-    # the corner at zero is purely infinitesimal, B[r:, r:]; its complex SVD
+    # the infinitesimal part of the corner at zero is B[r:, r:]; its standard
+    # part, the values at or below the cutoff, is dropped.  The complex SVD
     # G = U_g D V_g^H gives D through U_g on the left and conj(V_g) on the
     # right, since eps*j conjugates the factor it passes
     d = np.zeros(0)
@@ -206,6 +212,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     resid = _svd_residual(a, u, v, layout)
     kept = np.zeros(k)
     kept[:r] = np.repeat(reps, sizes)
-    check_residual(resid, a, (u_inf, v_inf),
+    # s and b carry the norms of A's two parts
+    check_residual(resid, big, (float(np.linalg.norm(s)), float(np.linalg.norm(b))),
+                   float(np.linalg.norm(u_inf)) + float(np.linalg.norm(v_inf)),
                    (float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))), tol)
     return SvdResult(u, v, tuple(blocks), inf_vals, r, p, resid)

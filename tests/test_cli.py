@@ -135,6 +135,22 @@ def test_svd_near_overflow_input_exits_numerical(tmp_path, capsys):
     assert "AccuracyError" in err and "NonFinite" not in err
 
 
+def test_svd_of_rounded_rank_deficient_input_verifies(tmp_path):
+    # a rank-3 standard part written with 10 decimal places: the rounding
+    # leaves singular values near 1e-11, far inside 10 tau of zero, which
+    # join the cluster at zero; svd and verify both exit 0
+    rng = np.random.default_rng(21)
+    g = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 6))
+    a = DCMatrix(np.round(g, 10), np.round(rng.standard_normal((6, 6)), 10))
+    sv = np.linalg.svd(a.standard, compute_uv=False)
+    assert 0 < sv[3] < 1e-8 * sv[0]
+    src, out = tmp_path / "a.json", tmp_path / "svd.json"
+    src.write_text(json.dumps(jsonio.encode_matrix(a)))
+    assert main(["svd", "--input", str(src), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["r"] == 3
+    assert main(["verify", "--input", str(out)]) == 0
+
+
 def test_verify_strict_tolerance_fails(tmp_path):
     out = tmp_path / "spec.json"
     assert main(["gen", "--kind", "hermitian", "--m", "5", "--seed", "9",

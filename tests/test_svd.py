@@ -220,15 +220,33 @@ def test_sigma_ladder_keeps_the_small_value(seed):
     assert max(verify_svd(a, res)) <= 1e-12
 
 
-@pytest.mark.parametrize("s", [(1, .5 + 5e-8, .5, .2), (1, .5, .2, 5e-8), (1, .5, .2, 5e-8, 0)])
+@pytest.mark.parametrize("s", [(1, .5 + 5e-8, .5, .2), (1, .5, .2, 1.5e-7, 8e-8),
+                               (1, .5, .2, 1.5e-7, 8e-8, 0)])
 def test_close_clusters_raise_ill_conditioned_gap(s):
-    # clusters 5e-8 apart, below 10 tau = 1e-7; the cluster at zero counts
-    # like any other, with or without members
+    # clusters 5e-8 or 7e-8 apart, below 10 tau = 1e-7; the cluster at zero,
+    # here 8e-8 and 0, counts like any other
     n = len(s)
     rng = np.random.default_rng(n)
     a = DCMatrix(haar(rng, n) @ np.diag(s) @ haar(rng, n).conj().T, cgauss(rng, n, n))
     with pytest.raises(IllConditionedGap):
         dc_svd(a)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_values_within_ten_tau_of_zero_join_the_zero_cluster(seed):
+    # rank 4 plus noise: 5e-8 and 1e-10 lie below 10 tau = 1e-7, so they are
+    # dropped with the cluster at zero instead of raising IllConditionedGap,
+    # and the standard residual is their norm
+    rng = np.random.default_rng(400 + seed)
+    s = np.array([1, .5, .3, .2, 5e-8, 1e-10, 1e-10, 0])
+    a = DCMatrix(haar(rng, 8) @ np.diag(s) @ haar(rng, 8).conj().T, cgauss(rng, 8, 8))
+    res = dc_svd(a)
+    assert res.standard_rank == standard_rank(a) == 4
+    assert res.infinitesimal_rank == 4
+    np.testing.assert_allclose(all_sigmas(res), s[:4], rtol=1e-12)
+    rs, ri = verify_svd(a, res)
+    assert rs == pytest.approx(np.linalg.norm(s[4:]), rel=1e-6)
+    assert ri <= 1e-12 * dual_norm(a)
 
 
 @pytest.mark.parametrize("seed", range(9201, 9211))
