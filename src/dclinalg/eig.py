@@ -10,8 +10,10 @@ of V, and when conj(lam) lies that far from every eigenvalue the system is
 nonsingular and is solved through V in O(n^2).  Everywhere else (clusters,
 conjugate pairs, real or nearly defective standard parts) the SVD of each
 shifted matrix gives the eigenspace and the unsolvable directions, and the
-system is solved by least squares.  Hermitian input is routed through the block spectral
-decomposition, whose 1x1 blocks are exactly the right eigenpairs.
+system is solved by least squares.  Hermitian input is routed through the
+block spectral decomposition, whose 1x1 blocks are exactly the right
+eigenpairs.  Entries too large for this arithmetic raise numpy's
+LinAlgError on entry.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Inconsistent, NonFinite, NotAppreciable, NotHermitian, ShapeMismatch
-from .matrix import DCMatrix, is_hermitian
+from .matrix import DCMatrix, _check_range, is_hermitian
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 from .spectral import herm_spectral
 
@@ -94,13 +96,17 @@ def _cluster_complex(vals: np.ndarray, tau: float):
     return groups
 
 
+def _svd_cut(n: int, tau: float, scale: float) -> float:
+    """Rank cut of an n x n SVD whose largest singular value is at most scale."""
+    return max(tau, 64 * n * _EPS * max(1.0, scale))
+
+
 def _eigenspace_basis(a_st: np.ndarray, lam: complex, tau: float) -> np.ndarray:
     """Orthonormal basis of the numerical null space of (A_st - lam I)."""
     n = a_st.shape[0]
     m = a_st - lam * np.eye(n)
     _, s, vh = np.linalg.svd(m)
-    cut = max(tau, 64 * n * _EPS * max(1.0, float(s[0]) if s.size else 1.0))
-    dim = int(np.sum(s <= cut))
+    dim = int(np.sum(s <= _svd_cut(n, tau, float(s[0]))))
     if dim == 0:
         dim = 1  # lam is an eigenvalue, so the smallest direction is the eigenvector
     return vh[n - dim:, :].conj().T
@@ -110,8 +116,7 @@ def _left_null_basis(m: np.ndarray, tau: float) -> np.ndarray:
     """Orthonormal basis of null(M*); least-squares residuals live in its span."""
     u, s, _ = np.linalg.svd(m)
     n = m.shape[0]
-    cut = max(tau, 64 * n * _EPS * max(1.0, float(s[0]) if s.size else 1.0))
-    dim = int(np.sum(s <= cut))
+    dim = int(np.sum(s <= _svd_cut(n, tau, float(s[0]))))
     return u[:, n - dim:] if dim else u[:, :0]
 
 
@@ -124,13 +129,14 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     system for the infinitesimal vector part, and solve(b) returns x with the
     residual norm ||M x - b||.
 
-    The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1)),
-    and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and kappa = cond(V),
-    s_{n-1}(A_st - lam I) and s_min(M) are at least the second smallest
-    |vals - lam| and the smallest |vals - conj(lam)|, divided by kappa.  Where
-    those distances exceed kappa times the cut, the SVDs would find a
-    one-dimensional eigenspace and no unsolvable direction, and lstsq would
-    not truncate, so the column of V and a solve through V take their place.
+    The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
+    (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
+    kappa = cond(V), s_{n-1}(A_st - lam I) and s_min(M) are at least the
+    second smallest |vals - lam| and the smallest |vals - conj(lam)|,
+    divided by kappa.  Where those distances exceed kappa times the cut, the
+    SVDs would find a one-dimensional eigenspace and no unsolvable
+    direction, and lstsq would not truncate, so the column of V and a solve
+    through V take their place.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("eigenvalues need a square matrix")
@@ -146,7 +152,7 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
         inv_vecs = None
         for group in _cluster_complex(vals, tau):
             lam = complex(np.mean(vals[group]))
-            reach = kappa * max(tau, 64 * n * _EPS * max(1.0, a_norm + abs(lam)))
+            reach = kappa * _svd_cut(n, tau, a_norm + abs(lam))
             if (len(group) == 1
                     and np.delete(np.abs(vals - lam), group).min(initial=np.inf) > reach):
                 basis = vecs[:, group]
@@ -195,6 +201,7 @@ def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[Right
     the smallest singular direction of N* A_I conj(V).  The list may be
     empty; some matrices have no complex right eigenvalue.
     """
+    _check_range(a, np.linalg.LinAlgError)
     a_inf = a.infinitesimal
     accept, clusters = _eig_clusters(a, tol)
     out = []
@@ -226,6 +233,7 @@ def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEig
     eigenvalues of a non-Hermitian standard part are flagged with a warning
     since nothing guarantees the returned set is complete there.
     """
+    _check_range(a, np.linalg.LinAlgError)
     if is_hermitian(a, tol):
         dec = herm_spectral(a, tol)
         out = []

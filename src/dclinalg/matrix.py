@@ -21,6 +21,7 @@ from .errors import AccuracyError, NonFinite, ShapeMismatch, SingularStandardPar
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 
 _EPS = float(np.finfo(float).eps)
+_SQRT_MAX = math.sqrt(float(np.finfo(float).max))
 
 
 class DCMatrix:
@@ -199,6 +200,23 @@ def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, flo
             and resid[0] <= bound[0] and resid[1] <= bound[1]):
         raise AccuracyError(f"residual ({resid[0]:.3e}, {resid[1]:.3e}) exceeds "
                             f"its bound ({bound[0]:.3e}, {bound[1]:.3e})")
+
+
+def _check_range(a: DCMatrix, error: type) -> None:
+    """Raise `error` when A's entries are too large for the decompositions' arithmetic.
+
+    A Frobenius norm squares the entries it sums, so it overflows once they
+    pass sqrt(max double) / n.  With every real and imaginary part at most
+    sqrt(max double) / (4n), n the larger dimension, the norms of A, of
+    A_st - A_st* and of A's products with unitary factors stay finite.
+    """
+    limit = _SQRT_MAX / (4 * max(1, *a.shape))
+    for name, part in (("standard", a.standard), ("infinitesimal", a.infinitesimal)):
+        v = part.view(float)  # max and min allocate nothing, unlike np.abs
+        big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+        if big > limit:
+            raise error(f"{name} part has an entry of size {big:.3e}, above {limit:.3e}, "
+                        f"where sums and norms overflow")
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:

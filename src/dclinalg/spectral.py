@@ -4,24 +4,30 @@ A Hermitian matrix here has a complex Hermitian standard part and a complex
 skew-symmetric infinitesimal part.  A dual complex unitary similarity always
 reduces it to a block diagonal with 1x1 real blocks (right eigenvalues) and
 2x2 blocks [[lam, mu*eps*j], [-mu*eps*j, lam]] with mu != 0 (right
-subeigenvalues).  The reduction runs in three stages:
+subeigenvalues).  The singular value decomposition (svd.py) ends in the same
+blocks, with (sigma, nu) for (lam, mu); both run in three stages, and
+stages 1 and 3 are the helpers here that both call:
 
-1. diagonalize the standard part and group its eigenvalues into clusters;
-2. a unitary correction removes all coupling between clusters.  Its
-   infinitesimal part is the rotated infinitesimal part C divided entry by
-   entry by the gap between the representative eigenvalues of the row's and
-   the column's clusters, in one masked divide that leaves the diagonal
-   cluster blocks zero;
-3. each remaining diagonal cluster block, lam*I plus a skew-symmetric
-   infinitesimal part, is put into canonical form by a complex unitary
-   transpose-congruence (youla_skew).  A 1x1 cluster is canonical already,
-   since its infinitesimal part is zero: it becomes one Eigen block with
-   no youla_skew call and no rotation of its column.
+1. _clusters chains the descending values wherever neighbours lie within
+   tau, represents each cluster by its mean, and raises IllConditionedGap
+   when a cluster stands less than 10 tau above the next one, since stage 2
+   divides by those gaps;
+2. a unitary correction removes all infinitesimal coupling between
+   clusters.  In herm_spectral its infinitesimal part is the rotated
+   infinitesimal part C divided entry by entry by the gap between the
+   representatives of the row's and the column's clusters, in one masked
+   divide that leaves the diagonal cluster blocks zero;
+3. _canonical_blocks puts each remaining diagonal cluster block, a value
+   times I plus a skew-symmetric infinitesimal part, into canonical form by
+   a complex unitary transpose-congruence (youla_skew), which rotates the
+   cluster's columns of the factors.  A 1x1 cluster is canonical already,
+   since its infinitesimal part is zero: it becomes one 1x1 block with no
+   youla_skew call and no rotation of its column.
 
-Stage 2 divides by cluster gaps, so nearly-but-not-quite-equal eigenvalues
-abort with IllConditionedGap instead of silently amplifying error.  The
-final two-sided residual is compared with a bound scaled by the norms of A
-and of U's infinitesimal part, and AccuracyError is raised above it.
+_block_diagonal assembles the blocks of either decomposition.  The final
+two-sided residual is compared with a bound scaled by the norms of A and of
+U's infinitesimal part, and AccuracyError is raised above it.  Entries too
+large for that arithmetic raise numpy's LinAlgError before any of it.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .errors import (
 )
 from .matrix import (
     DCMatrix,
+    _check_range,
     check_residual,
     component_norms,
     inner,
@@ -97,17 +104,93 @@ class SpectralDecomposition:
 def assemble_blocks(blocks) -> DCMatrix:
     """Block diagonal matrix described by a block list."""
     n = sum(b.dim for b in blocks)
-    st = np.zeros((n, n), dtype=complex)
-    inf = np.zeros((n, n), dtype=complex)
+    return _block_diagonal(n, n, [(b.lam, b.mu) for b in blocks])
+
+
+def _block_diagonal(m: int, n: int, blocks, tail=()) -> DCMatrix:
+    """The m x n matrix with the canonical blocks on its diagonal, then tail*eps*j.
+
+    blocks holds (value, coupling) pairs: a 1x1 block value when coupling is
+    None, else the 2x2 block [[value, coupling*eps*j], [-coupling*eps*j, value]].
+    Each entry d of tail is one purely infinitesimal 1x1 block d*eps*j.
+    """
+    st = np.zeros((m, n), dtype=complex)
+    inf = np.zeros((m, n), dtype=complex)
     off = 0
-    for b in blocks:
-        st[off, off] = b.lam
-        if b.kind == "Sub":
-            st[off + 1, off + 1] = b.lam
-            inf[off, off + 1] = b.mu
-            inf[off + 1, off] = -b.mu
-        off += b.dim
+    for value, coupling in blocks:
+        st[off, off] = value
+        if coupling is not None:
+            st[off + 1, off + 1] = value
+            inf[off, off + 1] = coupling
+            inf[off + 1, off] = -coupling
+            off += 1
+        off += 1
+    for d in tail:
+        inf[off, off] = d
+        off += 1
     return DCMatrix(st, inf)
+
+
+def _chain(vals, tau: float):
+    """Starts and ends of the single-linkage chains of the descending vals.
+
+    A new chain starts wherever the next value drops by more than tau.
+    """
+    # np.diff with prepend and append costs about three times this on the
+    # short arrays of youla_skew's groups
+    starts = np.flatnonzero(np.concatenate(([np.inf], vals[:-1])) - vals > tau)
+    return starts, np.append(starts[1:], len(vals))[:starts.size]  # none if no vals
+
+
+def _clusters(vals, count: int, tau: float, below: float, what: str):
+    """Clusters of the descending vals[:count]: (starts, sizes, reps).
+
+    A cluster is a chain of values within tau of their neighbours, and its
+    representative in reps is its mean, or its one member.  Each cluster must
+    stand 10 tau clear of the next, whether that is the next cluster, the
+    value vals[count] after the last one, or `below` when there is no such
+    value; IllConditionedGap names the `what` of vals otherwise.
+    """
+    starts, ends = _chain(vals[:count], tau)
+    sizes = ends - starts
+    gaps = vals[ends - 1] - np.append(vals, below)[ends]
+    bad = np.flatnonzero(gaps < 10 * tau)
+    if bad.size:
+        raise IllConditionedGap(
+            f"distinct {what} clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
+    reps = vals[starts]
+    for k in np.flatnonzero(sizes > 1):
+        reps[k] = np.mean(vals[starts[k]:ends[k]])
+    return starts, sizes, reps
+
+
+def _canonical_blocks(skew, starts, sizes, reps, factors, tol: Tolerances):
+    """Canonical (value, coupling) blocks of each cluster, in order.
+
+    A cluster is reps[k] I plus the block of the skew-symmetric `skew` on
+    its rows and columns.  youla_skew puts each multi-member cluster's block
+    into canonical form as W* B conj(W), W = conj(Q); W rotates that
+    cluster's columns of every (standard, infinitesimal) pair in `factors`
+    in place, which leaves the standard block reps[k] I as it is.  A 1x1
+    cluster is canonical already: its block is zero.  coupling is None for a
+    1x1 block and the youla_skew pair value for a 2x2 one; 1x1 blocks come
+    first within a cluster.
+    """
+    blocks = []
+    for start, size, value in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
+        if size == 1:
+            blocks.append((value, None))
+            continue
+        sl = slice(start, start + size)
+        q, pairs, null_dim = youla_skew(skew[sl, sl], tol)
+        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
+        w_blk = np.conj(q[:, perm])
+        for f_st, f_inf in factors:
+            f_st[:, sl] = f_st[:, sl] @ w_blk
+            f_inf[:, sl] = f_inf[:, sl] @ np.conj(w_blk)
+        blocks.extend((value, None) for _ in range(null_dim))
+        blocks.extend((value, s) for s in pairs)
+    return blocks
 
 
 def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
@@ -150,17 +233,9 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
 
     # the pairing map x -> C conj(x)/s only preserves each singular-value
     # eigenspace, so vectors must pair off within their own group
-    tau_pair = 64 * n * _EPS * max(1.0, smax)
-    groups = []
-    start = 0
-    for i in range(1, k):
-        if s[i - 1] - s[i] > tau_pair:
-            groups.append((start, i))
-            start = i
-    if k:
-        groups.append((start, k))
+    starts, ends = _chain(s[:k], 64 * n * _EPS * max(1.0, smax))
     found = []  # (s, conj(y), conj(x))
-    for g0, g1 in groups:
+    for g0, g1 in zip(starts.tolist(), ends.tolist()):
         if (g1 - g0) % 2 == 1:
             raise AccuracyError("odd singular value group; equal values were split")
         remaining = u[:, g0:g1].copy()
@@ -214,6 +289,7 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     """
     if a.rows != a.cols:
         raise ShapeMismatch("spectral decomposition needs a square matrix")
+    _check_range(a, np.linalg.LinAlgError)
     if not is_hermitian(a, tol):
         raise NotHermitian("matrix is not Hermitian")
     n = a.rows
@@ -225,18 +301,7 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     v = v[:, ::-1]
     wmax = float(np.abs(w).max()) if n else 0.0
     tau = tol.group_tol * (1.0 + wmax)
-    # single-linkage clusters of the descending eigenvalues: a new cluster
-    # starts wherever the next value drops by more than tau
-    starts = np.flatnonzero(np.diff(w, prepend=np.inf) < -tau)
-    sizes = np.diff(starts, append=n)
-    gaps = w[starts[1:] - 1] - w[starts[1:]]
-    bad = np.flatnonzero(gaps < 10 * tau)
-    if bad.size:
-        raise IllConditionedGap(
-            f"distinct eigenvalue clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
-    reps = w[starts]
-    for k in np.flatnonzero(sizes > 1):
-        reps[k] = np.mean(w[starts[k]:starts[k] + sizes[k]])
+    starts, sizes, reps = _clusters(w, n, tau, -np.inf, "eigenvalue")
 
     s_mat = v.conj().T
     c = s_mat @ a_inf @ s_mat.T
@@ -254,19 +319,8 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     # cluster; a 1x1 cluster's block is 1, so its columns need no product
     u_st = v.copy()
     u_inf = -(p_inf @ np.conj(s_mat)).T
-    blocks: list[SpectralBlock] = []
-    for start, size, lam in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
-        if size == 1:
-            blocks.append(SpectralBlock("Eigen", lam))
-            continue
-        sl = slice(start, start + size)
-        q, pairs, null_dim = youla_skew(c[sl, sl], tol)
-        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
-        w_blk = np.conj(q[:, perm])
-        u_st[:, sl] = u_st[:, sl] @ w_blk
-        u_inf[:, sl] = u_inf[:, sl] @ np.conj(w_blk)
-        blocks.extend(SpectralBlock("Eigen", lam) for _ in range(null_dim))
-        blocks.extend(SpectralBlock("Sub", lam, s) for s in pairs)
+    blocks = [SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
+              for lam, mu in _canonical_blocks(c, starts, sizes, reps, [(u_st, u_inf)], tol)]
     u = DCMatrix(u_st, u_inf)
     resid = residual(a, u, u, assemble_blocks(blocks))
     # dropped by design: the spread of each cluster around the mean its

@@ -4,27 +4,26 @@ U* A V is reduced to a block layout with an r x r leading block Sigma_r of
 positive standard singular values (1x1 blocks sigma, or coupled 2x2 blocks
 (sigma, nu)), followed by a p x p purely infinitesimal diagonal D*eps*j,
 and zeros elsewhere.  The construction starts from one complex SVD
-A_st = P S Q* and B = P* A_I conj(Q), and runs in three stages:
+A_st = P S Q* and B = P* A_I conj(Q), and runs the three stages of the
+spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
 
-1. cluster the singular values: those at or below the rank cutoff, which is
-   at least 10 tau, form the cluster at zero, the positive ones chain into
-   clusters wherever neighbours lie within tau = group_tol * sigma_1;
+1. the singular values above the rank cutoff, which is at least 10 tau,
+   form the positive clusters (_clusters, tau = group_tol * sigma_1); the
+   rest form one more cluster, at zero, which the last positive one must
+   stand 10 tau clear of;
 2. U = P (I + X eps*j) and V = Q (I + Y eps*j), with X and Y complex
    symmetric, turn the infinitesimal part of U* A V into B + S Y - X S.
    One masked array solve of the 2x2 systems of the entry pairs (i, j),
    (j, i), whose determinant is sigma_i^2 - sigma_j^2, zeroes it between
    clusters and against the extra rows or columns of a tall or wide input;
    inside a positive cluster it removes the symmetric part of B's block;
-3. each positive cluster's remaining block, sigma I plus a skew-symmetric
-   infinitesimal part, is put into canonical form by youla_skew, whose
-   rotation acts on the columns of U and V alike; a 1x1 cluster is
-   canonical already.  The corner at zero keeps its infinitesimal part,
-   whose complex SVD gives D; its standard part, at most the cutoff, is
-   dropped.
+3. each positive cluster's remaining skew block goes to canonical form
+   (_canonical_blocks), rotating the columns of U and V alike.  The corner
+   at zero keeps its infinitesimal part, whose complex SVD gives D; its
+   standard part, at most the cutoff, is dropped.
 
-Clusters, the one at zero included, closer than 10 tau raise
-IllConditionedGap, since stage 2 divides by their gaps; a final residual
-above its bound raises AccuracyError.
+A final residual above its bound raises AccuracyError, and so do entries
+too large for the arithmetic, before any of it.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import IllConditionedGap, ShapeMismatch
-from .matrix import DCMatrix, check_residual, residual, unitarity_defect
+from .errors import AccuracyError, ShapeMismatch
+from .matrix import DCMatrix, _check_range, check_residual, residual, unitarity_defect
 from .scalar import DEFAULT_TOL, Tolerances
-from .spectral import youla_skew
+from .spectral import _block_diagonal, _canonical_blocks, _clusters
 
 _EPS = float(np.finfo(float).eps)
 
@@ -71,20 +70,8 @@ class SvdResult:
 
 def assemble_layout(m: int, n: int, standard_blocks, infinitesimal_values) -> DCMatrix:
     """The m x n block layout: Sigma_r, then D*eps*j, then zeros."""
-    st = np.zeros((m, n), dtype=complex)
-    inf = np.zeros((m, n), dtype=complex)
-    off = 0
-    for b in standard_blocks:
-        st[off, off] = b.sigma
-        if b.nu is not None:
-            st[off + 1, off + 1] = b.sigma
-            inf[off, off + 1] = b.nu
-            inf[off + 1, off] = -b.nu
-        off += b.dim
-    for d in infinitesimal_values:
-        inf[off, off] = d
-        off += 1
-    return DCMatrix(st, inf)
+    return _block_diagonal(m, n, [(b.sigma, b.nu) for b in standard_blocks],
+                           infinitesimal_values)
 
 
 def _rank_cutoff(smax: float, dim: int, tol: Tolerances) -> float:
@@ -123,6 +110,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     before coupled ones, coupled ones by descending nu; nu is the canonical
     positive real produced by youla_skew, and D descends.
     """
+    _check_range(a, AccuracyError)
     m, n = a.shape
     k, big = min(m, n), max(m, n)
     p_st, s, qh = np.linalg.svd(a.standard)
@@ -132,22 +120,11 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     smax = float(s[0]) if k else 0.0
     r = int(np.sum(s > _rank_cutoff(smax, big, tol)))
     tau = tol.group_tol * smax
-    # single-linkage clusters of the positive values; the values at or below
-    # the rank cutoff form one more cluster at zero, and every cluster,
-    # that one included, must stand 10 tau clear of the next.  Any value
+    # the values at or below the rank cutoff form one more cluster, at zero,
+    # which the last positive cluster must stand 10 tau clear of.  Any value
     # above the cutoff stands that far from 0, so only a member of the
     # cluster at zero can fail the last gap
-    starts = np.flatnonzero(np.diff(s[:r], prepend=np.inf) < -tau)
-    sizes = np.diff(starts, append=r)
-    ends = starts + sizes
-    gaps = s[ends - 1] - np.append(s, 0.0)[ends]
-    bad = np.flatnonzero(gaps < 10 * tau)
-    if bad.size:
-        raise IllConditionedGap(
-            f"distinct singular value clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
-    reps = s[starts]
-    for c in np.flatnonzero(sizes > 1):
-        reps[c] = np.mean(s[starts[c]:ends[c]])
+    starts, sizes, reps = _clusters(s, r, tau, 0.0, "singular value")
 
     # U = P (I + X eps*j) and V = Q (I + Y eps*j) with X, Y complex symmetric
     # turn the infinitesimal part of U* A V into B + S Y - X S.  Padded to
@@ -173,23 +150,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     u_st, u_inf = p_st, p_st @ (t_sym - t_skew)[:m, :m]
     v_st, v_inf = q_st, q_st @ (-t_sym - t_skew)[:n, :n]
 
-    # a cluster's skew block B_c goes to canonical form as W* B_c conj(W) with
-    # W = conj(Q_c), Q_c from youla_skew; W rotates U's and V's columns alike,
-    # which leaves the standard block sigma I as it is
-    blocks: list[SingularBlock] = []
-    for start, size, sigma in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
-        if size == 1:
-            blocks.append(SingularBlock(sigma))
-            continue
-        sl = slice(start, start + size)
-        q, pairs, null_dim = youla_skew(skew[sl, sl], tol)
-        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
-        w_blk = np.conj(q[:, perm])
-        for f_st, f_inf in ((u_st, u_inf), (v_st, v_inf)):
-            f_st[:, sl] = f_st[:, sl] @ w_blk
-            f_inf[:, sl] = f_inf[:, sl] @ np.conj(w_blk)
-        blocks.extend(SingularBlock(sigma) for _ in range(null_dim))
-        blocks.extend(SingularBlock(sigma, nu) for nu in pairs)
+    blocks = [SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
+        skew, starts, sizes, reps, [(u_st, u_inf), (v_st, v_inf)], tol)]
 
     # the infinitesimal part of the corner at zero is B[r:, r:]; its standard
     # part, the values at or below the cutoff, is dropped.  The complex SVD

@@ -1,11 +1,13 @@
 """Inputs at the edges of the domain: the empty matrix and non-finite entries."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 from dclinalg import (
+    AccuracyError,
     DCMatrix,
     NonFinite,
     complex_right_eigs,
@@ -13,6 +15,7 @@ from dclinalg import (
     dual_right_eigs,
     gen_random,
     herm_spectral,
+    jsonio,
 )
 from dclinalg.cli import main
 
@@ -75,3 +78,39 @@ def test_cli_maps_non_finite_to_validation_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("dclinalg.cli.herm_spectral", poisoned)
     assert main(["spectral", "--input", str(src), "--output", str(tmp_path / "o.json")]) == 2
     assert "NonFinite" in capsys.readouterr().err
+
+
+NEAR_OVERFLOW = {"herm_spectral": (herm_spectral, np.linalg.LinAlgError),
+                 "dc_svd": (dc_svd, AccuracyError),
+                 "dual_right_eigs": (dual_right_eigs, np.linalg.LinAlgError),
+                 "complex_right_eigs": (complex_right_eigs, np.linalg.LinAlgError)}
+
+
+def near_overflow(part):
+    # finite entries up to 1.4e308, whose sums and norms overflow; the
+    # suite turns numpy's RuntimeWarnings into errors, so none may be emitted
+    h = gen_random("hermitian", 4, 4, 3)
+    if part == "standard":
+        return DCMatrix(h.standard * 1e308, h.infinitesimal)
+    return DCMatrix(h.standard, h.infinitesimal * 1e308)
+
+
+@pytest.mark.parametrize("part", ["standard", "infinitesimal"])
+@pytest.mark.parametrize("routine", sorted(NEAR_OVERFLOW))
+def test_near_overflow_input_is_rejected_where_it_enters(routine, part):
+    fn, error = NEAR_OVERFLOW[routine]
+    with pytest.raises(error, match=f"{part} part has an entry of size"):
+        fn(near_overflow(part))
+
+
+@pytest.mark.parametrize("command, error", [("spectral", "LinAlgError"),
+                                            ("svd", "AccuracyError"),
+                                            ("eig", "LinAlgError")])
+def test_cli_near_overflow_input_exits_numerical_without_warnings(tmp_path, capsys,
+                                                                  command, error):
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(jsonio.encode_matrix(near_overflow("standard"))))
+    assert main([command, "--input", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"dctool: {error}: standard part has an entry of size")
+    assert "Warning" not in err and "inf" not in err

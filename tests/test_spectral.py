@@ -21,6 +21,7 @@ from dclinalg import (
     classify_multiplicity,
     component_norms,
     conj_transpose,
+    dc_svd,
     double_eig_classify,
     from_scalars,
     gen_random,
@@ -115,6 +116,85 @@ def test_youla_repeated_singular_values():
 def test_youla_rejects_non_skew():
     with pytest.raises(NotSkewSymmetric):
         youla_skew(np.eye(3))
+
+
+# ------------------------------------------------------ the clustering rule
+
+_clusters = spectral_mod._clusters
+
+
+def test_clusters_of_no_values():
+    starts, sizes, reps = _clusters(np.zeros(0), 0, 0.1, 0.0, "singular value")
+    assert starts.size == sizes.size == reps.size == 0
+
+
+def test_clusters_of_one_cluster():
+    vals = np.array([1.0, 0.95, 0.9])
+    starts, sizes, reps = _clusters(vals, 3, 0.06, -np.inf, "eigenvalue")
+    assert starts.tolist() == [0] and sizes.tolist() == [3]
+    assert reps.tolist() == [np.mean(vals)]
+
+
+def test_clusters_chain_through_a_drop_of_exactly_tau():
+    # dyadic values: each drop is exactly tau = 0.25
+    starts, sizes, reps = _clusters(np.array([1.0, 0.75, 0.5]), 3, 0.25, -np.inf,
+                                    "eigenvalue")
+    assert sizes.tolist() == [3] and reps.tolist() == [0.75]
+
+
+def test_clusters_need_a_gap_of_ten_tau():
+    tau = 0.0625  # 10 tau = 0.625 exactly
+    starts, sizes, reps = _clusters(np.array([1.0, 0.375]), 2, tau, -np.inf, "eigenvalue")
+    assert starts.tolist() == [0, 1] and reps.tolist() == [1.0, 0.375]
+    short = np.array([np.nextafter(1.0, 0.0), 0.375])
+    assert short[0] - short[1] < 10 * tau
+    with pytest.raises(IllConditionedGap, match="separated by 6.250e-01 < 6.250e-01"):
+        _clusters(short, 2, tau, -np.inf, "eigenvalue")
+
+
+def test_last_cluster_stands_clear_of_below_or_the_next_value():
+    vals = np.array([1.0, 0.05])
+    with pytest.raises(IllConditionedGap, match="singular value clusters separated by 5.000e-02"):
+        _clusters(vals, 2, 0.01, 0.0, "singular value")
+    assert _clusters(vals, 2, 0.01, -np.inf, "eigenvalue")[1].tolist() == [1, 1]
+    # past count, the next value stands in for below
+    assert _clusters(np.array([1.0, 0.5, 1e-9]), 2, 0.01, 0.0, "singular value")[1].size == 2
+    with pytest.raises(IllConditionedGap, match="separated by 5.000e-02"):
+        _clusters(np.array([1.0, 0.5, 0.45]), 2, 0.01, 0.0, "singular value")
+
+
+def test_gap_messages_name_the_values_of_each_caller():
+    with pytest.raises(IllConditionedGap, match="^distinct eigenvalue clusters separated by"):
+        herm_spectral(DCMatrix(np.diag([1.0, 1.0 + 3e-8]).astype(complex)))
+    with pytest.raises(IllConditionedGap,
+                       match="^distinct singular value clusters separated by"):
+        dc_svd(DCMatrix(np.diag([1.0, 1.0 - 3e-8]).astype(complex)))
+
+
+def youla_groups_loop(s, k, tau_pair):
+    """The loop youla_skew grouped its singular values with before _chain."""
+    groups = []
+    start = 0
+    for i in range(1, k):
+        if s[i - 1] - s[i] > tau_pair:
+            groups.append((start, i))
+            start = i
+    if k:
+        groups.append((start, k))
+    return groups
+
+
+def test_youla_grouping_matches_loop_form_on_ties():
+    tau_pair = 2.0 ** -40
+    rng = np.random.default_rng(61)
+    for _ in range(50):
+        # steps of exactly tau_pair, just above it, and far above it
+        steps = rng.choice([0.0, tau_pair, 2 * tau_pair, 2.0 ** -20], size=12)
+        s = 1.0 - np.concatenate([[0.0], np.cumsum(steps[1:])])
+        for k in (0, 1, 7, 12):
+            starts, ends = spectral_mod._chain(s[:k], tau_pair)
+            got = list(zip(starts.tolist(), ends.tolist()))
+            assert got == youla_groups_loop(s, k, tau_pair)
 
 
 # -------------------------------------------------------------- herm_spectral
