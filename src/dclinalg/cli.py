@@ -174,7 +174,8 @@ def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Pa
     except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
         print(f"dctool: LinAlgError: {exc}", file=sys.stderr)
         return 3
-    except (jsonio.SchemaError, OSError, ValueError) as exc:
+    except (jsonio.SchemaError, OSError, ValueError, RecursionError) as exc:
+        # RecursionError: the JSON parser's answer to arrays nested too deep
         print(f"dctool: {exc}", file=sys.stderr)
         return 1
     except DCError as exc:

@@ -188,7 +188,8 @@ def _eig_solve_resid(a_st, vecs, inv_vecs, lam, shift, b):
 
 def _lstsq_resid(m: np.ndarray, b: np.ndarray):
     x = np.linalg.lstsq(m, b, rcond=None)[0]
-    return x, float(np.linalg.norm(m @ x - b))
+    # an overflowed solution solves nothing, and m @ x would warn
+    return x, float(np.linalg.norm(m @ x - b)) if np.isfinite(x).all() else np.inf
 
 
 def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:

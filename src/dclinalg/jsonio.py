@@ -1,6 +1,6 @@
 """JSON encoding and decoding of scalars, matrices, and results.
 
-Wire formats (all numbers finite doubles):
+Wire formats (all numbers finite doubles; rows, cols, r and p integers):
 
     scalar   [[re_st, im_st], [re_inf, im_inf]]
     matrix   {"rows": m, "cols": n,
@@ -38,7 +38,10 @@ class SchemaError(ValueError):
 def _num(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer beyond double range
+        raise SchemaError(f"{where}: numbers must lie within double range") from None
     if not math.isfinite(value):
         raise SchemaError(f"{where}: numbers must be finite, got {value!r}")
     return value
@@ -74,13 +77,14 @@ def _encode_part(part: np.ndarray) -> list:
 def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != m:
         raise SchemaError(f"{where}: expected {m} rows")
-    out = np.zeros((m, n), dtype=complex)
+    # the array is allocated once every row has passed, so a cols count the
+    # rows do not hold is a schema error, not a failed allocation
+    rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}: row {i} must have {n} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _pair(entry, f"{where}[{i}][{j}]")
-    return out
+        rows.append([_pair(entry, f"{where}[{i}][{j}]") for j, entry in enumerate(row)])
+    return np.array(rows, dtype=complex)
 
 
 def encode_matrix(a: DCMatrix) -> dict:
@@ -95,7 +99,8 @@ def encode_matrix(a: DCMatrix) -> dict:
 def decode_matrix(obj) -> DCMatrix:
     m = _field(obj, "rows", "matrix")
     n = _field(obj, "cols", "matrix")
-    if not isinstance(m, int) or not isinstance(n, int) or m < 1 or n < 1:
+    # type(...) is int turns away booleans, which isinstance takes for ints
+    if type(m) is not int or type(n) is not int or m < 1 or n < 1:
         raise SchemaError("matrix: rows and cols must be positive integers")
     st = _decode_part(_field(obj, "standard", "matrix"), m, n, "standard")
     inf = _decode_part(_field(obj, "infinitesimal", "matrix"), m, n, "infinitesimal")
@@ -221,7 +226,7 @@ def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
     inf_vals = tuple(_num(x, f"infinitesimal_values[{i}]") for i, x in enumerate(raw_vals))
     r = _field(doc, "r", "svd")
     p = _field(doc, "p", "svd")
-    if not isinstance(r, int) or not isinstance(p, int):
+    if type(r) is not int or type(p) is not int:
         raise SchemaError("svd: r and p must be integers")
     residual = _decode_residual(_field(doc, "residual", "svd"), "svd")
     return a, SvdResult(u, v, tuple(blocks), inf_vals, r, p, residual)

@@ -201,21 +201,27 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
         Q.T @ C @ Q = blockdiag([[0, s1], [-s1, 0]], ..., 0_null)
 
     where pairs = [s1 >= s2 >= ... > 0] are the nonzero singular values of C
-    (each of even multiplicity).  The construction works off the SVD of C:
-    on the span of the left singular vectors for nonzero singular values,
-    the conjugate-linear map x -> C conj(x) / s squares to minus the
-    identity, so unit vectors pair off as (x, y = C conj(x)/s) with x, y
-    orthonormal; the conjugated pairs, ordered (conj(y), conj(x)), realize
-    exactly the 2x2 canonical blocks, and right null vectors of C fill the
-    zero block.  The resulting congruence is re-verified and AccuracyError
-    is raised rather than returning a bad factor.
+    (each of even multiplicity).  The construction works off one SVD of C.
+    On the span of the left singular vectors for one group of equal
+    singular values s, the conjugate-linear map J x = C conj(x) / s is
+    antiunitary with J J = -1, so a unit vector x pairs with y = J x, x and
+    y orthonormal, and the complement of found pairs in the span is again
+    invariant under J (Youla, Canad. J. Math. 13, 1961).  A symplectic
+    Gram-Schmidt pass pairs each group off without a second factorization:
+    the first x is the group's first column of U, each later x the group's
+    column of U with the largest part left in that complement, normalized,
+    and every pair is projected out of the rest.  The conjugated pairs,
+    ordered (conj(y), conj(x)), realize exactly the 2x2 canonical blocks,
+    and right null vectors of C fill the zero block.  The resulting
+    congruence is re-verified and AccuracyError is raised rather than
+    returning a bad factor.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise NotSkewSymmetric(f"expected a square matrix, got shape {c.shape}")
     n = c.shape[0]
-    cnorm = float(np.linalg.norm(c))
-    if np.linalg.norm(c + c.T) > tol.resid_tol * (1.0 + cnorm):
+    bound = tol.resid_tol * (1.0 + float(np.linalg.norm(c)))
+    if np.linalg.norm(c + c.T) > bound:
         raise NotSkewSymmetric("matrix is not skew-symmetric")
     if n == 0:
         return np.zeros((0, 0), dtype=complex), [], 0
@@ -238,9 +244,20 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     for g0, g1 in zip(starts.tolist(), ends.tolist()):
         if (g1 - g0) % 2 == 1:
             raise AccuracyError("odd singular value group; equal values were split")
-        remaining = u[:, g0:g1].copy()
-        while remaining.shape[1] > 0:
-            x = remaining[:, 0]
+        # rest holds the group's columns of U projected onto the complement of
+        # the pairs found so far.  After i pairs their squared norms sum to
+        # g1 - g0 - 2i over g1 - g0 - i columns that still count, so in exact
+        # arithmetic the largest norm is at least 2 / sqrt(g1 - g0 + 2)
+        rest = u[:, g0:g1].copy()
+        x = rest[:, 0]  # the first x is U's unit column as it is
+        for i in range((g1 - g0) // 2):
+            if i:  # project the last pair out of rest, take its largest column
+                xy = np.column_stack((x, y))
+                rest -= xy @ (xy.conj().T @ rest)
+                norms = np.linalg.norm(rest, axis=0)
+                if norms.max() < 1 / np.sqrt(g1 - g0):
+                    raise AccuracyError("group span ran out before it paired off")
+                x = rest[:, norms.argmax()] / norms.max()
             y = c @ np.conj(x)
             s_loc = float(np.linalg.norm(y))
             if s_loc <= null_cut:
@@ -249,30 +266,17 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
             y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
             y = y / np.linalg.norm(y)
             found.append((s_loc, np.conj(y), np.conj(x)))
-            keep = remaining.shape[1] - 2
-            if keep <= 0:
-                break
-            z = (remaining - np.outer(x, np.conj(x) @ remaining)
-                 - np.outer(y, np.conj(y) @ remaining))
-            uz, sz, _ = np.linalg.svd(z, full_matrices=False)
-            if sz[keep - 1] < 0.5:
-                raise AccuracyError("deflation lost rank while pairing singular vectors")
-            remaining = uz[:, :keep]
 
     found.sort(key=lambda t: -t[0])
     cols = [col for _, qy, qx in found for col in (qy, qx)]
     v_null = vh[k:, :].conj().T  # right null space of C
-    q = np.column_stack(cols + [v_null]) if cols else v_null.copy()
+    q = np.column_stack(cols + [v_null])
 
     jact = q.T @ c @ q
-    pairs = []
+    pairs = [float((jact[i, i + 1] - jact[i + 1, i]).real / 2) for i in range(0, k, 2)]
     jideal = np.zeros((n, n), dtype=complex)
-    for i in range(k // 2):
-        s_i = float((jact[2 * i, 2 * i + 1] - jact[2 * i + 1, 2 * i]).real / 2)
-        pairs.append(s_i)
-        jideal[2 * i, 2 * i + 1] = s_i
-        jideal[2 * i + 1, 2 * i] = -s_i
-    bound = tol.resid_tol * (1.0 + cnorm)
+    for i, s_i in zip(range(0, k, 2), pairs):
+        jideal[i, i + 1], jideal[i + 1, i] = s_i, -s_i
     if np.linalg.norm(jact - jideal) > bound:
         raise AccuracyError("congruence residual exceeded tolerance")
     if np.linalg.norm(q.conj().T @ q - np.eye(n)) > bound:

@@ -23,7 +23,8 @@ spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
    standard part, at most the cutoff, is dropped.
 
 A final residual above its bound raises AccuracyError, and so do entries
-too large for the arithmetic, before any of it.
+too large for the arithmetic, before any of it, and an A_st so small against
+A_I that X and Y, which scale as A_I / sigma, leave that range.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import DCMatrix, _check_range, check_residual, residual, unitarity_defect
+from .matrix import DCMatrix, _SQRT_MAX, _check_range, check_residual, residual, unitarity_defect
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import _block_diagonal, _canonical_blocks, _clusters
 
@@ -143,12 +144,19 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     sym = (bp + bp.T) / 2
     skew = (bp - bp.T) / 2
     zero = label < 0
-    t_sym = np.divide(sym, sig[:, None] + sig[None, :], out=np.zeros_like(sym),
-                      where=~(zero[:, None] & zero[None, :]))
-    t_skew = np.divide(skew, sig[:, None] - sig[None, :], out=np.zeros_like(skew),
-                       where=label[:, None] != label[None, :])
-    u_st, u_inf = p_st, p_st @ (t_sym - t_skew)[:m, :m]
-    v_st, v_inf = q_st, q_st @ (-t_sym - t_skew)[:n, :n]
+    with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
+        t_sym = np.divide(sym, sig[:, None] + sig[None, :], out=np.zeros_like(sym),
+                          where=~(zero[:, None] & zero[None, :]))
+        t_skew = np.divide(skew, sig[:, None] - sig[None, :], out=np.zeros_like(skew),
+                           where=label[:, None] != label[None, :])
+        u_st, u_inf = p_st, p_st @ (t_sym - t_skew)[:m, :m]
+        v_st, v_inf = q_st, q_st @ (-t_sym - t_skew)[:n, :n]
+    # X and Y scale as A_I / sigma, so an A_st tiny against A_I can take U_I
+    # and V_I past double range, or past the range _check_range keeps A's
+    # entries in so that the sums and norms of the final residual stay finite
+    limit = _SQRT_MAX / (4 * max(1, big))
+    if not (np.abs(u_inf).max(initial=0.0) <= limit and np.abs(v_inf).max(initial=0.0) <= limit):
+        raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 
     blocks = [SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
         skew, starts, sizes, reps, [(u_st, u_inf), (v_st, v_inf)], tol)]

@@ -7,8 +7,10 @@ below, read off the componentwise product formula; it is ground truth
 independent of the packed complex representation used by the library.  The
 Hermitian spectral decomposition has a loop-based reference,
 herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
-references, complex_right_eigs_svd and dual_right_eigs_svd, and the SVD has
-its Gram-matrix form, dc_svd_gram.
+references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
+its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
+deflates each group of equal singular values with one SVD per pair,
+youla_skew_deflation.
 """
 
 import math
@@ -17,10 +19,12 @@ import numpy as np
 
 from dclinalg import (
     DEFAULT_TOL,
+    AccuracyError,
     DCMatrix,
     DualComplex,
     IllConditionedGap,
     NotHermitian,
+    NotSkewSymmetric,
     RightEigenPair,
     ShapeMismatch,
     SingularBlock,
@@ -37,6 +41,7 @@ from dclinalg import (
     mat_mul,
     youla_skew,
 )
+from dclinalg.spectral import _chain
 from dclinalg.svd import _svd_residual
 from dclinalg.eig import (
     _EPS,
@@ -98,6 +103,84 @@ def _cluster_descending(w: np.ndarray, tau: float):
             start = i
     slices.append(slice(start, len(w)))
     return slices
+
+
+def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
+    """The form of youla_skew that deflates with one SVD per pair, kept as a reference.
+
+    Within a group of equal singular values it pairs the first remaining
+    column x with y = C conj(x)/s, projects both out of the remaining
+    columns, and re-orthonormalizes what is left with a fresh SVD, guarded
+    by a rank test, before it takes the next pair.
+    """
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise NotSkewSymmetric(f"expected a square matrix, got shape {c.shape}")
+    n = c.shape[0]
+    cnorm = float(np.linalg.norm(c))
+    if np.linalg.norm(c + c.T) > tol.resid_tol * (1.0 + cnorm):
+        raise NotSkewSymmetric("matrix is not skew-symmetric")
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex), [], 0
+
+    u, s, vh = np.linalg.svd(c)
+    smax = float(s[0])
+    null_cut = max(tol.zero_tol, 64 * n * _EPS) * max(1.0, smax)
+    k = int(np.sum(s > null_cut))
+    if k % 2 == 1:
+        # rounding split a pair across the cutoff; keep or drop the boundary value
+        if k < n and (s[k - 1] - s[k]) <= 64 * n * _EPS * max(1.0, smax):
+            k += 1
+        else:
+            k -= 1
+
+    # the pairing map x -> C conj(x)/s only preserves each singular-value
+    # eigenspace, so vectors must pair off within their own group
+    starts, ends = _chain(s[:k], 64 * n * _EPS * max(1.0, smax))
+    found = []  # (s, conj(y), conj(x))
+    for g0, g1 in zip(starts.tolist(), ends.tolist()):
+        if (g1 - g0) % 2 == 1:
+            raise AccuracyError("odd singular value group; equal values were split")
+        remaining = u[:, g0:g1].copy()
+        while remaining.shape[1] > 0:
+            x = remaining[:, 0]
+            y = c @ np.conj(x)
+            s_loc = float(np.linalg.norm(y))
+            if s_loc <= null_cut:
+                raise AccuracyError("pairing collapsed; singular value grouping failed")
+            y = y / s_loc
+            y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
+            y = y / np.linalg.norm(y)
+            found.append((s_loc, np.conj(y), np.conj(x)))
+            keep = remaining.shape[1] - 2
+            if keep <= 0:
+                break
+            z = (remaining - np.outer(x, np.conj(x) @ remaining)
+                 - np.outer(y, np.conj(y) @ remaining))
+            uz, sz, _ = np.linalg.svd(z, full_matrices=False)
+            if sz[keep - 1] < 0.5:
+                raise AccuracyError("deflation lost rank while pairing singular vectors")
+            remaining = uz[:, :keep]
+
+    found.sort(key=lambda t: -t[0])
+    cols = [col for _, qy, qx in found for col in (qy, qx)]
+    v_null = vh[k:, :].conj().T  # right null space of C
+    q = np.column_stack(cols + [v_null]) if cols else v_null.copy()
+
+    jact = q.T @ c @ q
+    pairs = []
+    jideal = np.zeros((n, n), dtype=complex)
+    for i in range(k // 2):
+        s_i = float((jact[2 * i, 2 * i + 1] - jact[2 * i + 1, 2 * i]).real / 2)
+        pairs.append(s_i)
+        jideal[2 * i, 2 * i + 1] = s_i
+        jideal[2 * i + 1, 2 * i] = -s_i
+    bound = tol.resid_tol * (1.0 + cnorm)
+    if np.linalg.norm(jact - jideal) > bound:
+        raise AccuracyError("congruence residual exceeded tolerance")
+    if np.linalg.norm(q.conj().T @ q - np.eye(n)) > bound:
+        raise AccuracyError("computed congruence factor is not unitary")
+    return q, pairs, n - k
 
 
 def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:

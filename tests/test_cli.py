@@ -83,6 +83,40 @@ def test_exit_code_schema_error(tmp_path):
     assert main(["svd", "--input", str(doc)]) == 1
 
 
+# a matrix entry that is a JSON integer beyond double range, and a boolean row
+# count, which the JSON parser accepts and the wire format does not; and
+# arrays nested deeper than the parser's recursion limit
+SCHEMA_HOLES = {
+    "deep_nesting": "[" * 100000 + "]" * 100000,
+    "huge_entry": '{"rows": 1, "cols": 1, "standard": [[[1%s, 0]]], '
+                  '"infinitesimal": [[[0, 0]]]}' % ("0" * 400),
+    "bool_rows": '{"rows": true, "cols": 1, "standard": [[[1, 0]]], '
+                 '"infinitesimal": [[[0, 0]]]}',
+}
+
+
+@pytest.mark.parametrize("hole", sorted(SCHEMA_HOLES))
+def test_schema_hole_exits_malformed_with_one_line(tmp_path, capsys, hole):
+    src = tmp_path / "bad.json"
+    src.write_text(SCHEMA_HOLES[hole])
+    assert main(["svd", "--input", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dctool: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("hole", sorted(SCHEMA_HOLES))
+def test_batch_with_a_schema_hole_keeps_the_good_output(tmp_path, capsys, hole):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    (in_dir / "bad.json").write_text(SCHEMA_HOLES[hole])
+    (in_dir / "good.json").write_text((FIXTURES / "example2.json").read_text())
+    assert main(["spectral", "--input-dir", str(in_dir), "--output", str(out_dir)]) == 1
+    assert (out_dir / "good.spectral.json").exists()
+    assert not (out_dir / "bad.spectral.json").exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("dctool: ") == 1
+
+
 def test_exit_code_numerical_failure(tmp_path):
     gap = {
         "rows": 2, "cols": 2,

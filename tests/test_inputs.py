@@ -114,3 +114,36 @@ def test_cli_near_overflow_input_exits_numerical_without_warnings(tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith(f"dctool: {error}: standard part has an entry of size")
     assert "Warning" not in err and "inf" not in err
+
+
+# an A_st tiny against A_I: dc_svd's U_I and V_I scale as A_I / sigma and leave
+# double range at the first two scalings, and the range where the residual's
+# norms stay finite at the third; complex_right_eigs' least-squares solution
+# for an infinitesimal vector part overflows at the first
+TINY_STANDARD = [(1e-300, 1e10), (1e-200, 1e110), (1e-300, 1.0)]
+
+
+def tiny_standard(st, inf):
+    h = gen_random("hermitian", 4, 4, 3)
+    return DCMatrix(h.standard * st, h.infinitesimal * inf)
+
+
+@pytest.mark.parametrize("scale", TINY_STANDARD, ids=str)
+@pytest.mark.parametrize("routine", sorted(NEAR_OVERFLOW))
+def test_tiny_standard_part_emits_no_warning(routine, scale):
+    a = tiny_standard(*scale)
+    if routine == "dc_svd":
+        with pytest.raises(AccuracyError, match="too small against A_I"):
+            dc_svd(a)
+    else:
+        NEAR_OVERFLOW[routine][0](a)
+
+
+@pytest.mark.parametrize("scale", TINY_STANDARD, ids=str)
+def test_cli_svd_of_tiny_standard_part_exits_numerical(tmp_path, capsys, scale):
+    src = tmp_path / "tiny.json"
+    src.write_text(json.dumps(jsonio.encode_matrix(tiny_standard(*scale))))
+    assert main(["svd", "--input", str(src)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dctool: AccuracyError: U_I or V_I exceeds")
+    assert err.count("\n") == 1

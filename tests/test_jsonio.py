@@ -40,6 +40,12 @@ def test_matrix_round_trip():
     lambda d: d.__setitem__("standard", [[1, 2]]),
     lambda d: d["standard"][0].__setitem__(0, [float("nan"), 0.0]),
     lambda d: d["infinitesimal"][0].__setitem__(0, [1.0]),
+    lambda d: d.__setitem__("rows", True),
+    lambda d: d.__setitem__("cols", True),
+    lambda d: d["standard"][0].__setitem__(0, [10 ** 400, 0]),
+    lambda d: d["infinitesimal"][1].__setitem__(1, [0, -10 ** 400]),
+    # a column count the rows do not hold is rejected before any allocation
+    lambda d: d.__setitem__("cols", 10 ** 15),
 ])
 def test_matrix_schema_errors(mutate):
     doc = jsonio.encode_matrix(from_scalars([[1, EPS_J], [-EPS_J, 1]]))
@@ -69,6 +75,15 @@ def test_svd_document_round_trip():
     assert res2.standard_blocks == res.standard_blocks
     assert res2.infinitesimal_values == res.infinitesimal_values
     np.testing.assert_allclose(res2.V.infinitesimal, res.V.infinitesimal)
+
+
+@pytest.mark.parametrize("field", ["r", "p"])
+def test_svd_document_rank_must_be_an_integer(field):
+    a = gen_random("general", 3, 3, 4)
+    doc = json.loads(json.dumps(jsonio.encode_svd(a, dc_svd(a))))
+    doc[field] = True
+    with pytest.raises(jsonio.SchemaError, match="r and p must be integers"):
+        jsonio.decode_svd(doc)
 
 
 def test_eig_document_round_trip():

@@ -118,6 +118,105 @@ def test_youla_rejects_non_skew():
         youla_skew(np.eye(3))
 
 
+# ------------------------------- pairing by projection against the deflation form
+
+def congruent_skew(pairs, n, seed):
+    """Q^T J Q for the canonical J of pairs and a seeded random unitary Q."""
+    q = gen_random("unitary", n, n, seed).standard
+    return q.T @ canonical_skew(pairs, n) @ q
+
+
+def assert_matches_deflation(c):
+    """Pairs within 1e-12 s_1 of the deflation form's, and youla_skew's own checks."""
+    q, pairs, null_dim = youla_skew(c)
+    _, ref_pairs, ref_null = oracle.youla_skew_deflation(c)
+    n = c.shape[0]
+    s1 = max(ref_pairs, default=0.0)
+    assert null_dim == ref_null and len(pairs) == len(ref_pairs)
+    np.testing.assert_allclose(pairs, ref_pairs, rtol=0, atol=1e-12 * s1)
+    bound = spectral_mod.DEFAULT_TOL.resid_tol * (1 + np.linalg.norm(c))
+    assert np.linalg.norm(q.T @ c @ q - canonical_skew(pairs, n)) <= bound
+    assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= bound
+    return pairs
+
+
+@pytest.mark.parametrize("k", [4, 8, 32, 128])
+def test_youla_equal_pairs_match_deflation(k):
+    pairs = assert_matches_deflation(congruent_skew([1.0] * (k // 2), k, 900 + k))
+    np.testing.assert_allclose(pairs, 1.0, rtol=0, atol=1e-12)
+
+
+def test_youla_mixed_multiplicities_match_deflation():
+    # singular values (3, 3, 1, 1, 1, 1) and a null block of three
+    for seed in range(5):
+        c = congruent_skew([3.0, 1.0, 1.0], 9, 910 + seed)
+        pairs = assert_matches_deflation(c)
+        np.testing.assert_allclose(pairs, [3.0, 1.0, 1.0], rtol=0, atol=3e-12)
+
+
+def test_youla_groups_of_two_are_bit_identical_to_deflation():
+    rng = np.random.default_rng(920)
+    for n in range(2, 11):
+        c = rand_skew(rng, n)
+        q, pairs, null_dim = youla_skew(c)
+        ref_q, ref_pairs, ref_null = oracle.youla_skew_deflation(c)
+        assert q.tobytes() == ref_q.tobytes()
+        assert pairs == ref_pairs and null_dim == ref_null
+
+
+def kron_ex2(m, seed):
+    """kron(EX2, I_m) under a seeded unitary similarity: one cluster of 2m equal pairs."""
+    a = DCMatrix(np.kron(EX2.standard, np.eye(m)), np.kron(EX2.infinitesimal, np.eye(m)))
+    w = gen_random("unitary", 2 * m, 2 * m, seed)
+    return mat_mul(mat_mul(conj_transpose(w), a), w)
+
+
+@pytest.mark.parametrize("m", [2, 4, 16])
+def test_kron_ex2_matches_deflation_through_both_decompositions(monkeypatch, m):
+    a = kron_ex2(m, 930 + m)
+    dec, res = herm_spectral(a), dc_svd(a)
+    monkeypatch.setattr(spectral_mod, "youla_skew", oracle.youla_skew_deflation)
+    ref_dec, ref_res = herm_spectral(a), dc_svd(a)
+    assert [b.kind for b in dec.blocks] == ["Sub"] * m
+    np.testing.assert_allclose([b.mu for b in dec.blocks], [b.mu for b in ref_dec.blocks],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose([b.mu for b in dec.blocks], 1.0, rtol=0, atol=1e-12)
+    assert [b.dim for b in res.standard_blocks] == [2] * m
+    np.testing.assert_allclose([b.nu for b in res.standard_blocks],
+                               [b.nu for b in ref_res.standard_blocks], rtol=0, atol=1e-12)
+    assert max(verify_spectral(a, dec)) <= 1e-12
+    assert max(max(res.residual), max(verify_spectral(a, ref_dec))) <= 1e-12
+
+
+def test_youla_makes_one_svd_call_on_a_group_of_eight(monkeypatch):
+    c = congruent_skew([1.0] * 4, 8, 940)
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    youla_skew(c)
+    assert len(calls) == 1
+
+
+def test_youla_raises_when_a_group_span_runs_out(monkeypatch):
+    # a group of four whose columns of U all repeat one vector span too
+    # little for a second pair
+    c = congruent_skew([1.0, 1.0], 4, 950)
+    svd = np.linalg.svd
+
+    def collapsed(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return np.repeat(u[:, :1], 4, axis=1), s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", collapsed)
+    with pytest.raises(AccuracyError, match="span ran out"):
+        youla_skew(c)
+
+
 # ------------------------------------------------------ the clustering rule
 
 _clusters = spectral_mod._clusters
