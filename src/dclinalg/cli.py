@@ -8,9 +8,11 @@
 
 Result documents embed the input matrix, so `verify` needs no second file.
 Batch mode (--input-dir) processes every *.json in a directory concurrently,
-one worker thread per usable CPU, and writes one output file per input; all
-writes are atomic (write-then-rename).  Exit codes: 0 success, 1 malformed
-input, 2 validation failure, 3 numerical failure.
+one worker thread per usable CPU, and writes one output file per input; its
+error lines name the input file.  All writes are atomic (write-then-rename),
+and the text is byte for byte json.dumps(doc, sort_keys=True, indent=2), or
+the compact form under --json-compact (see jsonio.dumps).  Exit codes:
+0 success, 1 malformed input, 2 validation failure, 3 numerical failure.
 
 Default tolerances can be overridden by --group-tol/--resid-tol/--zero-tol
 or the DCTOOL_TOL environment variable ("group=1e-7,resid=1e-8,zero=1e-11",
@@ -86,14 +88,8 @@ def _tolerances(args) -> Tolerances:
     return Tolerances(**fields)
 
 
-def _dump(doc, compact: bool) -> str:
-    if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(doc, path: Optional[Path], compact: bool) -> None:
-    text = _dump(doc, compact)
+    text = jsonio.dumps(doc, compact)
     if path is None:
         sys.stdout.write(text)
         return
@@ -135,7 +131,9 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
     return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}
 
 
-def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Path]) -> int:
+def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Path],
+             where: str = "") -> int:
+    """Run one job; error lines start "dctool: " + where (the input in batch mode)."""
     tol = spec.tolerances
     try:
         if spec.command == "gen":
@@ -149,21 +147,22 @@ def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Pa
         doc = _load(input_path)
         if spec.command == "verify":
             out = _verify_doc(doc, tol)
-        elif spec.command == "spectral":
-            a = jsonio.decode_matrix(doc)
-            out = jsonio.encode_spectral(a, herm_spectral(a, tol))
-        elif spec.command == "svd":
-            a = jsonio.decode_matrix(doc)
-            out = jsonio.encode_svd(a, dc_svd(a, tol))
-        elif spec.command == "eig":
-            a = jsonio.decode_matrix(doc)
-            out = jsonio.encode_eig_result(a, dual_right_eigs(a, tol),
-                                           complex_right_eigs(a, tol))
+        elif spec.command in ("spectral", "svd", "eig"):
+            # the parsed input goes before the result's lists are built: each
+            # pass of the garbage collector walks every live list
+            a, doc = jsonio.decode_matrix(doc), None
+            if spec.command == "spectral":
+                out = jsonio.encode_spectral(a, herm_spectral(a, tol))
+            elif spec.command == "svd":
+                out = jsonio.encode_svd(a, dc_svd(a, tol))
+            else:
+                out = jsonio.encode_eig_result(a, dual_right_eigs(a, tol),
+                                               complex_right_eigs(a, tol))
         else:
             raise jsonio.SchemaError(f"unknown command {spec.command!r}")
         _emit(out, output_path, spec.json_compact)
         if spec.command == "verify" and not out["ok"]:
-            print(f"dctool: residual {tuple(out['residual'])} exceeds resid_tol "
+            print(f"dctool: {where}residual {tuple(out['residual'])} exceeds resid_tol "
                   f"{tol.resid_tol}", file=sys.stderr)
             return 3
         return 0
@@ -172,14 +171,14 @@ def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Pa
               f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return 1
     except np.linalg.LinAlgError as exc:  # a ValueError, but a numerical failure
-        print(f"dctool: LinAlgError: {exc}", file=sys.stderr)
+        print(f"dctool: {where}LinAlgError: {exc}", file=sys.stderr)
         return 3
     except (jsonio.SchemaError, OSError, ValueError, RecursionError) as exc:
         # RecursionError: the JSON parser's answer to arrays nested too deep
-        print(f"dctool: {exc}", file=sys.stderr)
+        print(f"dctool: {where}{exc}", file=sys.stderr)
         return 1
     except DCError as exc:
-        print(f"dctool: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"dctool: {where}{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
@@ -198,7 +197,7 @@ def run(spec: JobSpec) -> int:
         cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
-            codes = list(pool.map(lambda job: _run_one(spec, job[0], job[1]), jobs))
+            codes = list(pool.map(lambda job: _run_one(spec, *job, f"{job[0]}: "), jobs))
         return max(codes)
     if spec.command != "gen" and spec.input_path is None:
         print("dctool: --input (or --input-dir) is required", file=sys.stderr)

@@ -15,12 +15,17 @@ Wire formats (all numbers finite doubles; rows, cols, r and p integers):
               "infinitesimal_values": [...], "r": r, "p": p, "residual": [...]}
 
 Result documents embed the input matrix so that a verification pass needs
-no second file.
+no second file.  `dumps` writes a document as the text `dctool` stores,
+byte for byte `json.dumps(doc, sort_keys=True, indent=2)` (or the compact
+form) plus a newline, without running the pure-Python encoder over the
+matrix parts.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -71,10 +76,29 @@ def decode_scalar(obj) -> DualComplex:
 
 
 def _encode_part(part: np.ndarray) -> list:
-    return [[[z.real, z.imag] for z in row] for row in part]
+    m, n = part.shape
+    return np.ascontiguousarray(part).view(float).reshape(m, n, 2).tolist()
+
+
+def _is_grid(obj) -> bool:
+    """True when obj is a non-empty list of non-empty lists of non-empty lists
+    of JSON numbers (int or float; numpy would also read True, None and "1")."""
+    if type(obj) is not list or set(map(type, obj)) != {list} or not all(obj):
+        return False
+    entries = list(chain.from_iterable(obj))
+    return (set(map(type, entries)) == {list} and all(entries)
+            and set(map(type, chain.from_iterable(entries))) <= {int, float})
 
 
 def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
+    if _is_grid(obj):
+        try:
+            arr = np.array(obj, dtype=float)
+        except (ValueError, OverflowError):  # ragged rows; an integer beyond double range
+            arr = None
+        if arr is not None and arr.shape == (m, n, 2) and np.isfinite(arr).all():
+            return arr.view(complex)[..., 0]
+    # the entry-by-entry walk names the first entry that breaks the format
     if not isinstance(obj, list) or len(obj) != m:
         raise SchemaError(f"{where}: expected {m} rows")
     # the array is allocated once every row has passed, so a cols count the
@@ -239,3 +263,56 @@ def decode_eig_result(doc) -> tuple[DCMatrix, list, list]:
     if not isinstance(raw, list) or not isinstance(raw_c, list):
         raise SchemaError("eig: pairs and complex_pairs must be lists")
     return a, [decode_eigenpair(p) for p in raw], [decode_eigenpair(p) for p in raw_c]
+
+
+# A matrix part in the indented skeleton; json.dumps writes it as "\u0000".
+_HOLE = "\x00"
+_HOLE_TEXT = json.dumps(_HOLE)
+
+
+def _hollow(obj, parts: list):
+    """A copy of obj with each grid replaced by _HOLE and appended to parts,
+    in the order json.dumps(sort_keys=True) writes them."""
+    if isinstance(obj, dict):
+        return {key: _hollow(value, parts) for key, value in sorted(obj.items())}
+    if isinstance(obj, (list, tuple)):
+        if _is_grid(obj):
+            parts.append(obj)
+            return _HOLE
+        return [_hollow(value, parts) for value in obj]
+    return obj
+
+
+def _indent_grid(grid: list, level: int) -> str:
+    """json.dumps(grid, indent=2) for a grid opened on a line indented by
+    level spaces, from the C encoder: numbers hold no [ , or ]."""
+    nl0, nl2, nl4, nl6 = ("\n" + " " * (level + k) for k in (0, 2, 4, 6))
+    # the C encoder breaks the line after every comma; the breaks between
+    # entries and between rows then become closing and opening brackets
+    body = json.dumps(grid, separators=("," + nl6, ":"))[3:-3]
+    body = body.replace("]]," + nl6 + "[[", f"{nl4}]{nl2}],{nl2}[{nl4}[{nl6}")
+    body = body.replace("]," + nl6 + "[", f"{nl4}],{nl4}[{nl6}")
+    return f"[{nl2}[{nl4}[{nl6}{body}{nl4}]{nl2}]{nl0}]"
+
+
+def dumps(doc, compact: bool = False) -> str:
+    """The text dctool writes for doc: json.dumps(doc, sort_keys=True) with
+    indent=2, or with separators (",", ":") when compact, plus a newline.
+
+    Both forms are byte-identical to the stdlib's.  The indented one, which
+    CPython runs in its pure-Python encoder, is built from a json.dumps
+    skeleton of the document with each matrix part C-encoded and re-indented.
+    """
+    if compact:
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    parts = []
+    pieces = json.dumps(_hollow(doc, parts), sort_keys=True, indent=2).split(_HOLE_TEXT)
+    if len(pieces) != len(parts) + 1:  # a string of the document reads "\x00"
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    out = [pieces[0]]
+    for grid, piece in zip(parts, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        out.append(_indent_grid(grid, len(line) - len(line.lstrip(" "))))
+        out.append(piece)
+    out.append("\n")
+    return "".join(out)

@@ -267,3 +267,22 @@ def test_console_entry_point_subprocess(tmp_path):
     assert res.returncode == 0
     doc = json.loads(res.stdout)
     assert doc["blocks"][0]["kind"] == "Sub"
+
+
+def test_batch_error_lines_name_the_input(tmp_path, capsys):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    bad = in_dir / "bad.json"
+    bad.write_text('{"rows": 1, "cols": 1, "standard": [[[true, 0]]], '
+                   '"infinitesimal": [[[0, 0]]]}')
+    (in_dir / "good.json").write_text((FIXTURES / "example2.json").read_text())
+    (in_dir / "not_hermitian.json").write_text((FIXTURES / "example1.json").read_text())
+    assert main(["spectral", "--input-dir", str(in_dir), "--output", str(out_dir)]) == 2
+    assert (out_dir / "good.spectral.json").exists()
+    lines = sorted(capsys.readouterr().err.splitlines())
+    assert lines[0] == f"dctool: {bad}: standard[0][0]: expected a number, got True"
+    assert lines[1].startswith(f"dctool: {in_dir / 'not_hermitian.json'}: NotHermitian: ")
+    assert len(lines) == 2
+    # one input, one file: the error line stays as it was
+    assert main(["spectral", "--input", str(bad)]) == 1
+    assert capsys.readouterr().err == "dctool: standard[0][0]: expected a number, got True\n"

@@ -46,12 +46,96 @@ def test_matrix_round_trip():
     lambda d: d["infinitesimal"][1].__setitem__(1, [0, -10 ** 400]),
     # a column count the rows do not hold is rejected before any allocation
     lambda d: d.__setitem__("cols", 10 ** 15),
+    # entries numpy would read as numbers, or reshape, without complaint
+    lambda d: d["standard"][0].__setitem__(0, [True, 0]),
+    lambda d: d["standard"][1].__setitem__(0, ["1", 0]),
+    lambda d: d["infinitesimal"][0].__setitem__(1, [None, 0]),
+    lambda d: d["infinitesimal"][1].__setitem__(1, None),
+    lambda d: d["standard"][0].__setitem__(1, [[1], [2]]),
+    lambda d: d["standard"][1].__setitem__(1, [1, 2, 3]),
+    lambda d: d.__setitem__("standard", [[[[1], [2]]] * 2] * 2),
+    lambda d: d.__setitem__("infinitesimal", [[[1, 2, 3]] * 2] * 2),
+    lambda d: d.__setitem__("standard", [[[True, False]] * 2] * 2),
 ])
 def test_matrix_schema_errors(mutate):
     doc = jsonio.encode_matrix(from_scalars([[1, EPS_J], [-EPS_J, 1]]))
     mutate(doc)
     with pytest.raises(jsonio.SchemaError):
         jsonio.decode_matrix(doc)
+
+
+def test_schema_error_names_the_first_bad_entry():
+    doc = jsonio.encode_matrix(from_scalars([[1, EPS_J], [-EPS_J, 1]]))
+    doc["standard"][1][0] = ["1", 0]
+    doc["infinitesimal"][0][1] = [True, 0]
+    with pytest.raises(jsonio.SchemaError, match=r"^standard\[1\]\[0\]: expected a number, got '1'$"):
+        jsonio.decode_matrix(doc)
+
+
+# integers, signed zeros and the ends of the double range
+EDGE_VALUES = {"rows": 2, "cols": 2,
+               "standard": [[[1, -0.0], [-0.0, 1e-300]], [[5e300, -2], [0, -5e-324]]],
+               "infinitesimal": [[[0.0, 0], [-1e300, 3]], [[7, -0.0], [2.5, 1e-300]]]}
+
+
+def test_matrix_round_trip_keeps_every_bit():
+    # the same doubles come back, -0.0 in the imaginary part included
+    doc = jsonio.encode_matrix(jsonio.decode_matrix(EDGE_VALUES))
+    for key in ("standard", "infinitesimal"):
+        assert np.array(doc[key]).tobytes() == np.array(EDGE_VALUES[key], dtype=float).tobytes()
+        assert all(type(x) is float for row in doc[key] for entry in row for x in entry)
+
+
+def _sub_block_matrix(rng) -> DCMatrix:
+    # three copies of EX2's pattern: Sub blocks with lambda 1, 2, 3 and mu = d
+    ex2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
+    d = np.diag(rng.uniform(0.5, 2.0, 3))
+    lam = np.diag([1.0, 2.0, 3.0])
+    return DCMatrix(np.kron(ex2.standard, lam), np.kron(ex2.infinitesimal, d))
+
+
+def _documents() -> dict:
+    """Seeded documents of each kind dctool writes, and edge cases of the writer."""
+    rng = np.random.default_rng(11)
+    sub = _sub_block_matrix(rng)
+    herm = gen_random("hermitian", 5, 5, 11)
+    tall, wide = rand_dcmatrix(rng, 5, 3), rand_dcmatrix(rng, 3, 5)
+    ex1 = DCMatrix(np.eye(2), np.eye(2))
+    general = rand_dcmatrix(rng, 4, 4)
+    eig_ex1 = jsonio.encode_eig_result(ex1, dual_right_eigs(ex1), complex_right_eigs(ex1))
+    hole = json.loads(json.dumps(eig_ex1))
+    hole["pairs"][0]["warning"] = "\x00"
+    return {
+        "spectral_sub": jsonio.encode_spectral(sub, herm_spectral(sub)),
+        "spectral_hermitian": jsonio.encode_spectral(herm, herm_spectral(herm)),
+        "svd_tall": jsonio.encode_svd(tall, dc_svd(tall)),
+        "svd_wide": jsonio.encode_svd(wide, dc_svd(wide)),
+        "eig_warning": eig_ex1,
+        "eig_general": jsonio.encode_eig_result(general, dual_right_eigs(general),
+                                                complex_right_eigs(general)),
+        "gen_1x1": jsonio.encode_matrix(gen_random("general", 1, 1, 11)),
+        "gen_raw": EDGE_VALUES,
+        "gen_decoded": jsonio.encode_matrix(jsonio.decode_matrix(EDGE_VALUES)),
+        "gen_empty_cols": jsonio.encode_matrix(DCMatrix(np.zeros((2, 0)))),
+        "warning_reads_like_a_hole": hole,
+        "verify": {"type": "verify", "target": "svd", "residual": [1e-16, 0.0], "ok": True},
+    }
+
+
+def test_documents_cover_each_kind():
+    docs = _documents()
+    assert {b["kind"] for b in docs["spectral_sub"]["blocks"]} == {"Sub"}
+    assert docs["svd_tall"]["infinitesimal_values"] == []
+    assert docs["svd_wide"]["infinitesimal_values"] == []
+    assert docs["eig_warning"]["pairs"][0]["warning"]
+    assert docs["eig_general"]["pairs"][0]["vector"]["cols"] == 1
+
+
+def test_dumps_matches_the_stdlib_byte_for_byte():
+    for name, doc in _documents().items():
+        assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", name
+        assert jsonio.dumps(doc, compact=True) == json.dumps(
+            doc, sort_keys=True, separators=(",", ":")) + "\n", name
 
 
 def test_spectral_document_round_trip():
