@@ -13,6 +13,8 @@ error lines name the input file.  All writes are atomic (write-then-rename),
 and the text is byte for byte json.dumps(doc, sort_keys=True, indent=2), or
 the compact form under --json-compact (see jsonio.dumps).  Exit codes:
 0 success, 1 malformed input, 2 validation failure, 3 numerical failure.
+main(argv) is the one entry point, for the console script and for Python
+callers alike; argument errors raise argparse's SystemExit(2).
 
 Default tolerances can be overridden by --group-tol/--resid-tol/--zero-tol
 or the DCTOOL_TOL environment variable ("group=1e-7,resid=1e-8,zero=1e-11",
@@ -27,7 +29,6 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,22 +41,6 @@ from .matrix import gen_random
 from .scalar import Tolerances
 from .spectral import herm_spectral, verify_spectral
 from .svd import dc_svd, verify_svd
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One unit of work: a command plus its inputs, outputs, and tolerances."""
-
-    command: str
-    input_path: Optional[Path] = None
-    input_dir: Optional[Path] = None
-    output_path: Optional[Path] = None
-    tolerances: Tolerances = Tolerances()
-    seed: int = 0
-    kind: Optional[str] = None
-    m: Optional[int] = None
-    n: Optional[int] = None
-    json_compact: bool = False
 
 
 def _parse_env_tol(text: str) -> dict:
@@ -82,7 +67,7 @@ def _tolerances(args) -> Tolerances:
     if env:
         fields.update(_parse_env_tol(env))
     for name in ("group_tol", "resid_tol", "zero_tol"):
-        value = getattr(args, name, None)
+        value = getattr(args, name)
         if value is not None:
             fields[name] = value
     return Tolerances(**fields)
@@ -103,11 +88,6 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _load(path: Path):
-    with open(path, "r") as handle:
-        return json.load(handle)
 
 
 def _verify_doc(doc, tol: Tolerances) -> dict:
@@ -131,37 +111,35 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
     return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}
 
 
-def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Path],
-             where: str = "") -> int:
+def _run_one(args, tol: Tolerances, input_path: Optional[Path],
+             output_path: Optional[Path], where: str = "") -> int:
     """Run one job; error lines start "dctool: " + where (the input in batch mode)."""
-    tol = spec.tolerances
     try:
-        if spec.command == "gen":
-            if spec.kind is None or spec.m is None:
-                raise jsonio.SchemaError("gen requires --kind and --m")
-            n = spec.n if spec.n is not None else spec.m
-            a = gen_random(spec.kind, spec.m, n, spec.seed)
-            _emit(jsonio.encode_matrix(a), output_path, spec.json_compact)
+        if args.command == "gen":
+            n = args.n if args.n is not None else args.m
+            if args.m < 1 or n < 1:
+                raise jsonio.SchemaError(f"--m and --n must be at least 1, got {args.m} and {n}")
+            a = gen_random(args.kind, args.m, n, args.seed)
+            _emit(jsonio.encode_matrix(a), output_path, args.json_compact)
             return 0
 
-        doc = _load(input_path)
-        if spec.command == "verify":
+        with open(input_path, "r") as handle:
+            doc = json.load(handle)
+        if args.command == "verify":
             out = _verify_doc(doc, tol)
-        elif spec.command in ("spectral", "svd", "eig"):
+        else:
             # the parsed input goes before the result's lists are built: each
             # pass of the garbage collector walks every live list
             a, doc = jsonio.decode_matrix(doc), None
-            if spec.command == "spectral":
+            if args.command == "spectral":
                 out = jsonio.encode_spectral(a, herm_spectral(a, tol))
-            elif spec.command == "svd":
+            elif args.command == "svd":
                 out = jsonio.encode_svd(a, dc_svd(a, tol))
             else:
                 out = jsonio.encode_eig_result(a, dual_right_eigs(a, tol),
                                                complex_right_eigs(a, tol))
-        else:
-            raise jsonio.SchemaError(f"unknown command {spec.command!r}")
-        _emit(out, output_path, spec.json_compact)
-        if spec.command == "verify" and not out["ok"]:
+        _emit(out, output_path, args.json_compact)
+        if args.command == "verify" and not out["ok"]:
             print(f"dctool: {where}residual {tuple(out['residual'])} exceeds resid_tol "
                   f"{tol.resid_tol}", file=sys.stderr)
             return 3
@@ -182,33 +160,11 @@ def _run_one(spec: JobSpec, input_path: Optional[Path], output_path: Optional[Pa
         return exc.exit_code
 
 
-def run(spec: JobSpec) -> int:
-    """Execute one job; returns the process exit code."""
-    if spec.command != "gen" and spec.input_dir is not None:
-        inputs = sorted(spec.input_dir.glob("*.json"))
-        if not inputs:
-            print(f"dctool: no *.json files in {spec.input_dir}", file=sys.stderr)
-            return 1
-        out_dir = spec.output_path if spec.output_path is not None else spec.input_dir
-        jobs = [(path, Path(out_dir) / f"{path.stem}.{spec.command}.json")
-                for path in inputs]
-        # one thread per CPU this process may run on; os.cpu_count() counts
-        # the CPUs of the host, whatever the affinity mask allows
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
-            codes = list(pool.map(lambda job: _run_one(spec, *job, f"{job[0]}: "), jobs))
-        return max(codes)
-    if spec.command != "gen" and spec.input_path is None:
-        print("dctool: --input (or --input-dir) is required", file=sys.stderr)
-        return 1
-    return _run_one(spec, spec.input_path, spec.output_path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", "-i", type=Path, help="input JSON file")
-    common.add_argument("--input-dir", type=Path,
+    source = common.add_mutually_exclusive_group()
+    source.add_argument("--input", "-i", type=Path, help="input JSON file")
+    source.add_argument("--input-dir", type=Path,
                         help="process every *.json file in this directory")
     common.add_argument("--output", "-o", type=Path,
                         help="output file (default stdout); a directory in batch mode")
@@ -240,26 +196,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run dctool on argv (default sys.argv[1:]); returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
         tol = _tolerances(args)
     except ValueError as exc:
         print(f"dctool: bad tolerance setting: {exc}", file=sys.stderr)
         return 1
-    spec = JobSpec(
-        command=args.command,
-        input_path=args.input,
-        input_dir=args.input_dir,
-        output_path=args.output,
-        tolerances=tol,
-        seed=getattr(args, "seed", 0),
-        kind=getattr(args, "kind", None),
-        m=getattr(args, "m", None),
-        n=getattr(args, "n", None),
-        json_compact=args.json_compact,
-    )
-    return run(spec)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    if args.command != "gen" and args.input_dir is not None:
+        inputs = sorted(args.input_dir.glob("*.json"))
+        if not inputs:
+            print(f"dctool: no *.json files in {args.input_dir}", file=sys.stderr)
+            return 1
+        out_dir = args.output if args.output is not None else args.input_dir
+        jobs = [(path, Path(out_dir) / f"{path.stem}.{args.command}.json")
+                for path in inputs]
+        # one thread per CPU this process may run on; os.cpu_count() counts
+        # the CPUs of the host, whatever the affinity mask allows
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
+            codes = list(pool.map(lambda job: _run_one(args, tol, *job, f"{job[0]}: "),
+                                  jobs))
+        return max(codes)
+    if args.command != "gen" and args.input is None:
+        print("dctool: --input (or --input-dir) is required", file=sys.stderr)
+        return 1
+    return _run_one(args, tol, args.input, args.output)

@@ -25,11 +25,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import Inconsistent, NonFinite, NotAppreciable, NotHermitian, ShapeMismatch
-from .matrix import DCMatrix, _check_range, is_hermitian
+from .matrix import DCMatrix, _EPS, _check_range, is_hermitian
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 from .spectral import herm_spectral
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

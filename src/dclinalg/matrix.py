@@ -202,6 +202,11 @@ def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, flo
                             f"its bound ({bound[0]:.3e}, {bound[1]:.3e})")
 
 
+def _range_limit(n: int) -> float:
+    """sqrt(max double) / (4n): the entry size up to which n-wide sums and norms stay finite."""
+    return _SQRT_MAX / (4 * max(1, n))
+
+
 def _check_range(a: DCMatrix, error: type) -> None:
     """Raise `error` when A's entries are too large for the decompositions' arithmetic.
 
@@ -210,7 +215,7 @@ def _check_range(a: DCMatrix, error: type) -> None:
     sqrt(max double) / (4n), n the larger dimension, the norms of A, of
     A_st - A_st* and of A's products with unitary factors stay finite.
     """
-    limit = _SQRT_MAX / (4 * max(1, *a.shape))
+    limit = _range_limit(max(a.shape))
     for name, part in (("standard", a.standard), ("infinitesimal", a.infinitesimal)):
         v = part.view(float)  # max and min allocate nothing, unlike np.abs
         big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))

@@ -50,6 +50,7 @@ from .errors import (
 )
 from .matrix import (
     DCMatrix,
+    _EPS,
     _check_range,
     check_residual,
     component_norms,
@@ -60,8 +61,6 @@ from .matrix import (
     unitarity_defect,
 )
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)

@@ -35,11 +35,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import DCMatrix, _SQRT_MAX, _check_range, check_residual, residual, unitarity_defect
+from .matrix import (DCMatrix, _EPS, _check_range, _range_limit, check_residual, residual,
+                     unitarity_defect)
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import _block_diagonal, _canonical_blocks, _clusters
-
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     # X and Y scale as A_I / sigma, so an A_st tiny against A_I can take U_I
     # and V_I past double range, or past the range _check_range keeps A's
     # entries in so that the sums and norms of the final residual stay finite
-    limit = _SQRT_MAX / (4 * max(1, big))
+    limit = _range_limit(big)
     if not (np.abs(u_inf).max(initial=0.0) <= limit and np.abs(v_inf).max(initial=0.0) <= limit):
         raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 

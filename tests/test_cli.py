@@ -7,8 +7,7 @@ import pytest
 
 from conftest import FIXTURES
 from dclinalg import DCError, DCMatrix, SingularStandardPart, errors, gen_random, jsonio
-from dclinalg.cli import JobSpec, main, run
-from dclinalg.scalar import Tolerances
+from dclinalg.cli import main
 
 # exit status per error class: 2 rejects the input, 3 is a numerical failure
 EXIT_CODES = {
@@ -231,6 +230,24 @@ def test_batch_directory(tmp_path):
         assert main(["verify", "--input", str(p)]) == 0
 
 
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+@pytest.mark.parametrize("command", ["spectral", "svd", "eig"])
+def test_batch_output_equals_single_file_output(tmp_path, command, compact):
+    flags = ["--json-compact"] if compact else []
+    out_dir = tmp_path / "batch"
+    batch_code = main([command, "--input-dir", str(FIXTURES), "--output", str(out_dir)] + flags)
+    codes = []
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        name = f"{fixture.stem}.{command}.json"
+        single = tmp_path / name
+        codes.append(main([command, "--input", str(fixture), "--output", str(single)] + flags))
+        assert single.exists() == (out_dir / name).exists()
+        if single.exists():
+            assert (out_dir / name).read_bytes() == single.read_bytes()
+    assert batch_code == max(codes)
+    assert any(out_dir.glob("*.json"))
+
+
 def test_batch_collects_worst_exit_code(tmp_path):
     out_dir = tmp_path / "out"
     # spectral fails on example1 (not Hermitian) but succeeds on example2
@@ -238,6 +255,26 @@ def test_batch_collects_worst_exit_code(tmp_path):
                  "--output", str(out_dir)]) == 2
     assert (out_dir / "example2.spectral.json").exists()
     assert not (out_dir / "example1.spectral.json").exists()
+
+
+@pytest.mark.parametrize("sizes", [["--m", "0"], ["--m", "-1"], ["--m", "3", "--n", "0"],
+                                   ["--m", "3", "--n", "-1"]],
+                         ids=["m0", "m-1", "n0", "n-1"])
+def test_gen_rejects_sizes_below_one(tmp_path, capsys, sizes):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", "general", *sizes, "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("dctool: --m and --n must be at least 1") and err.count("\n") == 1
+
+
+def test_input_and_input_dir_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["svd", "--input", str(FIXTURES / "zero.json"), "--input-dir", str(FIXTURES),
+              "--output", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_env_tolerance_override(tmp_path, monkeypatch):
@@ -255,9 +292,8 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
 
 
 def test_run_jobspec_api(tmp_path):
-    spec = JobSpec(command="gen", kind="general", m=2, n=3, seed=5,
-                   output_path=tmp_path / "g.json", tolerances=Tolerances())
-    assert run(spec) == 0
+    assert main(["gen", "--kind", "general", "--m", "2", "--n", "3", "--seed", "5",
+                 "--output", str(tmp_path / "g.json")]) == 0
     doc = json.loads((tmp_path / "g.json").read_text())
     assert doc["rows"] == 2 and doc["cols"] == 3
 
