@@ -54,6 +54,7 @@ from .eig import (
     RightEigenPair,
     complex_right_eigs,
     dual_right_eigs,
+    right_eigs,
     simple_eig_lift,
     verify_eigenpair,
 )

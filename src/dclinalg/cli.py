@@ -7,6 +7,9 @@
     dctool gen --kind hermitian --m 4 --n 4 --seed 7 --output a.json
 
 Result documents embed the input matrix, so `verify` needs no second file.
+`eig` computes the dual and the complex pairs from one decomposition of the
+standard part (eig.right_eigs).  `gen` takes only --output and
+--json-compact besides its own flags.
 Batch mode (--input-dir) processes every *.json in a directory concurrently,
 one worker thread per usable CPU, and writes one output file per input; its
 error lines name the input file.  All writes are atomic (write-then-rename),
@@ -35,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .eig import complex_right_eigs, dual_right_eigs, verify_eigenpair
+from .eig import right_eigs, verify_eigenpair
 from .errors import DCError
 from .matrix import gen_random
 from .scalar import Tolerances
@@ -67,7 +70,7 @@ def _tolerances(args) -> Tolerances:
     if env:
         fields.update(_parse_env_tol(env))
     for name in ("group_tol", "resid_tol", "zero_tol"):
-        value = getattr(args, name)
+        value = getattr(args, name, None)  # gen takes no tolerance flags
         if value is not None:
             fields[name] = value
     return Tolerances(**fields)
@@ -136,8 +139,7 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
             elif args.command == "svd":
                 out = jsonio.encode_svd(a, dc_svd(a, tol))
             else:
-                out = jsonio.encode_eig_result(a, dual_right_eigs(a, tol),
-                                               complex_right_eigs(a, tol))
+                out = jsonio.encode_eig_result(a, *right_eigs(a, tol))
         _emit(out, output_path, args.json_compact)
         if args.command == "verify" and not out["ok"]:
             print(f"dctool: {where}residual {tuple(out['residual'])} exceeds resid_tol "
@@ -161,21 +163,23 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    # gen reads no input and uses no tolerance, so it takes only the output flags
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", type=Path,
+                        help="output file (default stdout); a directory in batch mode")
+    output.add_argument("--json-compact", action="store_true",
+                        help="emit compact single-line JSON")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     source = common.add_mutually_exclusive_group()
     source.add_argument("--input", "-i", type=Path, help="input JSON file")
     source.add_argument("--input-dir", type=Path,
                         help="process every *.json file in this directory")
-    common.add_argument("--output", "-o", type=Path,
-                        help="output file (default stdout); a directory in batch mode")
     common.add_argument("--group-tol", dest="group_tol", type=float,
                         help="eigenvalue clustering tolerance (default 1e-8)")
     common.add_argument("--resid-tol", dest="resid_tol", type=float,
                         help="consistency and residual tolerance (default 1e-9)")
     common.add_argument("--zero-tol", dest="zero_tol", type=float,
                         help="rank / appreciability cutoff (default 1e-12)")
-    common.add_argument("--json-compact", action="store_true",
-                        help="emit compact single-line JSON")
 
     parser = argparse.ArgumentParser(
         prog="dctool",
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("svd", parents=[common], help="singular value decomposition")
     sub.add_parser("eig", parents=[common], help="right eigenpairs")
     sub.add_parser("verify", parents=[common], help="re-check a result document")
-    gen = sub.add_parser("gen", parents=[common], help="generate a random matrix")
+    gen = sub.add_parser("gen", parents=[output], help="generate a random matrix")
     gen.add_argument("--kind", choices=["general", "hermitian", "unitary", "psd"],
                      required=True)
     gen.add_argument("--m", type=int, required=True)
@@ -203,7 +207,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"dctool: bad tolerance setting: {exc}", file=sys.stderr)
         return 1
-    if args.command != "gen" and args.input_dir is not None:
+    if args.command == "gen":
+        return _run_one(args, tol, None, args.output)
+    if args.input_dir is not None:
         inputs = sorted(args.input_dir.glob("*.json"))
         if not inputs:
             print(f"dctool: no *.json files in {args.input_dir}", file=sys.stderr)
@@ -219,7 +225,7 @@ def main(argv=None) -> int:
             codes = list(pool.map(lambda job: _run_one(args, tol, *job, f"{job[0]}: "),
                                   jobs))
         return max(codes)
-    if args.command != "gen" and args.input is None:
+    if args.input is None:
         print("dctool: --input (or --input-dir) is required", file=sys.stderr)
         return 1
     return _run_one(args, tol, args.input, args.output)

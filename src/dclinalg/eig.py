@@ -4,13 +4,16 @@ A right eigenpair satisfies A x = x lam with x appreciable.  The standard
 parts always form an ordinary eigenpair of the standard part of A; the
 infinitesimal parts then satisfy the linear consistency system
 (conj(lam) I - A_st) x_I = A_I conj(x_st) - lam_I x_st.  One eigenvalue
-decomposition A_st = V D V^-1 per call supplies both: a simple eigenvalue
-farther than kappa(V) times the rank cut from the others takes its column
-of V, and when conj(lam) lies that far from every eigenvalue the system is
-nonsingular and is solved through V in O(n^2).  Everywhere else (clusters,
-conjugate pairs, real or nearly defective standard parts) the SVD of each
-shifted matrix gives the eigenspace and the unsolvable directions, and the
-system is solved by least squares.  Hermitian input is routed through the
+decomposition A_st = V D V^-1 per call gives both lists, the dual pairs of
+dual_right_eigs and the complex pairs of complex_right_eigs (right_eigs
+returns the two, and `dctool eig` calls it once).  Every simple eigenvalue
+farther than kappa(V) times the rank cut from the others and from every
+conjugate takes its column of V, and all of them are solved in one array
+pass through V, in whose basis the system is diagonal; such a pair is the
+same in both lists.  Everywhere else (clusters, conjugate pairs, real or
+nearly defective standard parts) the SVD of each shifted matrix gives the
+eigenspace and the unsolvable directions, and the system is solved by
+least squares, cluster by cluster.  Hermitian input is routed through the
 block spectral decomposition, whose 1x1 blocks are exactly the right
 eigenpairs.  Entries too large for this arithmetic raise numpy's
 LinAlgError on entry.
@@ -18,7 +21,6 @@ LinAlgError on entry.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,6 +31,9 @@ from .matrix import DCMatrix, _EPS, _check_range, is_hermitian
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 from .spectral import herm_spectral
 
+_CLUSTER_WARNING = ("clustered eigenvalue of the standard part; returned pairs "
+                    "may be incomplete")
+
 
 @dataclass(frozen=True)
 class RightEigenPair:
@@ -38,6 +43,18 @@ class RightEigenPair:
     vector: DCMatrix
     residual: tuple[float, float]
     warning: Optional[str] = None
+
+
+def _check_finite(r_st: np.ndarray, r_inf: np.ndarray) -> None:
+    """Raise NonFinite when a residual holds an overflowed entry.
+
+    A NaN norm would be dropped by the max() that collects residuals; finite
+    entries whose norm overflows give inf and pass.
+    """
+    if not np.isfinite(r_st).all():
+        raise NonFinite("standard part has a NaN or infinite entry")
+    if not np.isfinite(r_inf).all():
+        raise NonFinite("infinitesimal part has a NaN or infinite entry")
 
 
 def verify_eigenpair(a: DCMatrix, value: DualComplex, x: DCMatrix,
@@ -56,35 +73,59 @@ def verify_eigenpair(a: DCMatrix, value: DualComplex, x: DCMatrix,
     r_st = a_st @ x_st - x_st * q_st
     r_inf = (a_st @ x_inf + a_inf @ np.conj(x_st)) - (x_st * q_inf + x_inf * q_st.conjugate())
     rs, ri = float(np.linalg.norm(r_st)), float(np.linalg.norm(r_inf))
-    # an overflowed entry must not reach the caller as a NaN norm, which max()
-    # would drop; finite entries whose norm overflows still give inf
     if not (np.isfinite(rs) and np.isfinite(ri)):
-        if not np.isfinite(r_st).all():
-            raise NonFinite("standard part has a NaN or infinite entry")
-        if not np.isfinite(r_inf).all():
-            raise NonFinite("infinitesimal part has a NaN or infinite entry")
+        _check_finite(r_st, r_inf)
     return rs, ri
 
 
+def _pairs(a: DCMatrix, x_st: np.ndarray, x_inf: np.ndarray, lam: np.ndarray,
+           lam_inf: np.ndarray, warnings) -> list[RightEigenPair]:
+    """One RightEigenPair per column k of (x_st, x_inf): value lam_k + lam_inf_k eps*j.
+
+    The residuals are the column norms of A X - X diag(lam), the quantities
+    verify_eigenpair gives pair by pair, from one dual product for all.
+    """
+    a_st = a.standard
+    r_st = a_st @ x_st - x_st * lam
+    r_inf = (a_st @ x_inf + a.infinitesimal @ np.conj(x_st)) - (x_st * lam_inf
+                                                               + x_inf * np.conj(lam))
+    rs, ri = np.linalg.norm(r_st, axis=0), np.linalg.norm(r_inf, axis=0)
+    if not (np.isfinite(rs).all() and np.isfinite(ri).all()):
+        _check_finite(r_st, r_inf)
+    return [RightEigenPair(DualComplex(lam[k], lam_inf[k]),
+                           DCMatrix(x_st[:, k:k + 1], x_inf[:, k:k + 1]),
+                           (float(rs[k]), float(ri[k])), warning)
+            for k, warning in enumerate(warnings)]
+
+
 def _normalize_phase(x: np.ndarray) -> np.ndarray:
-    """Unit norm with the first nonzero component rotated to be real positive."""
-    x = x / np.linalg.norm(x)
-    idx = np.flatnonzero(np.abs(x) > 1e-8)
-    j = int(idx[0]) if idx.size else 0
-    phase = x[j] / abs(x[j]) if abs(x[j]) > 0 else 1.0
-    return x * np.conj(phase)
+    """Unit norm with the first nonzero component rotated to be real positive.
+
+    x is a vector or a matrix; a matrix is normalized column by column.
+    """
+    cols = x.reshape(x.shape[0], -1)
+    cols = cols / np.linalg.norm(cols, axis=0)
+    # the first component above 1e-8 of each column, or the first one if none is
+    lead = cols[np.argmax(np.abs(cols) > 1e-8, axis=0), np.arange(cols.shape[1])]
+    mag = np.abs(lead)
+    phase = np.divide(lead, mag, out=np.ones_like(lead), where=mag > 0)
+    return (cols * np.conj(phase)).reshape(x.shape)
 
 
 def _cluster_complex(vals: np.ndarray, tau: float):
     """Groups of indices whose eigenvalues chain within distance tau."""
     order = np.lexsort((vals.imag, vals.real))
     placed = vals[order]
+    # near[k, j]: the j-th placed value comes before the k-th and lies within tau
+    near = np.tril(np.abs(placed[:, None] - placed) <= tau, -1)
+    if not near.any():
+        return [[idx] for idx in order.tolist()]
     labels = np.empty(order.size, dtype=int)
     groups: list[list[int]] = []
     for k, idx in enumerate(order):
         # labels count up in creation order, so the smallest label hit is the
         # first group holding an element within tau
-        hit = labels[:k][np.abs(placed[:k] - placed[k]) <= tau]
+        hit = labels[:k][near[k, :k]]
         if hit.size:
             labels[k] = hit.min()
         else:
@@ -94,9 +135,12 @@ def _cluster_complex(vals: np.ndarray, tau: float):
     return groups
 
 
-def _svd_cut(n: int, tau: float, scale: float) -> float:
-    """Rank cut of an n x n SVD whose largest singular value is at most scale."""
-    return max(tau, 64 * n * _EPS * max(1.0, scale))
+def _svd_cut(n: int, tau: float, scale):
+    """Rank cut of an n x n SVD whose largest singular value is at most scale.
+
+    scale may be an array; the cut is then taken elementwise.
+    """
+    return np.maximum(tau, 64 * n * _EPS * np.maximum(1.0, scale))
 
 
 def _eigenspace_basis(a_st: np.ndarray, lam: complex, tau: float) -> np.ndarray:
@@ -118,76 +162,180 @@ def _left_null_basis(m: np.ndarray, tau: float) -> np.ndarray:
     return u[:, n - dim:] if dim else u[:, :0]
 
 
-def _eig_clusters(a: DCMatrix, tol: Tolerances):
-    """Set up the eigenvalue clusters of A_st; return (accept, clusters).
+def _solve_through_v(a_st: np.ndarray, vecs: np.ndarray, inv_vecs: np.ndarray,
+                     vals: np.ndarray, lam, b: np.ndarray):
+    """Solve (conj(lam_k) I - A_st) x_k = b_k for every column k of b.
 
-    accept bounds the residual of the consistency system.  clusters yields,
-    per cluster, (lam, eigenspace basis, null(M*) basis, solve): lam is the
-    cluster mean, M = conj(lam) I - A_st is the matrix of the consistency
-    system for the infinitesimal vector part, and solve(b) returns x with the
-    residual norm ||M x - b||.
+    With A_st = V D V^-1 the solution is V ((V^-1 b) / S), S_ik =
+    conj(lam_k) - vals_i; lam is one value for all columns or one per
+    column.  One refinement step brings the residual to the level of a
+    backward stable solve at O(n^2) a column, against O(n^3) for a
+    factorization.  Returns x and the residual norm of each column.
+    """
+    conj_lam = np.conj(lam)
+    shift = conj_lam - vals[:, None]
+    x = vecs @ ((inv_vecs @ b) / shift)
+    x += vecs @ ((inv_vecs @ (b - (x * conj_lam - a_st @ x))) / shift)
+    return x, np.linalg.norm(x * conj_lam - a_st @ x - b, axis=0)
+
+
+def _lstsq_resid(m: np.ndarray, b: np.ndarray):
+    """Least-squares solution of M x = b, b a vector or columns, and each residual norm."""
+    x = np.linalg.lstsq(m, b, rcond=None)[0]
+    # an overflowed column solves nothing, and m @ x would warn
+    finite = np.isfinite(x).all(axis=0)
+    resid = np.linalg.norm(m @ np.where(finite, x, 0) - b, axis=0)
+    return x, np.where(finite, resid, np.inf)
+
+
+def _eig_clusters(a: DCMatrix, tol: Tolerances):
+    """(dual pairs, complex pairs) of A from one eig, one cond and at most one inv.
+
+    A pair is kept when its consistency residual is at most
+    resid_tol (1 + ||A_I||).  Pairs come in cluster order (_cluster_complex),
+    and the residuals of all of them come from one dual product (_pairs).
 
     The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
     (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
-    kappa = cond(V), s_{n-1}(A_st - lam I) and s_min(M) are at least the
-    second smallest |vals - lam| and the smallest |vals - conj(lam)|,
-    divided by kappa.  Where those distances exceed kappa times the cut, the
-    SVDs would find a one-dimensional eigenspace and no unsolvable
-    direction, and lstsq would not truncate, so the column of V and a solve
-    through V take their place.
+    kappa = cond(V), s_{n-1}(A_st - lam I) and s_min(M), M = conj(lam) I -
+    A_st, are at least the second smallest |vals - lam| and the smallest
+    |vals - conj(lam)|, divided by kappa.  Where both distances exceed kappa
+    times the cut, the SVDs would find a one-dimensional eigenspace and no
+    unsolvable direction, and lstsq would not truncate; as that reach is at
+    least tau, such an eigenvalue is a cluster of its own.  All of them are
+    solved together: X_st holds their phase-normalized columns of V, and
+    _solve_through_v solves M_k x_k = A_I conj(x_k) for every column at
+    once, with lam_I = 0.
+
+    Every other cluster falls back, one at a time, to an eigenspace basis
+    (its column of V when the first distance suffices, else
+    _eigenspace_basis) and, unless the second one suffices, to the
+    unsolvable directions null(M*) (_left_null_basis) and lstsq.  Its dual
+    pairs lift each basis column, with lam_I fixed first from the
+    unsolvable-direction projection, one per similarity class; its complex
+    pair takes the smallest singular direction of null(M*)* A_I conj(basis),
+    or the first basis column when no direction is unsolvable.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("eigenvalues need a square matrix")
     n = a.rows
-    a_st = a.standard
-    accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a.infinitesimal)))
+    if n == 0:
+        return [], []
+    a_st, a_inf = a.standard, a.infinitesimal
+    accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
     vals, vecs = np.linalg.eig(a_st)
-    tau = tol.group_tol * (1.0 + (float(np.abs(vals).max()) if n else 0.0))
-    kappa = float(np.linalg.cond(vecs)) if n else np.inf  # cond gives inf for a singular V
+    tau = tol.group_tol * (1.0 + float(np.abs(vals).max()))
+    kappa = float(np.linalg.cond(vecs))  # inf for a singular V
     a_norm = float(np.linalg.norm(a_st))
 
-    def clusters():
-        inv_vecs = None
-        for group in _cluster_complex(vals, tau):
-            lam = complex(np.mean(vals[group]))
-            reach = kappa * _svd_cut(n, tau, a_norm + abs(lam))
-            if (len(group) == 1
-                    and np.delete(np.abs(vals - lam), group).min(initial=np.inf) > reach):
-                basis = vecs[:, group]
+    # the two tests, each eigenvalue taken as a cluster of its own
+    reach = kappa * _svd_cut(n, tau, a_norm + np.abs(vals))
+    dist = np.abs(vals[:, None] - vals)
+    np.fill_diagonal(dist, np.inf)
+    separated = dist.min(axis=1) > reach
+    simple = separated & (np.abs(np.conj(vals)[:, None] - vals).min(axis=1) > reach)
+
+    groups = _cluster_complex(vals, tau)
+    fast = [g[0] for g in groups if len(g) == 1 and simple[g[0]]]
+    inv_vecs = None
+    if fast:
+        # reach < |shift| <= 2 ||A_st||_F, so kappa < 1 / (32 n eps): V inverts
+        inv_vecs = np.linalg.inv(vecs)
+        fast_st = _normalize_phase(vecs[:, fast])
+        fast_inf, fast_resid = _solve_through_v(a_st, vecs, inv_vecs, vals, vals[fast],
+                                                a_inf @ np.conj(fast_st))
+        column = dict(zip(fast, range(len(fast))))
+
+    # one entry per returned pair, in cluster order: (x_st, x_inf, lam, lam_I,
+    # warning, whether it is a dual pair, whether it is a complex pair)
+    found = []
+    for group in groups:
+        if len(group) == 1 and simple[group[0]]:
+            k = column[group[0]]
+            if fast_resid[k] <= accept:
+                found.append((fast_st[:, k], fast_inf[:, k], vals[group[0]], 0j, None,
+                              True, True))
+            continue
+        lam = complex(np.mean(vals[group]))
+        if len(group) == 1 and separated[group[0]]:
+            basis = vecs[:, group]
+        else:
+            basis = _eigenspace_basis(a_st, lam, tau)
+        cols = basis.shape[1]
+        x_st = _normalize_phase(basis)
+        rhs = a_inf @ np.conj(x_st)
+        lam_inf = np.zeros(cols, dtype=complex)
+        m = None
+        nleft = basis[:, :0]
+        if np.abs(np.conj(lam) - vals).min() > kappa * _svd_cut(n, tau, a_norm + abs(lam)):
+            if inv_vecs is None:
+                inv_vecs = np.linalg.inv(vecs)
+        else:
+            m = np.conj(lam) * np.eye(n) - a_st
+            nleft = _left_null_basis(m, tau)
+        if nleft.shape[1]:
+            tn = nleft.conj().T @ x_st
+            tb = nleft.conj().T @ rhs
+            denom = np.einsum("ij,ij->j", tn.conj(), tn).real
+            big = denom > (64 * n * _EPS) ** 2
+            lam_inf[big] = np.einsum("ij,ij->j", tn.conj(), tb)[big] / denom[big]
+            # the best eigenspace combination for the complex pair
+            _, _, bvt = np.linalg.svd(nleft.conj().T @ a_inf @ np.conj(basis))
+            x_st = np.column_stack([x_st, _normalize_phase(basis @ np.conj(bvt[-1]))])
+            rhs = np.column_stack([rhs - x_st[:, :cols] * lam_inf,
+                                   a_inf @ np.conj(x_st[:, cols])])
+        if m is None:
+            x_inf, resid = _solve_through_v(a_st, vecs, inv_vecs, vals, lam, rhs)
+        else:
+            x_inf, resid = _lstsq_resid(m, rhs)
+
+        warning = _CLUSTER_WARNING if cols > 1 else None
+        class_tol = 1e-8 * (1.0 + abs(lam))
+        kept_class: list[float] = []
+        for col in np.flatnonzero(resid[:cols] <= accept):
+            if abs(lam.imag) > class_tol:
+                if kept_class:  # non-real standard part: one similarity class only
+                    continue
+                kept_class.append(0.0)
             else:
-                basis = _eigenspace_basis(a_st, lam, tau)
-            shift = np.conj(lam) - vals
-            if np.abs(shift).min() > reach:
-                # reach < |shift| <= 2 ||A_st||_F, so kappa < 1 / (32 n eps): V inverts
-                if inv_vecs is None:
-                    inv_vecs = np.linalg.inv(vecs)
-                yield lam, basis, vecs[:, :0], functools.partial(
-                    _eig_solve_resid, a_st, vecs, inv_vecs, lam, shift)
-            else:
-                m = np.conj(lam) * np.eye(n) - a_st
-                yield lam, basis, _left_null_basis(m, tau), functools.partial(_lstsq_resid, m)
+                if any(abs(abs(lam_inf[col]) - prev) <= class_tol for prev in kept_class):
+                    continue
+                kept_class.append(abs(lam_inf[col]))
+            found.append((x_st[:, col], x_inf[:, col], lam, lam_inf[col], warning, True, False))
+        c = cols if nleft.shape[1] else 0  # the complex pair's column
+        if resid[c] <= accept:
+            found.append((x_st[:, c], x_inf[:, c], lam, 0j, None, False, True))
 
-    return accept, clusters()
+    if not found:
+        return [], []
+    x_st, x_inf, lam, lam_inf, warnings, in_dual, in_cplx = zip(*found)
+    pairs = _pairs(a, np.column_stack(x_st), np.column_stack(x_inf), np.array(lam),
+                   np.array(lam_inf), warnings)
+    return ([p for p, keep in zip(pairs, in_dual) if keep],
+            [p for p, keep in zip(pairs, in_cplx) if keep])
 
 
-def _eig_solve_resid(a_st, vecs, inv_vecs, lam, shift, b):
-    """Solve (conj(lam) I - A_st) x = b as V diag(1/shift) V^-1 b, refined once.
+def _hermitian_pairs(a: DCMatrix, tol: Tolerances) -> list[RightEigenPair]:
+    """Right eigenpairs of a Hermitian matrix: the 1x1 blocks of herm_spectral."""
+    dec = herm_spectral(a, tol)
+    offsets = np.cumsum([0] + [blk.dim for blk in dec.blocks])
+    eigen = [k for k, blk in enumerate(dec.blocks) if blk.kind == "Eigen"]
+    cols = offsets[eigen]
+    lam = np.array([dec.blocks[k].lam for k in eigen], dtype=float)
+    return _pairs(a, dec.U.standard[:, cols], dec.U.infinitesimal[:, cols], lam,
+                  np.zeros(lam.size), [None] * lam.size)
 
-    The refinement step brings the residual to the level of a backward
-    stable solve; each step costs O(n^2), against O(n^3) for a factorization.
+
+def right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
+    """(dual_right_eigs(a), complex_right_eigs(a)) from one pass over A_st.
+
+    Both lists come from the same eig of the standard part, so this costs
+    about what one of the two routines costs.
     """
-    def m_times(x):
-        return np.conj(lam) * x - a_st @ x
-
-    x = vecs @ ((inv_vecs @ b) / shift)
-    x = x + vecs @ ((inv_vecs @ (b - m_times(x))) / shift)
-    return x, float(np.linalg.norm(m_times(x) - b))
-
-
-def _lstsq_resid(m: np.ndarray, b: np.ndarray):
-    x = np.linalg.lstsq(m, b, rcond=None)[0]
-    # an overflowed solution solves nothing, and m @ x would warn
-    return x, float(np.linalg.norm(m @ x - b)) if np.isfinite(x).all() else np.inf
+    _check_range(a, np.linalg.LinAlgError)
+    herm = _hermitian_pairs(a, tol) if is_hermitian(a, tol) else None
+    dual, cplx = _eig_clusters(a, tol)
+    return (dual if herm is None else herm), cplx
 
 
 def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:
@@ -201,23 +349,7 @@ def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[Right
     empty; some matrices have no complex right eigenvalue.
     """
     _check_range(a, np.linalg.LinAlgError)
-    a_inf = a.infinitesimal
-    accept, clusters = _eig_clusters(a, tol)
-    out = []
-    for lam, basis, nleft, solve in clusters:
-        if nleft.shape[1] == 0:
-            x_st = _normalize_phase(basis[:, 0])
-        else:
-            b_map = nleft.conj().T @ a_inf @ np.conj(basis)
-            _, _, bvt = np.linalg.svd(b_map)
-            x_st = _normalize_phase(basis @ np.conj(bvt[-1]))
-        rhs = a_inf @ np.conj(x_st)
-        x_inf, resid = solve(rhs)
-        if resid <= accept:
-            vec = DCMatrix(x_st[:, None], x_inf[:, None])
-            value = DualComplex(lam)
-            out.append(RightEigenPair(value, vec, verify_eigenpair(a, value, vec, tol)))
-    return out
+    return _eig_clusters(a, tol)[1]
 
 
 def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:
@@ -234,52 +366,8 @@ def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEig
     """
     _check_range(a, np.linalg.LinAlgError)
     if is_hermitian(a, tol):
-        dec = herm_spectral(a, tol)
-        out = []
-        off = 0
-        for blk in dec.blocks:
-            if blk.kind == "Eigen":
-                vec = dec.U.column(off)
-                value = DualComplex(blk.lam)
-                out.append(RightEigenPair(value, vec, verify_eigenpair(a, value, vec, tol)))
-            off += blk.dim
-        return out
-
-    n = a.rows
-    a_inf = a.infinitesimal
-    accept, clusters = _eig_clusters(a, tol)
-    out = []
-    for lam, basis, nleft, solve in clusters:
-        warning = ("clustered eigenvalue of the standard part; returned pairs "
-                   "may be incomplete") if basis.shape[1] > 1 else None
-        kept_class: list[float] = []
-        for col in range(basis.shape[1]):
-            x_st = _normalize_phase(basis[:, col])
-            rhs = a_inf @ np.conj(x_st)
-            lam_inf = 0j
-            if nleft.shape[1]:
-                tn = nleft.conj().T @ x_st
-                tb = nleft.conj().T @ rhs
-                denom = float(np.vdot(tn, tn).real)
-                if denom > (64 * n * _EPS) ** 2:
-                    lam_inf = complex(np.vdot(tn, tb) / denom)
-            x_inf, resid = solve(rhs - lam_inf * x_st)
-            if resid > accept:
-                continue
-            class_tol = 1e-8 * (1.0 + abs(lam))
-            if abs(lam.imag) > class_tol:
-                if kept_class:  # non-real standard part: one similarity class only
-                    continue
-                kept_class.append(0.0)
-            else:
-                if any(abs(abs(lam_inf) - prev) <= class_tol for prev in kept_class):
-                    continue
-                kept_class.append(abs(lam_inf))
-            vec = DCMatrix(x_st[:, None], x_inf[:, None])
-            value = DualComplex(lam, lam_inf)
-            out.append(RightEigenPair(value, vec, verify_eigenpair(a, value, vec, tol),
-                                      warning))
-    return out
+        return _hermitian_pairs(a, tol)
+    return _eig_clusters(a, tol)[0]
 
 
 def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

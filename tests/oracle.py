@@ -10,7 +10,8 @@ herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
 references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
 its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
 deflates each group of equal singular values with one SVD per pair,
-youla_skew_deflation.
+youla_skew_deflation.  phi is the block-triangular representation of a
+dual complex matrix as a complex one, for checks by plain numpy products.
 """
 
 import math
@@ -239,6 +240,21 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
     sigma = assemble_blocks(blocks)
     resid = component_norms(mat_mul(mat_mul(conj_transpose(u), a), u) - sigma)
     return SpectralDecomposition(u, tuple(blocks), resid)
+
+
+def phi(a) -> np.ndarray:
+    """phi(A) = [[A_st, A_I], [0, conj(A_st)]] for a DCMatrix or a DualComplex.
+
+    phi maps dual complex matrices injectively into complex ones of twice
+    the size and keeps products: the upper-right block of phi(A) phi(B) is
+    A_st B_I + A_I conj(B_st), the product rule.  A check through phi and
+    plain numpy products shares no code with mat_mul.
+    """
+    if isinstance(a, DualComplex):
+        st, inf = np.array([[a.standard]]), np.array([[a.infinitesimal]])
+    else:
+        st, inf = a.standard, a.infinitesimal
+    return np.block([[st, inf], [np.zeros_like(st), np.conj(st)]])
 
 
 def verify_eigenpair_products(a: DCMatrix, value: DualComplex, x: DCMatrix):

@@ -268,6 +268,27 @@ def test_gen_rejects_sizes_below_one(tmp_path, capsys, sizes):
     assert err.startswith("dctool: --m and --n must be at least 1") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", [["--input", str(FIXTURES / "zero.json")],
+                                  ["--input-dir", str(FIXTURES)], ["--group-tol", "1e-7"],
+                                  ["--resid-tol", "1e-8"], ["--zero-tol", "1e-11"]],
+                         ids=["input", "input-dir", "group-tol", "resid-tol", "zero-tol"])
+def test_gen_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
+    # gen reads no input and uses no tolerance: argparse refuses these flags
+    out = tmp_path / "g.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "general", "--m", "2", *flag, "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_keeps_output_flags(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gen", "--kind", "general", "--m", "2", "--json-compact",
+                 "-o", str(out)]) == 0
+    assert out.read_text().count("\n") == 1
+
+
 def test_input_and_input_dir_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["svd", "--input", str(FIXTURES / "zero.json"), "--input-dir", str(FIXTURES),

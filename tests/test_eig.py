@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,21 +13,29 @@ from dclinalg import (
     Inconsistent,
     NonFinite,
     NotAppreciable,
+    SpectralBlock,
     Tolerances,
+    assemble_blocks,
     complex_right_eigs,
+    conj_transpose,
     dc_inv,
     dc_mul,
     dual_right_eigs,
     from_scalars,
     gen_random,
     inner,
+    jsonio,
+    mat_mul,
     simple_eig_lift,
     verify_eigenpair,
 )
+from dclinalg.cli import main
 from oracle import (
+    _EPS,
     cluster_complex_loop,
     complex_right_eigs_svd,
     dual_right_eigs_svd,
+    phi,
     verify_eigenpair_products,
 )
 
@@ -304,6 +314,26 @@ def _reference_cases():
         q, _ = np.linalg.qr(cgauss(rng, 5, 5))
         yield f"near-defective-{delta:g}", DCMatrix(q @ t @ q.conj().T, cgauss(rng, 5, 5))
     yield "EX1", EX1
+    yield "mixed", mixed_spectrum()
+
+
+def mixed_spectrum() -> DCMatrix:
+    """A generic complex 5x5 block beside the real block Q diag(2, 2, -1) Q^T.
+
+    One call solves the five complex eigenvalues in the array pass and sends
+    the cluster at 2 and the real -1, each its own conjugate, down the SVD
+    path.  A_I is generic except on the real block, where it is
+    t v v^T with v the eigenvector at -1: the cluster at 2 lifts with
+    lam_I = 0, and -1 lifts to the dual eigenvalue -1 + t eps*j only.
+    """
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a_st = np.zeros((8, 8), dtype=complex)
+    a_st[:5, :5] = cgauss(rng, 5, 5)
+    a_st[5:, 5:] = q @ np.diag([2.0, 2.0, -1.0]) @ q.T
+    a_inf = cgauss(rng, 8, 8)
+    a_inf[5:, 5:] = (0.7 + 0.4j) * np.outer(q[:, 2], q[:, 2])
+    return DCMatrix(a_st, a_inf)
 
 
 REFERENCE_CASES = list(_reference_cases())
@@ -367,3 +397,85 @@ def test_real_standard_part_keeps_svd_path(monkeypatch):
     a = DCMatrix(rng.standard_normal((6, 6)))
     assert len(complex_right_eigs(a)) == 6
     assert calls["_left_null_basis"] == 6 and calls["lstsq"] == 6
+
+
+def test_mixed_spectrum_splits_one_call(monkeypatch):
+    # the five simple eigenvalues go through one array solve, the cluster at 2
+    # and the eigenvalue -1 through the SVD helpers and lstsq, cluster by cluster
+    calls = _count_calls(monkeypatch)
+    batches = []
+    solve = eig_mod._solve_through_v
+
+    def counted(*args):
+        batches.append(args[-1].shape[1])
+        return solve(*args)
+    monkeypatch.setattr(eig_mod, "_solve_through_v", counted)
+    a = mixed_spectrum()
+    pairs = {"complex": complex_right_eigs(a), "dual": dual_right_eigs(a)}
+    assert batches == [5, 5]
+    assert calls == {"_eigenspace_basis": 2, "_left_null_basis": 4, "lstsq": 4}
+    assert len(pairs["complex"]) == 6 and len(pairs["dual"]) == 7
+    # pairs come in the order of the real parts: -1 first, the cluster at 2 last
+    assert [p.warning is not None for p in pairs["dual"]] == [False] * 6 + [True]
+    lifted = pairs["dual"][0].value
+    assert abs(lifted.standard + 1) <= 1e-12 and abs(lifted.infinitesimal - (0.7 + 0.4j)) <= 1e-12
+    assert abs(pairs["complex"][-1].value.standard - 2) <= 1e-12
+
+
+def planted_hermitian(seed: int) -> DCMatrix:
+    """U Sigma U* with levels 2 (two Eigen blocks and a Sub block), -1, 0.5 (Sub) and 1.3."""
+    blocks = (SpectralBlock("Eigen", 2.0), SpectralBlock("Eigen", 2.0),
+              SpectralBlock("Sub", 2.0, 0.7 + 0.3j), SpectralBlock("Eigen", -1.0),
+              SpectralBlock("Sub", 0.5, 1.1j), SpectralBlock("Eigen", 1.3))
+    u = gen_random("unitary", 8, 8, seed)
+    return mat_mul(mat_mul(u, assemble_blocks(blocks)), conj_transpose(u))
+
+
+def _phi_cases():
+    for seed in range(3):
+        yield f"generic-{seed}", rand_dcmatrix(np.random.default_rng([18, seed]), 12, 12)
+    yield "mixed", mixed_spectrum()
+    for seed in range(3):
+        yield f"planted-hermitian-{seed}", planted_hermitian(300 + seed)
+
+
+PHI_CASES = list(_phi_cases())
+
+
+@pytest.mark.parametrize("name,a", PHI_CASES, ids=[c[0] for c in PHI_CASES])
+def test_right_eigenpairs_through_phi(name, a):
+    # phi(A) phi(x) = phi(x) phi(lam) with plain numpy products, which share
+    # no code with mat_mul or the routines' own residuals
+    pa = phi(a)
+    bound = 64 * a.rows * _EPS * (1 + np.linalg.norm(pa))
+    pairs = dual_right_eigs(a) + complex_right_eigs(a)
+    assert pairs
+    for p in pairs:
+        px = phi(p.vector)
+        assert px.shape == (2 * a.rows, 2)
+        assert np.linalg.norm(pa @ px - px @ phi(p.value)) <= bound, (name, p.value)
+    if name.startswith("planted"):
+        # the Eigen blocks: two at 2, and -1 and 1.3
+        vals = sorted(p.value.standard.real for p in dual_right_eigs(a))
+        np.testing.assert_allclose(vals, [-1.0, 1.3, 2.0, 2.0], atol=1e-10)
+
+
+def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
+    calls = {"eig": 0, "cond": 0}
+
+    def counted(name):
+        inner_fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner_fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    src, out = tmp_path / "a.json", tmp_path / "eig.json"
+    src.write_text(jsonio.dumps(jsonio.encode_matrix(gen_random("general", 12, 12, 5))))
+    counted("eig")
+    counted("cond")
+    assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
+    assert calls == {"eig": 1, "cond": 1}
+    doc = jsonio.decode_eig_result(json.loads(out.read_text()))
+    assert len(doc[1]) == len(doc[2]) == 12

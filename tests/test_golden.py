@@ -8,8 +8,9 @@ The inputs are the three fixtures, three copies of the paper's 2x2
 subeigenvalue example (kron(EX2, I_3), one youla_skew group of six) and
 `gen_random("hermitian", 6, 6, 1)`.
 
-Floating-point output is byte-identical only on the numpy and BLAS build it
-was recorded with, so the comparison is skipped on another build.  A change
+Case names and exit codes are compared on every build.  Floating-point
+output is byte-identical only on the numpy and BLAS build it was recorded
+with, so the stderr text and the digests are compared only there.  A change
 meant to alter any of these outputs regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -75,14 +76,25 @@ def run_cases(tmp: Path) -> dict:
     return cases
 
 
-def test_dctool_output_matches_golden(tmp_path):
+@pytest.fixture(scope="module")
+def cases(tmp_path_factory):
+    return run_cases(tmp_path_factory.mktemp("golden"))
+
+
+def test_dctool_cases_and_exit_codes_match_golden(cases):
+    golden = json.loads(GOLDEN.read_text())["cases"]
+    assert sorted(cases) == sorted(golden)
+    assert {name: case["exit"] for name, case in cases.items()} == \
+        {name: case["exit"] for name, case in golden.items()}
+
+
+def test_dctool_output_matches_golden(cases):
     golden = json.loads(GOLDEN.read_text())
     if golden["build"] != _build():
-        pytest.skip(f"golden outputs recorded on {golden['build']}, not {_build()}")
-    got = run_cases(tmp_path)
-    assert sorted(got) == sorted(golden["cases"])
-    changed = [case for case in golden["cases"] if got[case] != golden["cases"][case]]
-    assert not changed, {case: (golden["cases"][case], got[case]) for case in changed}
+        pytest.skip(f"golden digests recorded on {golden['build']}, not {_build()}")
+    assert sorted(cases) == sorted(golden["cases"])
+    changed = [case for case in golden["cases"] if cases[case] != golden["cases"][case]]
+    assert not changed, {case: (golden["cases"][case], cases[case]) for case in changed}
 
 
 if __name__ == "__main__":
