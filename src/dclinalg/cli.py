@@ -103,11 +103,8 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
         residual = verify_svd(a, res)
     elif kind == "eig":
         a, pairs, complex_pairs = jsonio.decode_eig_result(doc)
-        worst = (0.0, 0.0)
-        for pair in pairs + complex_pairs:
-            rs, ri = verify_eigenpair(a, pair.value, pair.vector, tol)
-            worst = (max(worst[0], rs), max(worst[1], ri))
-        residual = worst
+        rows = [verify_eigenpair(a, p.value, p.vector, tol) for p in pairs + complex_pairs]
+        residual = [max((row[i] for row in rows), default=0.0) for i in (0, 1)]
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
     ok = residual[0] <= tol.resid_tol and residual[1] <= tol.resid_tol

@@ -15,10 +15,14 @@ Wire formats (all numbers finite doubles; rows, cols, r and p integers):
               "infinitesimal_values": [...], "r": r, "p": p, "residual": [...]}
 
 Result documents embed the input matrix so that a verification pass needs
-no second file.  `dumps` writes a document as the text `dctool` stores,
-byte for byte `json.dumps(doc, sort_keys=True, indent=2)` (or the compact
-form) plus a newline, without running the pure-Python encoder over the
-matrix parts.
+no second file.  An eigenpair's residual holds the component norms of
+A x - x lam.  A spectral or svd residual is the pair of
+matrix.factor_residual, which verify_spectral and verify_svd, and so
+`dctool verify`, recompute bit for bit from the document.
+
+`dumps` writes a document as the text `dctool` stores, byte for byte
+`json.dumps(doc, sort_keys=True, indent=2)` (or the compact form) plus a
+newline, without running the pure-Python encoder over the matrix parts.
 """
 
 from __future__ import annotations

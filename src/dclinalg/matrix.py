@@ -9,6 +9,11 @@ rule is
 and the conjugate transpose is (conj(A_st).T, -A_I.T).  Vectors are n-by-1
 matrices.  All instances are immutable; the component arrays are copied on
 construction, checked to be finite, and marked read-only.
+
+The one residual kernel is R = A V - U L against a block layout L given by
+its diagonal (_one_sided): dual_residual takes its norms for eigenpair and
+subeigenpair checks, and factor_residual builds on it the pair that both
+decompositions gate and report and that verify recomputes.
 """
 
 from __future__ import annotations
@@ -161,36 +166,110 @@ def component_norms(a: DCMatrix) -> tuple[float, float]:
     return (float(np.linalg.norm(a.standard)), float(np.linalg.norm(a.infinitesimal)))
 
 
-def residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, target: DCMatrix) -> tuple[float, float]:
-    """Component norms of the two-sided residual U* A V - target."""
-    return component_norms(mat_mul(mat_mul(conj_transpose(u), a), v) - target)
+def _times_layout(f, diag, coupling, k: int):
+    """(F L)[:, :k], L as in dual_residual: the product rule on its diagonal and coupling."""
+    f_st, f_inf = f[0][:, :k], f[1][:, :k]
+    fl_inf = f_st * diag[1] + f_inf * np.conj(diag[0])
+    if coupling is not None:
+        fl_inf[:, 1:] += f_st[:, :-1] * coupling
+        fl_inf[:, :-1] -= f_st[:, 1:] * coupling
+    return f_st * diag[0], fl_inf
+
+
+def _one_sided(a: DCMatrix, u, v, diag, coupling):
+    """The arrays of R = A V - U L, L as in dual_residual."""
+    k = np.size(diag[0])
+    ul_st, ul_inf = _times_layout(u, diag, coupling, k)
+    r_st, r_inf = a.standard @ v[0], a.standard @ v[1] + a.infinitesimal @ np.conj(v[0])
+    r_st[:, :k] -= ul_st
+    r_inf[:, :k] -= ul_inf
+    return r_st, r_inf
+
+
+def _norms(r_st: np.ndarray, r_inf: np.ndarray, axis=None):
+    """Component norms of a residual; a NaN or infinite entry raises NonFinite.
+
+    A NaN norm would be dropped by the max() that collects residuals; finite
+    entries whose norm overflows give inf and pass.
+    """
+    rs, ri = np.linalg.norm(r_st, axis=axis), np.linalg.norm(r_inf, axis=axis)
+    if not (np.isfinite(rs).all() and np.isfinite(ri).all()):
+        DCMatrix(r_st, r_inf)  # raises NonFinite on a NaN or infinite entry
+    return (float(rs), float(ri)) if axis is None else (rs, ri)
+
+
+def dual_residual(a: DCMatrix, x, diag, coupling=None, axis=None):
+    """Component norms of R = A X - X L, the one-sided residual with V = U = X.
+
+    x holds the (standard, infinitesimal) arrays of X.  L is given by its
+    dual diagonal diag = (standard, infinitesimal), two arrays of length k
+    or, for one column, two scalars, and the infinitesimal coupling c_i at
+    (i, i+1) and -c_i at (i+1, i), which is how 2x2 Sub and (sigma, nu)
+    blocks couple; it has no other nonzero, so X L costs O(n k) and A X the
+    three products of the product rule (_one_sided, which factor_residual
+    runs with V apart from U).  The norms are Frobenius norms, or column
+    norms with axis=0.  A NaN or infinite entry of R raises NonFinite.
+    """
+    return _norms(*_one_sided(a, x, x, diag, coupling), axis)
+
+
+def _defect(x: np.ndarray, y: np.ndarray):
+    """The arrays of U* U - I for U = X + Y eps*j.
+
+    The infinitesimal part of U* U is M - M^T with M = X* Y, so one
+    product gives it where the general product rule takes two.
+    """
+    xh = x.conj().T
+    m = xh @ y
+    return xh @ x - np.eye(x.shape[1]), m - m.T
 
 
 def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
-    """Component norms of U* U - I.
+    """Component norms of U* U - I."""
+    return tuple(float(np.linalg.norm(e)) for e in _defect(u.standard, u.infinitesimal))
 
-    The infinitesimal part of U* U is M - M^T with M = U_st* U_I, so one
-    product gives it where the general product rule takes two.
+
+def factor_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, diag, coupling=None):
+    """(pair, gate) of a factorization U* A V = L, L as in dual_residual.
+
+    With R = A V - U L and E = U* U - I, the two-sided residual is
+    T = U* A V - L = U* R + E L.  The standard part of a dual unitary acts
+    as a unitary, so ||R_st|| stands for ||T_st||:
+    ||T_st|| <= (1 + ||E_st||) ||R_st|| + ||E_st|| ||L_st||.  Its
+    infinitesimal part does not: U_I carries the standard residual, and
+    with it whatever the decomposition dropped from A_st, into R_I.  So the
+    infinitesimal component is T_I = (U* R + E L)_I itself, two products
+    on top of the three of R.  pair, what a result reports and `verify`
+    recomputes, is (||R_st||, ||T_I||) against the unitarity defects of U
+    and V (V is U for a similarity), the larger per component; gate, what
+    check_residual judges, puts the bound on ||T_st|| in place of ||R_st||.
     """
     x, y = u.standard, u.infinitesimal
-    xh = x.conj().T
-    m = xh @ y
-    return (float(np.linalg.norm(xh @ x - np.eye(u.cols))), float(np.linalg.norm(m - m.T)))
+    r_st, r_inf = _one_sided(a, (x, y), (v.standard, v.infinitesimal), diag, coupling)
+    e_st, e_inf = _defect(x, y)
+    t_inf = x.conj().T @ r_inf - y.T @ np.conj(r_st)
+    t_inf[:, :len(diag[0])] += _times_layout((e_st, e_inf), diag, coupling, len(diag[0]))[1]
+    rs, ti = _norms(r_st, t_inf)
+    eu = tuple(float(np.linalg.norm(e)) for e in (e_st, e_inf))
+    ev = eu if v is u else unitarity_defect(v)
+    t_st = (1 + eu[0]) * rs + eu[0] * float(np.linalg.norm(diag[0]))
+    return ((max(rs, eu[0], ev[0]), max(ti, eu[1], ev[1])),
+            (max(t_st, eu[0], ev[0]), max(ti, eu[1], ev[1])))
 
 
 def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, float],
                    factors_inf: float, dropped: tuple[float, float], tol: Tolerances) -> None:
-    """Raise AccuracyError unless a decomposition's residual pair is explained.
+    """Raise AccuracyError unless a decomposition's residual is explained.
 
-    A residual of U* A V against the layout, with or without the unitarity
-    defects of the factors, is made of rounding error and of what the
-    decomposition chose to drop (cluster spreads, values below a cutoff),
-    whose norms the caller passes in `dropped`.  Rounding error is bounded
-    by f (||A_st|| + sqrt(n)) on the standard part and by
-    f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||)) on the infinitesimal
-    part, with f = max(resid_tol, 64 n eps), n the larger dimension of A.
-    The caller passes a_norms = (||A_st||, ||A_I||) and
-    factors_inf = ||U_I|| + ||V_I||, from whatever unitarily equivalent
+    resid is the gate of factor_residual, which bounds the two-sided
+    residual U* A V - L and the unitarity defects of the factors.  They are
+    made of rounding error and of what the decomposition chose to drop
+    (cluster spreads, values below a cutoff), whose norms the caller passes
+    in `dropped`.  Rounding error is bounded by f (||A_st|| + sqrt(n)) on
+    the standard part and by f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||))
+    on the infinitesimal part, with f = max(resid_tol, 64 n eps), n the
+    larger dimension of A.  The caller passes a_norms = (||A_st||, ||A_I||)
+    and factors_inf = ||U_I|| + ||V_I||, from whatever unitarily equivalent
     form of them it holds.  A non-finite residual always raises.
     """
     f = max(tol.resid_tol, 64 * n * _EPS)
@@ -246,10 +325,7 @@ def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric."""
-    if a.rows != a.cols:
-        return False
-    rs, ri = unitarity_defect(a)
-    return rs <= tol.resid_tol and ri <= tol.resid_tol
+    return a.rows == a.cols and max(unitarity_defect(a)) <= tol.resid_tol
 
 
 def inner(x: DCMatrix, y: DCMatrix) -> DualComplex:

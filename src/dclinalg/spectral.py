@@ -24,10 +24,16 @@ stages 1 and 3 are the helpers here that both call:
    since its infinitesimal part is zero: it becomes one 1x1 block with no
    youla_skew call and no rotation of its column.
 
-_block_diagonal assembles the blocks of either decomposition.  The final
-two-sided residual is compared with a bound scaled by the norms of A and of
-U's infinitesimal part, and AccuracyError is raised above it.  Entries too
-large for that arithmetic raise numpy's LinAlgError before any of it.
+_diagonals describes the blocks of either decomposition as a diagonal and
+its coupling, and _block_diagonal assembles them.  Both decompositions
+report the residual pair of matrix.factor_residual: the one-sided residual
+R = A U - U Sigma, the two-sided residual's infinitesimal part, and U's
+unitarity defect, with no dense Sigma built.  verify_spectral recomputes
+that pair, so the residual a spectral document stores is what `dctool
+verify` writes for it.  Its gate, which bounds the two-sided residual and
+includes the defect, is compared with a bound scaled by the norms of A and
+of U's infinitesimal part, and AccuracyError is raised above it.  Entries
+too large for that arithmetic raise numpy's LinAlgError before any of it.
 """
 
 from __future__ import annotations
@@ -52,15 +58,14 @@ from .matrix import (
     DCMatrix,
     _EPS,
     _check_range,
+    _times_layout,
     check_residual,
-    component_norms,
+    dual_residual,
+    factor_residual,
     inner,
     is_hermitian,
-    mat_mul,
-    residual,
-    unitarity_defect,
 )
-from .scalar import DEFAULT_TOL, DualComplex, Tolerances
+from .scalar import DEFAULT_TOL, Tolerances
 
 
 @dataclass(frozen=True)
@@ -106,28 +111,39 @@ def assemble_blocks(blocks) -> DCMatrix:
     return _block_diagonal(n, n, [(b.lam, b.mu) for b in blocks])
 
 
-def _block_diagonal(m: int, n: int, blocks, tail=()) -> DCMatrix:
-    """The m x n matrix with the canonical blocks on its diagonal, then tail*eps*j.
+def _diagonals(k: int, blocks, tail=()):
+    """(diag, coupling) of the k x k block layout, as matrix.dual_residual takes it.
 
     blocks holds (value, coupling) pairs: a 1x1 block value when coupling is
     None, else the 2x2 block [[value, coupling*eps*j], [-coupling*eps*j, value]].
-    Each entry d of tail is one purely infinitesimal 1x1 block d*eps*j.
+    Each entry d of tail is one purely infinitesimal 1x1 block d*eps*j, and
+    zeros fill the rest of the diagonal.  coupling is None when no block is
+    2x2.  The arrays are complex, as the factors are, so that products with
+    them take numpy's fast loops.
     """
-    st = np.zeros((m, n), dtype=complex)
-    inf = np.zeros((m, n), dtype=complex)
+    d_st, d_inf, coupling = (np.zeros(size, dtype=complex) for size in (k, k, max(k - 1, 0)))
     off = 0
-    for value, coupling in blocks:
-        st[off, off] = value
-        if coupling is not None:
-            st[off + 1, off + 1] = value
-            inf[off, off + 1] = coupling
-            inf[off + 1, off] = -coupling
+    for value, c in blocks:
+        d_st[off] = value
+        if c is not None:
+            d_st[off + 1], coupling[off] = value, c
             off += 1
         off += 1
-    for d in tail:
-        inf[off, off] = d
-        off += 1
-    return DCMatrix(st, inf)
+    d_inf[off:off + len(tail)] = tail
+    return (d_st, d_inf), (coupling if coupling.any() else None)
+
+
+def _block_diagonal(m: int, n: int, blocks, tail=()) -> DCMatrix:
+    """The m x n matrix with the canonical blocks on its diagonal, then tail*eps*j."""
+    k = min(m, n)  # L = I L: _times_layout gives its first k columns, the rest are zero
+    parts = _times_layout((np.eye(m, k), np.zeros((m, k), dtype=complex)),
+                          *_diagonals(k, blocks, tail), k)
+    return DCMatrix(*(np.pad(part, ((0, 0), (0, n - k))) for part in parts))
+
+
+def _residual(a: DCMatrix, u: DCMatrix, blocks):
+    """(pair, gate) of U* A U against the blocks (matrix.factor_residual)."""
+    return factor_residual(a, u, u, *_diagonals(a.rows, [(b.lam, b.mu) for b in blocks]))
 
 
 def _chain(vals, tau: float):
@@ -322,28 +338,26 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     # cluster; a 1x1 cluster's block is 1, so its columns need no product
     u_st = v.copy()
     u_inf = -(p_inf @ np.conj(s_mat)).T
-    blocks = [SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
-              for lam, mu in _canonical_blocks(c, starts, sizes, reps, [(u_st, u_inf)], tol)]
+    blocks = tuple(SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
+                   for lam, mu in _canonical_blocks(c, starts, sizes, reps, [(u_st, u_inf)], tol))
     u = DCMatrix(u_st, u_inf)
-    resid = residual(a, u, u, assemble_blocks(blocks))
+    resid, gate = _residual(a, u, blocks)
     # dropped by design: the spread of each cluster around the mean its
     # blocks carry, and the parts of A that are not Hermitian, at most
     # resid_tol / 2 each once is_hermitian has passed.  The norms of w and c
     # are those of A's Hermitian parts
     half = tol.resid_tol / 2
-    check_residual(resid, n, (float(np.linalg.norm(w)), float(np.linalg.norm(c))),
+    check_residual(gate, n, (float(np.linalg.norm(w)), float(np.linalg.norm(c))),
                    2 * float(np.linalg.norm(u_inf)),
                    (float(np.linalg.norm(w - rep)) + half, half), tol)
-    return SpectralDecomposition(u, tuple(blocks), resid)
+    return SpectralDecomposition(u, blocks, resid)
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:
-    """Componentwise residual of U* A U against the blocks, including unitarity of U."""
+    """The residual pair herm_spectral reports, recomputed (matrix.factor_residual)."""
     if a.shape != dec.U.shape or dec.n != a.rows:
         raise ShapeMismatch("decomposition does not match the matrix shape")
-    rs, ri = residual(a, dec.U, dec.U, dec.sigma())
-    us, ui = unitarity_defect(dec.U)
-    return (max(rs, us), max(ri, ui))
+    return _residual(a, dec.U, dec.blocks)[0]
 
 
 def subeigenpairs(dec: SpectralDecomposition):
@@ -375,12 +389,10 @@ def verify_subeigenpair(a: DCMatrix, lam: float, mu: complex, x: DCMatrix, y: DC
     ip = inner(x, y)
     if abs(ip.standard) > tol.resid_tol or abs(ip.infinitesimal) > tol.resid_tol:
         raise NotOrthogonal("subeigenvectors must be orthogonal")
-    muj = DualComplex(0, mu)
-    r1 = mat_mul(a, x) - x * DualComplex(lam) - y * muj
-    r2 = mat_mul(a, y) - y * DualComplex(lam) + x * muj
-    r1s, r1i = component_norms(r1)
-    r2s, r2i = component_norms(r2)
-    return (max(r1s, r2s), max(r1i, r2i))
+    # the columns [y, x] against one Sub block (lam, mu)
+    cols = (np.hstack((y.standard, x.standard)), np.hstack((y.infinitesimal, x.infinitesimal)))
+    rs, ri = dual_residual(a, cols, *_diagonals(2, [(lam, mu)]), axis=0)
+    return (float(rs.max()), float(ri.max()))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,13 @@ spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
    at zero keeps its infinitesimal part, whose complex SVD gives D; its
    standard part, at most the cutoff, is dropped.
 
-A final residual above its bound raises AccuracyError, and so do entries
-too large for the arithmetic, before any of it, and an A_st so small against
-A_I that X and Y, which scale as A_I / sigma, leave that range.
+The residual pair is that of matrix.factor_residual, which verify_svd
+recomputes, so the residual an svd document stores is what `dctool verify`
+writes for it: the one-sided residual R = A V - U L, the two-sided
+residual's infinitesimal part and the unitarity defects of U and V.  A gate
+above its bound raises AccuracyError, and so do entries too large for the
+arithmetic, before any of it, and an A_st so small against A_I that X and
+Y, which scale as A_I / sigma, leave that range.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import (DCMatrix, _EPS, _check_range, _range_limit, check_residual, residual,
-                     unitarity_defect)
+from .matrix import DCMatrix, _EPS, _check_range, _range_limit, check_residual, factor_residual
 from .scalar import DEFAULT_TOL, Tolerances
-from .spectral import _block_diagonal, _canonical_blocks, _clusters
+from .spectral import _block_diagonal, _canonical_blocks, _clusters, _diagonals
 
 
 @dataclass(frozen=True)
@@ -88,19 +91,17 @@ def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
     return int(np.sum(svals > _rank_cutoff(float(svals[0]), max(a.shape), tol)))
 
 
-def _svd_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
-    rs, ri = residual(a, u, v, layout)
-    us, ui = unitarity_defect(u)
-    vs, vi = unitarity_defect(v)
-    return (max(rs, us, vs), max(ri, ui, vi))
+def _residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, blocks, inf_vals):
+    """(pair, gate) of U* A V against the layout (matrix.factor_residual)."""
+    return factor_residual(a, u, v, *_diagonals(min(a.shape), [(b.sigma, b.nu) for b in blocks],
+                                                inf_vals))
 
 
 def verify_svd(a: DCMatrix, res: SvdResult):
-    """Componentwise residual of U* A V against the block layout, including
-    the unitarity defects of U and V; returns the maxima as a pair."""
+    """The residual pair dc_svd reports, recomputed (matrix.factor_residual)."""
     if res.U.shape != (a.rows, a.rows) or res.V.shape != (a.cols, a.cols):
         raise ShapeMismatch("factors do not match the matrix shape")
-    return _svd_residual(a, res.U, res.V, res.layout())
+    return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
 
 
 def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
@@ -157,8 +158,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     if not (np.abs(u_inf).max(initial=0.0) <= limit and np.abs(v_inf).max(initial=0.0) <= limit):
         raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 
-    blocks = [SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
-        skew, starts, sizes, reps, [(u_st, u_inf), (v_st, v_inf)], tol)]
+    blocks = tuple(SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
+        skew, starts, sizes, reps, [(u_st, u_inf), (v_st, v_inf)], tol))
 
     # the infinitesimal part of the corner at zero is B[r:, r:]; its standard
     # part, the values at or below the cutoff, is dropped.  The complex SVD
@@ -177,12 +178,11 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     inf_vals = tuple(float(x) for x in d[:p])
 
     u, v = DCMatrix(u_st, u_inf), DCMatrix(v_st, v_inf)
-    layout = assemble_layout(m, n, blocks, inf_vals)
-    resid = _svd_residual(a, u, v, layout)
+    resid, gate = _residual(a, u, v, blocks, inf_vals)
     kept = np.zeros(k)
     kept[:r] = np.repeat(reps, sizes)
     # s and b carry the norms of A's two parts
-    check_residual(resid, big, (float(np.linalg.norm(s)), float(np.linalg.norm(b))),
+    check_residual(gate, big, (float(np.linalg.norm(s)), float(np.linalg.norm(b))),
                    float(np.linalg.norm(u_inf)) + float(np.linalg.norm(v_inf)),
                    (float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))), tol)
-    return SvdResult(u, v, tuple(blocks), inf_vals, r, p, resid)
+    return SvdResult(u, v, blocks, inf_vals, r, p, resid)

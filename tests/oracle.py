@@ -10,8 +10,10 @@ herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
 references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
 its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
 deflates each group of equal singular values with one SVD per pair,
-youla_skew_deflation.  phi is the block-triangular representation of a
-dual complex matrix as a complex one, for checks by plain numpy products.
+youla_skew_deflation.  residual_pair is the residual pair of herm_spectral
+and dc_svd by dense numpy products on the assembled layout.  phi is the
+block-triangular representation of a dual complex matrix as a complex one,
+for checks by plain numpy products.
 """
 
 import math
@@ -43,7 +45,6 @@ from dclinalg import (
     youla_skew,
 )
 from dclinalg.spectral import _chain
-from dclinalg.svd import _svd_residual
 from dclinalg.eig import (
     _EPS,
     _eigenspace_basis,
@@ -237,9 +238,31 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
     ps = mat_mul(DCMatrix(np.eye(n), p_inf), DCMatrix(s_mat))
     u = mat_mul(conj_transpose(ps), DCMatrix(w_diag))
 
-    sigma = assemble_blocks(blocks)
-    resid = component_norms(mat_mul(mat_mul(conj_transpose(u), a), u) - sigma)
-    return SpectralDecomposition(u, tuple(blocks), resid)
+    return SpectralDecomposition(u, tuple(blocks), residual_pair(a, u, u, assemble_blocks(blocks)))
+
+
+def residual_pair(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
+    """The pair herm_spectral and dc_svd report, by dense numpy products.
+
+    With R = A V - U L and E = U* U - I on the assembled layout L, the pair
+    is (||R_st||, ||(U* R + E L)_I||), each against the larger unitarity
+    defect of U and V.  U* R + E L is U* A V - L.
+    """
+    l_st, l_inf = layout.standard, layout.infinitesimal
+    x, y = u.standard, u.infinitesimal
+    r_st = a.standard @ v.standard - x @ l_st
+    r_inf = ((a.standard @ v.infinitesimal + a.infinitesimal @ np.conj(v.standard))
+             - (x @ l_inf + y @ np.conj(l_st)))
+    defects = []
+    for f in (u, v):
+        fh = f.standard.conj().T
+        m = fh @ f.infinitesimal  # (U* U)_I = X* Y - Y^T conj(X) = M - M^T
+        defects.append((fh @ f.standard - np.eye(f.cols), m - m.T))
+    e_st, e_inf = defects[0]
+    t_inf = x.conj().T @ r_inf - y.T @ np.conj(r_st) + (e_st @ l_inf + e_inf @ np.conj(l_st))
+    norms = [(np.linalg.norm(r_st), np.linalg.norm(t_inf))]
+    norms += [(np.linalg.norm(d_st), np.linalg.norm(d_inf)) for d_st, d_inf in defects]
+    return tuple(float(max(part)) for part in zip(*norms))
 
 
 def phi(a) -> np.ndarray:
@@ -385,7 +408,7 @@ def dc_svd_gram(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
         v_inf[:, r:r + p] *= -1
         u_new, v_new = flipped.V, DCMatrix(v_st, v_inf)
         layout = assemble_layout(m, n, flipped.standard_blocks, flipped.infinitesimal_values)
-        resid = _svd_residual(a, u_new, v_new, layout)
+        resid = residual_pair(a, u_new, v_new, layout)
         return SvdResult(u_new, v_new, flipped.standard_blocks,
                          flipped.infinitesimal_values, r, p, resid)
 
@@ -453,5 +476,5 @@ def dc_svd_gram(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     u = mat_mul(uprime, DCMatrix(u_embed))
     v = mat_mul(vp, DCMatrix(v_embed))
     layout = assemble_layout(m, n, sig_blocks, inf_vals)
-    resid = _svd_residual(a, u, v, layout)
+    resid = residual_pair(a, u, v, layout)
     return SvdResult(u, v, tuple(sig_blocks), inf_vals, r, p, resid)

@@ -1,0 +1,219 @@
+"""One residual pair per decomposition, and the factors through phi.
+
+herm_spectral and dc_svd report the pair that verify_spectral and
+verify_svd recompute, bit for bit, and `dctool verify` writes the residual
+the result document stores.  phi (oracle.phi) re-checks the factors of
+herm_spectral, dc_svd and mat_inv, and the pair and gate of
+matrix.factor_residual, with plain numpy products that share no code with
+the library's product rule.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from conftest import FIXTURES, cgauss
+from dclinalg import (
+    DCMatrix,
+    SingularBlock,
+    SpectralBlock,
+    assemble_blocks,
+    assemble_layout,
+    dc_svd,
+    gen_random,
+    herm_spectral,
+    is_hermitian,
+    jsonio,
+    mat_inv,
+    mat_mul,
+    verify_spectral,
+    verify_svd,
+)
+from dclinalg.cli import main
+from dclinalg.matrix import factor_residual
+from dclinalg.spectral import _diagonals
+from oracle import phi
+
+EPS = np.finfo(float).eps
+PLANTED_SUB = (SpectralBlock("Eigen", 2.0), SpectralBlock("Sub", 2.0, 0.7 + 0.3j),
+               SpectralBlock("Sub", 2.0, 0.4), SpectralBlock("Eigen", -1.0),
+               SpectralBlock("Sub", 0.5, 1.1j), SpectralBlock("Eigen", 1.3))
+PLANTED_SVD = (SingularBlock(3.0, .7), SingularBlock(3.0), SingularBlock(1.5),
+               SingularBlock(1.0, .2))
+
+
+def similar(blocks, seed):
+    n = sum(b.dim for b in blocks)
+    u = gen_random("unitary", n, n, seed)
+    return mat_mul(mat_mul(u, assemble_blocks(blocks)), conj_t(u))
+
+
+def conj_t(a: DCMatrix) -> DCMatrix:
+    """A* = conj(A_st)^T - A_I^T eps*j, written out."""
+    return DCMatrix(a.standard.conj().T, -a.infinitesimal.T)
+
+
+def rank_deficient(rng, m, n, rank):
+    return DCMatrix(cgauss(rng, m, rank) @ cgauss(rng, rank, n), cgauss(rng, m, n))
+
+
+def fixture_matrices():
+    return {p.stem: jsonio.decode_matrix(json.loads(p.read_text()))
+            for p in sorted(FIXTURES.glob("*.json"))}
+
+
+def hermitian_cases():
+    cases = {name: a for name, a in fixture_matrices().items() if is_hermitian(a)}
+    for seed in range(3):
+        cases[f"hermitian-{seed}"] = gen_random("hermitian", 12, 12, 70 + seed)
+        cases[f"planted-sub-{seed}"] = similar(PLANTED_SUB, 80 + seed)
+    cases["psd-rank-deficient"] = mat_mul(
+        conj_t(rank_deficient(np.random.default_rng(90), 5, 9, 5)),
+        rank_deficient(np.random.default_rng(90), 5, 9, 5))
+    return cases
+
+
+def svd_cases():
+    cases = dict(fixture_matrices())
+    rng = np.random.default_rng(91)
+    for m, n in ((9, 5), (5, 9), (7, 7)):
+        cases[f"general-{m}x{n}"] = DCMatrix(cgauss(rng, m, n), cgauss(rng, m, n))
+    cases["rank-deficient-tall"] = rank_deficient(rng, 10, 7, 3)
+    cases["rank-deficient-wide"] = rank_deficient(rng, 6, 11, 4)
+    layout = assemble_layout(8, 7, PLANTED_SVD, (.9,))
+    cases["planted-coupled"] = mat_mul(mat_mul(gen_random("unitary", 8, 8, 92), layout),
+                                       conj_t(gen_random("unitary", 7, 7, 93)))
+    cases.update({f"planted-sub-{seed}": similar(PLANTED_SUB, 94 + seed) for seed in range(2)})
+    return cases
+
+
+HERMITIAN = hermitian_cases()
+SVD = svd_cases()
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN))
+def test_spectral_residual_is_what_verify_recomputes(name):
+    a = HERMITIAN[name]
+    dec = herm_spectral(a)
+    assert dec.residual == verify_spectral(a, dec)
+    assert max(dec.residual) <= 1e-12 * (1 + np.linalg.norm(phi(a)))
+
+
+@pytest.mark.parametrize("name", sorted(SVD))
+def test_svd_residual_is_what_verify_recomputes(name):
+    a = SVD[name]
+    res = dc_svd(a)
+    assert res.residual == verify_svd(a, res)
+    assert max(res.residual) <= 1e-12 * (1 + np.linalg.norm(phi(a)))
+
+
+@pytest.mark.parametrize("command, kind, shape", [
+    ("spectral", "hermitian", (7, 7)), ("spectral", "psd", (6, 6)),
+    ("svd", "general", (8, 5)), ("svd", "general", (5, 8)), ("svd", "hermitian", (6, 6))])
+def test_dctool_verify_writes_the_stored_residual(tmp_path, command, kind, shape):
+    src, out, check = tmp_path / "a.json", tmp_path / "out.json", tmp_path / "verify.json"
+    assert main(["gen", "--kind", kind, "--m", str(shape[0]), "--n", str(shape[1]),
+                 "--seed", "12", "--output", str(src)]) == 0
+    assert main([command, "--input", str(src), "--output", str(out)]) == 0
+    assert main(["verify", "--input", str(out), "--output", str(check)]) == 0
+    assert json.loads(check.read_text())["residual"] == json.loads(out.read_text())["residual"]
+
+
+# ------------------------------------------------------------- through phi
+
+def phi_layout(m, n, pairs, tail=()):
+    """phi of the m x n layout with (value, coupling) blocks, then tail*eps*j, by hand."""
+    st, inf = np.zeros((m, n), dtype=complex), np.zeros((m, n), dtype=complex)
+    off = 0
+    for value, coupling in pairs:
+        for i in range(1 if coupling is None else 2):
+            st[off + i, off + i] = value
+        if coupling is not None:
+            inf[off, off + 1], inf[off + 1, off] = coupling, -coupling
+        off += 1 if coupling is None else 2
+    for i, d in enumerate(tail):
+        inf[off + i, off + i] = d
+    return np.block([[st, inf], [np.zeros_like(st), np.conj(st)]])
+
+
+def phi_parts(p, m, n):
+    """The (standard, infinitesimal) parts of phi(X) for an m x n X."""
+    return p[:m, :n], p[:m, n:]
+
+
+def phi_two_sided(a, u, v, pl):
+    """phi(U*) phi(A) phi(V) - phi(L) and phi(U*) phi(U) - I, U* written out."""
+    pu_star = phi(conj_t(u))
+    return (pu_star @ phi(a) @ phi(v) - pl,
+            pu_star @ phi(u) - np.eye(2 * u.rows))
+
+
+def assert_small(p, n, scale):
+    """||p|| within rounding error of n-term sums of size scale."""
+    assert np.linalg.norm(p) <= 4 * n * EPS * scale
+
+
+def factor_scale(a, u_inf, v_inf):
+    return (1 + np.linalg.norm(phi(a))) * (1 + np.linalg.norm(u_inf) + np.linalg.norm(v_inf))
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN))
+def test_spectral_factors_through_phi(name):
+    a = HERMITIAN[name]
+    dec = herm_spectral(a)
+    pl = phi_layout(a.rows, a.rows, [(b.lam, b.mu) for b in dec.blocks])
+    two_sided, defect = phi_two_sided(a, dec.U, dec.U, pl)
+    scale = factor_scale(a, dec.U.infinitesimal, dec.U.infinitesimal)
+    assert_small(two_sided, a.rows, scale)
+    assert_small(defect, a.rows, scale)
+
+
+@pytest.mark.parametrize("name", sorted(SVD))
+def test_svd_factors_through_phi(name):
+    a = SVD[name]
+    res = dc_svd(a)
+    m, n = a.shape
+    pl = phi_layout(m, n, [(b.sigma, b.nu) for b in res.standard_blocks],
+                    res.infinitesimal_values)
+    two_sided, u_defect = phi_two_sided(a, res.U, res.V, pl)
+    scale = factor_scale(a, res.U.infinitesimal, res.V.infinitesimal)
+    assert_small(two_sided, max(m, n), scale)
+    assert_small(u_defect, max(m, n), scale)
+    assert_small(phi(conj_t(res.V)) @ phi(res.V) - np.eye(2 * n), max(m, n), scale)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mat_inv_through_phi(seed):
+    rng = np.random.default_rng([95, seed])
+    s = DCMatrix(cgauss(rng, 6, 6) + 3 * np.eye(6), cgauss(rng, 6, 6))
+    ps, pinv = phi(s), phi(mat_inv(s))
+    scale = np.linalg.norm(ps) * np.linalg.norm(pinv)
+    assert_small(ps @ pinv - np.eye(12), 6, scale)
+    assert_small(pinv @ ps - np.eye(12), 6, scale)
+
+
+@pytest.mark.parametrize("name", ["hermitian-0", "planted-sub-1"])
+def test_factor_residual_against_phi_on_a_perturbed_factor(name):
+    # a factor off by 1e-6 puts every quantity far above rounding error, so
+    # phi's plain products pin each one: the reported pair is
+    # (||R_st||, ||T_I||) against the defects, with R = A V - U L and
+    # T = U* A V - L, and the gate bounds ||T_st||
+    a = HERMITIAN[name]
+    dec = herm_spectral(a)
+    n = a.rows
+    rng = np.random.default_rng(96)
+    u = DCMatrix(dec.U.standard + 1e-6 * cgauss(rng, n, n),
+                 dec.U.infinitesimal + 1e-6 * cgauss(rng, n, n))
+    pairs = [(b.lam, b.mu) for b in dec.blocks]
+    pair, gate = factor_residual(a, u, u, *_diagonals(n, pairs))
+    pl = phi_layout(n, n, pairs)
+    two_sided, defect = phi_two_sided(a, u, u, pl)
+    r_st = phi_parts(phi(a) @ phi(u) - phi(u) @ pl, n, n)[0]
+    t_st, t_inf = phi_parts(two_sided, n, n)
+    e_st, e_inf = phi_parts(defect, n, n)
+    d_st, d_inf = np.linalg.norm(e_st), np.linalg.norm(e_inf)
+    np.testing.assert_allclose(pair, (max(np.linalg.norm(r_st), d_st),
+                                      max(np.linalg.norm(t_inf), d_inf)), rtol=1e-8)
+    assert np.linalg.norm(t_st) <= gate[0] and gate[1] == pair[1]
+    assert gate[0] <= (1 + 1e-5) * max(np.linalg.norm(r_st), d_st) + d_st * np.linalg.norm(pl)

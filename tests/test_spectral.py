@@ -508,6 +508,20 @@ def test_corrupted_eigh_raises_accuracy_error(monkeypatch):
         herm_spectral(a)
 
 
+def test_factor_that_is_not_unitary_raises_accuracy_error(monkeypatch):
+    # on the zero matrix U* A U - Sigma vanishes for every U, so U = 2W, whose
+    # unitarity defect is 6, is caught by the defect alone
+    eigh = np.linalg.eigh
+
+    def doubled(x, *args, **kwargs):
+        w, v = eigh(x, *args, **kwargs)
+        return w, 2 * v
+
+    monkeypatch.setattr(spectral_mod.np.linalg, "eigh", doubled)
+    with pytest.raises(AccuracyError):
+        herm_spectral(DCMatrix(np.zeros((4, 4))))
+
+
 # --------------------------------------------------- subeigenpair verification
 
 def test_subeigenpair_worked_example():
