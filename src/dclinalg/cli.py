@@ -7,8 +7,9 @@
     dctool gen --kind hermitian --m 4 --n 4 --seed 7 --output a.json
 
 Result documents embed the input matrix, so `verify` needs no second file.
-`eig` computes the dual and the complex pairs from one decomposition of the
-standard part (eig.right_eigs).  `gen` takes only --output and
+`eig` computes the dual and the complex pairs from one decomposition
+(eig.right_eigs): herm_spectral for Hermitian input, one eig of the
+standard part otherwise.  `gen` takes only --output and
 --json-compact besides its own flags.
 Batch mode (--input-dir) processes every *.json in a directory concurrently,
 one worker thread per usable CPU, and writes one output file per input; its

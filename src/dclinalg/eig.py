@@ -3,20 +3,23 @@
 A right eigenpair satisfies A x = x lam with x appreciable.  The standard
 parts always form an ordinary eigenpair of the standard part of A; the
 infinitesimal parts then satisfy the linear consistency system
-(conj(lam) I - A_st) x_I = A_I conj(x_st) - lam_I x_st.  One eigenvalue
-decomposition A_st = V D V^-1 per call gives both lists, the dual pairs of
-dual_right_eigs and the complex pairs of complex_right_eigs (right_eigs
-returns the two, and `dctool eig` calls it once).  Every simple eigenvalue
-farther than kappa(V) times the rank cut from the others and from every
-conjugate takes its column of V, and all of them are solved in one array
-pass through V, in whose basis the system is diagonal; such a pair is the
-same in both lists.  Everywhere else (clusters, conjugate pairs, real or
-nearly defective standard parts) the SVD of each shifted matrix gives the
-eigenspace and the unsolvable directions, and the system is solved by
-least squares, cluster by cluster.  Hermitian input is routed through the
-block spectral decomposition, whose 1x1 blocks are exactly the right
-eigenpairs.  Entries too large for this arithmetic raise numpy's
-LinAlgError on entry.
+(conj(lam) I - A_st) x_I = A_I conj(x_st) - lam_I x_st.  One decomposition
+per call gives both lists, the dual pairs of dual_right_eigs and the
+complex pairs of complex_right_eigs (right_eigs returns the two, and
+`dctool eig` calls it once).
+
+Hermitian input takes the block spectral decomposition (herm_spectral),
+whose 1x1 blocks are exactly the right eigenpairs, all of them real: each
+is a dual pair, and the first of each level is also the complex pair.
+Other input takes one eigenvalue decomposition A_st = V D V^-1.  Every
+simple eigenvalue farther than kappa(V) times the rank cut from the others
+and from every conjugate takes its column of V, and all of them are solved
+in one array pass through V, in whose basis the system is diagonal; such a
+pair is the same in both lists.  Everywhere else (clusters, conjugate
+pairs, real or nearly defective standard parts) the SVD of each shifted
+matrix gives the eigenspace and the unsolvable directions, and the system
+is solved by least squares, cluster by cluster.  Entries too large for
+this arithmetic raise numpy's LinAlgError on entry.
 """
 
 from __future__ import annotations
@@ -163,11 +166,13 @@ def _lstsq_resid(m: np.ndarray, b: np.ndarray):
 
 
 def _eig_clusters(a: DCMatrix, tol: Tolerances):
-    """(dual pairs, complex pairs) of A from one eig, one cond and at most one inv.
+    """(dual pairs, complex pairs) of non-Hermitian A from one eig, one cond, at most one inv.
 
-    A pair is kept when its consistency residual is at most
-    resid_tol (1 + ||A_I||).  Pairs come in cluster order (_cluster_complex),
-    and the residuals of all of them come from one dual product (_pairs).
+    right_eigs sends Hermitian input, the empty matrix included, to
+    _hermitian_pairs instead.  A pair is kept when its consistency residual
+    is at most resid_tol (1 + ||A_I||).  Pairs come in cluster order
+    (_cluster_complex), and the residuals of all of them come from one dual
+    product (_pairs).
 
     The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
     (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
@@ -186,15 +191,15 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     _eigenspace_basis) and, unless the second one suffices, to the
     unsolvable directions null(M*) (_left_null_basis) and lstsq.  Its dual
     pairs lift each basis column, with lam_I fixed first from the
-    unsolvable-direction projection, one per similarity class; its complex
-    pair takes the smallest singular direction of null(M*)* A_I conj(basis),
-    or the first basis column when no direction is unsolvable.
+    unsolvable-direction projection, one per similarity class.  Its complex
+    pair is x_st = basis c, which solves the system iff conj(c) lies in the
+    null space of K = null(M*)* A_I conj(basis); conj(c) is the smallest
+    right singular vector of K, so c is the last row of K's Vh.  With no
+    unsolvable direction it is the first basis column.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("eigenvalues need a square matrix")
     n = a.rows
-    if n == 0:
-        return [], []
     a_st, a_inf = a.standard, a.infinitesimal
     accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
     vals, vecs = np.linalg.eig(a_st)
@@ -255,7 +260,7 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             lam_inf[big] = np.einsum("ij,ij->j", tn.conj(), tb)[big] / denom[big]
             # the best eigenspace combination for the complex pair
             _, _, bvt = np.linalg.svd(nleft.conj().T @ a_inf @ np.conj(basis))
-            x_st = np.column_stack([x_st, _normalize_phase(basis @ np.conj(bvt[-1]))])
+            x_st = np.column_stack([x_st, _normalize_phase(basis @ bvt[-1])])
             rhs = np.column_stack([rhs - x_st[:, :cols] * lam_inf,
                                    a_inf @ np.conj(x_st[:, cols])])
         if m is None:
@@ -289,27 +294,37 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             [p for p, keep in zip(pairs, in_cplx) if keep])
 
 
-def _hermitian_pairs(a: DCMatrix, tol: Tolerances) -> list[RightEigenPair]:
-    """Right eigenpairs of a Hermitian matrix: the 1x1 blocks of herm_spectral."""
+def _hermitian_pairs(a: DCMatrix, tol: Tolerances):
+    """(dual pairs, complex pairs) of a Hermitian matrix from one herm_spectral.
+
+    The right eigenpairs are the 1x1 (Eigen) blocks, each a real value with
+    its column of U; 2x2 (Sub) blocks yield none.  Every Eigen block is a
+    dual pair, and the first one of each level is also that level's complex
+    pair, the same object in both lists.  Blocks come in descending lambda,
+    and the blocks of one level carry one value, so a level starts where
+    the value changes.
+    """
     dec = herm_spectral(a, tol)
     offsets = np.cumsum([0] + [blk.dim for blk in dec.blocks])
     eigen = [k for k, blk in enumerate(dec.blocks) if blk.kind == "Eigen"]
     cols = offsets[eigen]
     lam = np.array([dec.blocks[k].lam for k in eigen], dtype=float)
-    return _pairs(a, dec.U.standard[:, cols], dec.U.infinitesimal[:, cols], lam,
+    dual = _pairs(a, dec.U.standard[:, cols], dec.U.infinitesimal[:, cols], lam,
                   np.zeros(lam.size), [None] * lam.size)
+    return dual, [p for k, p in enumerate(dual) if k == 0 or lam[k] != lam[k - 1]]
 
 
 def right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
-    """(dual_right_eigs(a), complex_right_eigs(a)) from one pass over A_st.
+    """(dual_right_eigs(a), complex_right_eigs(a)) from one decomposition.
 
-    Both lists come from the same eig of the standard part, so this costs
-    about what one of the two routines costs.
+    Hermitian input takes one herm_spectral (_hermitian_pairs), any other
+    square input one eig of the standard part (_eig_clusters); either way
+    both lists cost about what one of them costs.
     """
     _check_range(a, np.linalg.LinAlgError)
-    herm = _hermitian_pairs(a, tol) if is_hermitian(a, tol) else None
-    dual, cplx = _eig_clusters(a, tol)
-    return (dual if herm is None else herm), cplx
+    if is_hermitian(a, tol):
+        return _hermitian_pairs(a, tol)
+    return _eig_clusters(a, tol)
 
 
 def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:
@@ -318,12 +333,13 @@ def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[Right
     For each eigenvalue lam of the standard part the infinitesimal vector
     part must solve (conj(lam) I - A_st) x_I = A_I conj(x_st) for some unit
     eigenvector x_st.  Solvability is tested over the whole eigenspace: with
-    N spanning the unsolvable directions, the best eigenspace combination is
-    the smallest singular direction of N* A_I conj(V).  The list may be
-    empty; some matrices have no complex right eigenvalue.
+    N spanning the unsolvable directions and B the eigenspace basis, x_st =
+    B c solves it iff conj(c) lies in the null space of N* A_I conj(B).  A
+    Hermitian matrix has one real pair per level that holds an Eigen block
+    of herm_spectral, in descending order.  The list may be empty; some
+    matrices have no complex right eigenvalue.
     """
-    _check_range(a, np.linalg.LinAlgError)
-    return _eig_clusters(a, tol)[1]
+    return right_eigs(a, tol)[1]
 
 
 def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:
@@ -338,10 +354,7 @@ def dual_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEig
     eigenvalues of a non-Hermitian standard part are flagged with a warning
     since nothing guarantees the returned set is complete there.
     """
-    _check_range(a, np.linalg.LinAlgError)
-    if is_hermitian(a, tol):
-        return _hermitian_pairs(a, tol)
-    return _eig_clusters(a, tol)[0]
+    return right_eigs(a, tol)[0]
 
 
 def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -74,9 +74,6 @@ class DCMatrix:
     def column(self, j: int) -> "DCMatrix":
         return DCMatrix(self.standard[:, j:j + 1], self.infinitesimal[:, j:j + 1])
 
-    def transpose(self) -> "DCMatrix":
-        return DCMatrix(self.standard.T, self.infinitesimal.T)
-
     def __add__(self, other: "DCMatrix") -> "DCMatrix":
         if not isinstance(other, DCMatrix):
             return NotImplemented

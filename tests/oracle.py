@@ -13,7 +13,8 @@ deflates each group of equal singular values with one SVD per pair,
 youla_skew_deflation.  residual_pair is the residual pair of herm_spectral
 and dc_svd by dense numpy products on the assembled layout.  phi is the
 block-triangular representation of a dual complex matrix as a complex one,
-for checks by plain numpy products.
+for checks by plain numpy products, and sub_count reads the number of Sub
+blocks at a level off phi's kernel, with no clustering and no youla_skew.
 """
 
 import math
@@ -280,6 +281,22 @@ def phi(a) -> np.ndarray:
     return np.block([[st, inf], [np.zeros_like(st), np.conj(st)]])
 
 
+def sub_count(h: DCMatrix, lam: float, k: int) -> int:
+    """Number of Sub blocks at the level lam, of multiplicity k, of a Hermitian h.
+
+    phi(h) is similar to phi(Sigma), where an Eigen block lam maps to
+    lam I_2 and a Sub block to lam I_4 plus a rank-2 nilpotent, so
+    dim ker(phi(h) - lam I) = 2 (k - #Sub).  The kernel dimension is the
+    number of singular values at most 1e-8 (1 + ||phi(h)||).
+    """
+    ph = phi(h)
+    s = np.linalg.svd(ph - lam * np.eye(2 * h.rows), compute_uv=False)
+    dim = int(np.sum(s <= 1e-8 * (1.0 + np.linalg.norm(ph, 2))))
+    if dim % 2:
+        raise ValueError(f"odd kernel dimension {dim} at {lam}")
+    return k - dim // 2
+
+
 def verify_eigenpair_products(a: DCMatrix, value: DualComplex, x: DCMatrix):
     """Component norms of A x - x value through DCMatrix products."""
     return component_norms(mat_mul(a, x) - x * value)
@@ -326,7 +343,7 @@ def complex_right_eigs_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
         else:
             b_map = nleft.conj().T @ a_inf @ np.conj(basis)
             _, _, bvt = np.linalg.svd(b_map)
-            x_st = _normalize_phase(basis @ np.conj(bvt[-1]))
+            x_st = _normalize_phase(basis @ bvt[-1])
         x_inf, resid = _lstsq_resid(m, a_inf @ np.conj(x_st))
         if resid <= accept:
             vec = DCMatrix(x_st[:, None], x_inf[:, None])

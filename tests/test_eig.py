@@ -23,9 +23,11 @@ from dclinalg import (
     dual_right_eigs,
     from_scalars,
     gen_random,
+    herm_spectral,
     inner,
     jsonio,
     mat_mul,
+    right_eigs,
     simple_eig_lift,
     verify_eigenpair,
 )
@@ -118,6 +120,30 @@ def test_complex_right_eigs_against_brute_force():
             assert (key in got) == expect, (trial, lam)
         for p in complex_right_eigs(a):
             assert max(p.residual) <= 1e-9
+
+
+def test_complex_pair_of_a_cluster_solves_through_conj_of_its_coefficients():
+    # a double eigenvalue 2 with two unsolvable directions N; A_I is generic
+    # except that N* A_I conj(x) = 0 for x = P[:, :2] w, so x is the one
+    # eigenvector at 2 with a complex pair.  The eigenspace basis B has
+    # x = B c with conj(c) in the null space of N* A_I conj(B); a basis
+    # combination taken with c conjugated misses it
+    rng = np.random.default_rng(19)
+    p = cgauss(rng, 5, 5)
+    p_inv = np.linalg.inv(p)
+    a_st = p @ np.diag([2, 2, 1 + 1j, -1, 0.5j]) @ p_inv
+    nleft, _ = np.linalg.qr(p_inv[:2].conj().T)  # left eigenvectors at 2
+    y = np.conj(p[:, :2] @ (np.array([1, 0.6 + 0.8j]) / np.sqrt(2)))
+    a_inf = cgauss(rng, 5, 5)
+    a_inf -= np.outer(nleft @ (nleft.conj().T @ a_inf @ y), y.conj()) / np.vdot(y, y).real
+    a = DCMatrix(a_st, a_inf)
+    pa = phi(a)
+    bound = 64 * a.rows * _EPS * (1 + np.linalg.norm(pa))
+    for pairs in (complex_right_eigs(a), complex_right_eigs_svd(a)):
+        at_two = [q for q in pairs if abs(q.value.standard - 2) <= 1e-10]
+        assert len(at_two) == 1
+        px = phi(at_two[0].vector)
+        assert np.linalg.norm(pa @ px - px @ phi(at_two[0].value)) <= bound
 
 
 def test_dual_right_eigs_reduces_for_complex_input():
@@ -460,8 +486,9 @@ def test_right_eigenpairs_through_phi(name, a):
         np.testing.assert_allclose(vals, [-1.0, 1.3, 2.0, 2.0], atol=1e-10)
 
 
-def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
-    calls = {"eig": 0, "cond": 0}
+def _count_linalg(monkeypatch, *names):
+    """Calls of each named np.linalg function from here on, counted in a dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner_fn = getattr(np.linalg, name)
@@ -471,10 +498,48 @@ def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
             return inner_fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, wrapper)
 
+    for name in names:
+        counted(name)
+    return calls
+
+
+def _hermitian_cases():
+    for seed in range(3):
+        yield f"planted-{seed}", planted_hermitian(300 + seed)
+    for seed in range(3):
+        yield f"random-{seed}", gen_random("hermitian", 7, 7, 20 + seed)
+    yield "kron-ex2-i3", DCMatrix(np.kron(EX2.standard, np.eye(3)),
+                                  np.kron(EX2.infinitesimal, np.eye(3)))
+
+
+HERMITIAN_CASES = list(_hermitian_cases())
+
+
+@pytest.mark.parametrize("name,a", HERMITIAN_CASES, ids=[c[0] for c in HERMITIAN_CASES])
+def test_hermitian_pairs_come_from_one_spectral_decomposition(name, a, monkeypatch):
+    # one real complex pair per level with an Eigen block, in descending
+    # order: the first dual pair of that level
+    eigen_levels = sorted({b.lam for b in herm_spectral(a).blocks if b.kind == "Eigen"},
+                          reverse=True)
+    calls = _count_linalg(monkeypatch, "eig", "cond", "eigh")
+    dual, cplx = right_eigs(a)
+    assert calls == {"eig": 0, "cond": 0, "eigh": 1}
+    assert [p.value for p in cplx] == [DualComplex(lam) for lam in eigen_levels]
+    for p in cplx:
+        assert p is next(q for q in dual if q.value == p.value)
+    assert [p.value for p in complex_right_eigs(a)] == [p.value for p in cplx]
+    monkeypatch.undo()
+    ref = complex_right_eigs_svd(a)
+    assert len(ref) == len(cplx)
+    np.testing.assert_allclose(sorted(q.value.standard.real for q in ref), sorted(eigen_levels),
+                               rtol=0, atol=1e-10)
+    assert all(abs(q.value.standard.imag) <= 1e-10 for q in ref)
+
+
+def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
     src, out = tmp_path / "a.json", tmp_path / "eig.json"
     src.write_text(jsonio.dumps(jsonio.encode_matrix(gen_random("general", 12, 12, 5))))
-    counted("eig")
-    counted("cond")
+    calls = _count_linalg(monkeypatch, "eig", "cond")
     assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
     assert calls == {"eig": 1, "cond": 1}
     doc = jsonio.decode_eig_result(json.loads(out.read_text()))

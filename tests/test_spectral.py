@@ -19,10 +19,12 @@ from dclinalg import (
     UnknownEigenvalue,
     assemble_blocks,
     classify_multiplicity,
+    complex_right_eigs,
     component_norms,
     conj_transpose,
     dc_svd,
     double_eig_classify,
+    dual_right_eigs,
     from_scalars,
     gen_random,
     herm_spectral,
@@ -38,7 +40,7 @@ from dclinalg import (
     verify_subeigenpair,
     youla_skew,
 )
-from oracle import dc_svd_gram, herm_spectral_loop
+from oracle import dc_svd_gram, herm_spectral_loop, sub_count
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
 
@@ -348,8 +350,11 @@ def test_rejects_non_hermitian():
 
 def test_ill_conditioned_gap_aborts():
     a = DCMatrix(np.diag([1.0, 1.0 + 1e-7]).astype(complex))
-    with pytest.raises(IllConditionedGap):
-        herm_spectral(a)
+    # the right eigenpairs of Hermitian input, complex ones included, come
+    # from herm_spectral and abort with it
+    for routine in (herm_spectral, complex_right_eigs, dual_right_eigs):
+        with pytest.raises(IllConditionedGap):
+            routine(a)
     # a genuinely multiple eigenvalue clusters instead of aborting
     b = DCMatrix(np.diag([1.0, 1.0]).astype(complex))
     assert len(herm_spectral(b).blocks) == 2
@@ -626,6 +631,83 @@ def test_classify_multiplicity():
     assert classify_multiplicity(dec_p, 0.5) == (1, 0)
     with pytest.raises(UnknownEigenvalue):
         classify_multiplicity(dec_p, 9.0)
+
+
+def planted_theorem_case(seed):
+    """A planted Hermitian matrix and its levels {lam: (#Eigen, #Sub)}.
+
+    Two to four levels, each with zero to two Eigen and zero to two Sub
+    blocks, at least one block in all.  seed % 4 picks the levels: 0 mixed
+    signs and no Sub block, 1 nonnegative with a Sub block at 0, 2 mixed
+    signs, 3 positive.
+    """
+    rng = np.random.default_rng(seed)
+    pool = {1: [0.0, 0.6, 1.4, 2.3], 3: [0.4, 1.1, 1.9, 2.6]}.get(seed % 4,
+                                                               [-1.5, -0.5, 0.0, 0.7, 2.0])
+    lams = rng.choice(pool, size=int(rng.integers(2, 5)), replace=False).tolist()
+    if seed % 4 == 1:
+        lams = [0.0] + [lam for lam in lams if lam != 0.0]
+    levels, blocks = {}, []
+    for i, lam in enumerate(lams):
+        n_sub = 0 if seed % 4 == 0 else int(rng.integers(0, 3))
+        if seed % 4 == 1 and i == 0:
+            n_sub = max(n_sub, 1)
+        n_eig = int(rng.integers(0 if n_sub else 1, 3))
+        levels[lam] = (n_eig, n_sub)
+        blocks += [SpectralBlock("Eigen", lam)] * n_eig
+        mus = rng.uniform(0.5, 1.5, n_sub) * np.exp(2j * np.pi * rng.uniform(size=n_sub))
+        blocks += [SpectralBlock("Sub", lam, mu) for mu in mus]
+    return planted(tuple(blocks), seed), levels
+
+
+THEOREM_SEEDS = range(900, 916)
+
+
+@pytest.mark.parametrize("seed", THEOREM_SEEDS)
+def test_counting_theorem_against_phi(seed):
+    # n = #Eigen + 2 #Sub, and at each level of multiplicity k the number of
+    # Sub blocks is what phi's kernel gives; the complex right eigenvalues
+    # are the levels where k - 2 #Sub > 0
+    h, levels = planted_theorem_case(seed)
+    dec = herm_spectral(h)
+    assert h.rows == sum(1 if b.kind == "Eigen" else 2 for b in dec.blocks)
+    eigen_levels = 0
+    for lam, (n_eig, n_sub) in levels.items():
+        k = n_eig + 2 * n_sub
+        assert classify_multiplicity(dec, lam) == (k, n_sub)
+        subs = sub_count(h, lam, k)
+        assert subs == n_sub
+        eigen_levels += k - 2 * subs > 0
+    assert len(complex_right_eigs(h)) == eigen_levels
+
+
+@pytest.mark.parametrize("seed", THEOREM_SEEDS)
+def test_definiteness_theorem(seed):
+    # is_psd and is_pd hold iff every level, Sub blocks' included, is >= 0 or > 0
+    h, levels = planted_theorem_case(seed)
+    assert is_psd(h) == all(lam >= 0 for lam in levels)
+    assert is_pd(h) == all(lam > 0 for lam in levels)
+
+
+@pytest.mark.parametrize("seed", THEOREM_SEEDS)
+def test_diagonalizable_iff_no_sub_block(seed):
+    # phi's kernel at every level has twice the level's multiplicity, and n
+    # right eigenpairs diagonalize H, iff herm_spectral finds no Sub block
+    h, levels = planted_theorem_case(seed)
+    no_sub = all(n_sub == 0 for _, n_sub in levels.values())
+    assert no_sub == all(b.kind == "Eigen" for b in herm_spectral(h).blocks)
+    assert no_sub == all(sub_count(h, lam, n_eig + 2 * n_sub) == 0
+                         for lam, (n_eig, n_sub) in levels.items())
+    assert no_sub == (len(dual_right_eigs(h)) == h.rows)
+
+
+def test_theorem_cases_cover_each_branch():
+    cases = [planted_theorem_case(seed)[1] for seed in THEOREM_SEEDS]
+    subs = [any(n_sub for _, n_sub in levels.values()) for levels in cases]
+    assert any(subs) and not all(subs)
+    assert any(levels.get(0.0, (0, 0))[1] for levels in cases)
+    for sign in (-1, 0, 1):  # indefinite, semidefinite only, definite
+        assert any(np.sign(min(levels)) == sign for levels in cases)
 
 
 def test_definiteness():
