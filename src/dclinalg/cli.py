@@ -66,10 +66,7 @@ def _parse_env_tol(text: str) -> dict:
 
 
 def _tolerances(args) -> Tolerances:
-    fields = {}
-    env = os.environ.get("DCTOOL_TOL")
-    if env:
-        fields.update(_parse_env_tol(env))
+    fields = _parse_env_tol(os.environ.get("DCTOOL_TOL", ""))
     for name in ("group_tol", "resid_tol", "zero_tol"):
         value = getattr(args, name, None)  # gen takes no tolerance flags
         if value is not None:

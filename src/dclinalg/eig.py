@@ -362,8 +362,10 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
 
     Solves (lam I - A_st) x_I = A_I conj(x_st) by minimum-norm least squares;
     the system is guaranteed consistent when lam is simple, so a large
-    residual signals invalid input and raises Inconsistent.
+    residual signals invalid input and raises Inconsistent.  Entries too
+    large for this arithmetic raise numpy's LinAlgError.
     """
+    _check_range(a, np.linalg.LinAlgError)
     if not is_hermitian(a, tol):
         raise NotHermitian("the lift applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)

@@ -216,20 +216,24 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
         Q.T @ C @ Q = blockdiag([[0, s1], [-s1, 0]], ..., 0_null)
 
     where pairs = [s1 >= s2 >= ... > 0] are the nonzero singular values of C
-    (each of even multiplicity).  The construction works off one SVD of C.
-    On the span of the left singular vectors for one group of equal
-    singular values s, the conjugate-linear map J x = C conj(x) / s is
-    antiunitary with J J = -1, so a unit vector x pairs with y = J x, x and
-    y orthonormal, and the complement of found pairs in the span is again
-    invariant under J (Youla, Canad. J. Math. 13, 1961).  A symplectic
-    Gram-Schmidt pass pairs each group off without a second factorization:
-    the first x is the group's first column of U, each later x the group's
-    column of U with the largest part left in that complement, normalized,
-    and every pair is projected out of the rest.  The conjugated pairs,
-    ordered (conj(y), conj(x)), realize exactly the 2x2 canonical blocks,
-    and right null vectors of C fill the zero block.  The resulting
-    congruence is re-verified and AccuracyError is raised rather than
-    returning a bad factor.
+    (each of even multiplicity).  The construction works off one SVD
+    C = U S V*.  The singular values count in pairs (s1, s2), (s3, s4), ...,
+    and a pair whose mean is at most the null cutoff is dropped whole.  On
+    the span of the columns U_g of U for one group of equal singular values,
+    the pairing map J x = U_g V_g* conj(x), V_g the group's columns of V, is
+    C conj(x) / s; it is antiunitary with J J = -1, so a unit vector x pairs
+    with y = J x, x and y orthonormal, and the complement of found pairs in
+    the span is again invariant under J (Youla, Canad. J. Math. 13, 1961).
+    Through U_g V_g* rather than C, no rounding from larger singular values
+    reaches a small pair.  A symplectic Gram-Schmidt pass pairs each group
+    off without a second factorization: the first x is the group's first
+    column of U, each later x the group's column of U with the largest part
+    left in that complement, normalized, and every pair is projected out of
+    the rest.  The conjugated pairs, ordered (conj(y), conj(x)), realize
+    exactly the 2x2 canonical blocks, and the columns of conj(U) past the
+    kept pairs fill the zero block, since null(C) = conj(null(C*)).  The
+    resulting congruence is re-verified and AccuracyError is raised rather
+    than returning a bad factor.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -244,48 +248,45 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     u, s, vh = np.linalg.svd(c)
     smax = float(s[0])
     null_cut = max(tol.zero_tol, 64 * n * _EPS) * max(1.0, smax)
-    k = int(np.sum(s > null_cut))
-    if k % 2 == 1:
-        # rounding split a pair across the cutoff; keep or drop the boundary value
-        if k < n and (s[k - 1] - s[k]) <= 64 * n * _EPS * max(1.0, smax):
-            k += 1
-        else:
-            k -= 1
+    # pairs are kept or dropped whole, by the mean of their two values
+    k = 2 * int(np.sum((s[:n - 1:2] + s[1::2]) / 2 > null_cut))
 
-    # the pairing map x -> C conj(x)/s only preserves each singular-value
-    # eigenspace, so vectors must pair off within their own group
+    # the pairing map x -> U_g V_g* conj(x) preserves its own group's span,
+    # so vectors pair off within their own group
     starts, ends = _chain(s[:k], 64 * n * _EPS * max(1.0, smax))
-    found = []  # (s, conj(y), conj(x))
+    cols = []  # conj(y), conj(x) per pair, groups in descending order
     for g0, g1 in zip(starts.tolist(), ends.tolist()):
         if (g1 - g0) % 2 == 1:
             raise AccuracyError("odd singular value group; equal values were split")
         # rest holds the group's columns of U projected onto the complement of
-        # the pairs found so far.  After i pairs their squared norms sum to
+        # the pairs found so far, and sq their squared norms, less the squared
+        # coefficients of each pair projected out.  After i pairs they sum to
         # g1 - g0 - 2i over g1 - g0 - i columns that still count, so in exact
-        # arithmetic the largest norm is at least 2 / sqrt(g1 - g0 + 2)
-        rest = u[:, g0:g1].copy()
+        # arithmetic the largest is at least 4 / (g1 - g0 + 2)
+        u_g, vh_g = u[:, g0:g1], vh[g0:g1]
+        rest = u_g.copy()
+        sq = np.ones(g1 - g0)
         x = rest[:, 0]  # the first x is U's unit column as it is
         for i in range((g1 - g0) // 2):
             if i:  # project the last pair out of rest, take its largest column
                 xy = np.column_stack((x, y))
-                rest -= xy @ (xy.conj().T @ rest)
-                norms = np.linalg.norm(rest, axis=0)
-                if norms.max() < 1 / np.sqrt(g1 - g0):
+                coef = xy.conj().T @ rest
+                rest -= xy @ coef
+                sq -= (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
+                j = sq.argmax()
+                if sq[j] < 1 / (g1 - g0):
                     raise AccuracyError("group span ran out before it paired off")
-                x = rest[:, norms.argmax()] / norms.max()
-            y = c @ np.conj(x)
-            s_loc = float(np.linalg.norm(y))
-            if s_loc <= null_cut:
-                raise AccuracyError("pairing collapsed; singular value grouping failed")
-            y = y / s_loc
+                x = rest[:, j] / np.linalg.norm(rest[:, j])
+            y = u_g @ (vh_g @ np.conj(x))
             y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
-            y = y / np.linalg.norm(y)
-            found.append((s_loc, np.conj(y), np.conj(x)))
+            y_norm = np.linalg.norm(y)
+            if y_norm < 0.5:
+                raise AccuracyError("group span ran out before it paired off")
+            y = y / y_norm
+            cols += [np.conj(y), np.conj(x)]
 
-    found.sort(key=lambda t: -t[0])
-    cols = [col for _, qy, qx in found for col in (qy, qx)]
-    v_null = vh[k:, :].conj().T  # right null space of C
-    q = np.column_stack(cols + [v_null])
+    # null(C) = conj(null(C*)), and U's last n - k columns span null(C*)
+    q = np.column_stack(cols + [np.conj(u[:, k:])])
 
     jact = q.T @ c @ q
     pairs = [float((jact[i, i + 1] - jact[i + 1, i]).real / 2) for i in range(0, k, 2)]
@@ -416,8 +417,10 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
     """Classify a double eigenvalue of the standard part via mu = y* A_I conj(x).
 
     The verdict and |mu| do not depend on which orthonormal basis of the
-    eigenspace is supplied; the phase of mu does.
+    eigenspace is supplied; the phase of mu does.  Entries too large for
+    this arithmetic raise numpy's LinAlgError.
     """
+    _check_range(a, np.linalg.LinAlgError)
     if not is_hermitian(a, tol):
         raise NotHermitian("classification applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)

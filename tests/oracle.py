@@ -112,7 +112,7 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
     """The form of youla_skew that deflates with one SVD per pair, kept as a reference.
 
     Within a group of equal singular values it pairs the first remaining
-    column x with y = C conj(x)/s, projects both out of the remaining
+    column x with y = U_g V_g* conj(x), projects both out of the remaining
     columns, and re-orthonormalizes what is left with a fresh SVD, guarded
     by a rank test, before it takes the next pair.
     """
@@ -129,32 +129,26 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
     u, s, vh = np.linalg.svd(c)
     smax = float(s[0])
     null_cut = max(tol.zero_tol, 64 * n * _EPS) * max(1.0, smax)
-    k = int(np.sum(s > null_cut))
-    if k % 2 == 1:
-        # rounding split a pair across the cutoff; keep or drop the boundary value
-        if k < n and (s[k - 1] - s[k]) <= 64 * n * _EPS * max(1.0, smax):
-            k += 1
-        else:
-            k -= 1
+    k = 2 * int(np.sum((s[:n - 1:2] + s[1::2]) / 2 > null_cut))
 
-    # the pairing map x -> C conj(x)/s only preserves each singular-value
-    # eigenspace, so vectors must pair off within their own group
+    # the pairing map x -> U_g V_g* conj(x) only preserves its own group's
+    # span, so vectors must pair off within their own group
     starts, ends = _chain(s[:k], 64 * n * _EPS * max(1.0, smax))
-    found = []  # (s, conj(y), conj(x))
+    cols = []
     for g0, g1 in zip(starts.tolist(), ends.tolist()):
         if (g1 - g0) % 2 == 1:
             raise AccuracyError("odd singular value group; equal values were split")
-        remaining = u[:, g0:g1].copy()
+        u_g, vh_g = u[:, g0:g1], vh[g0:g1]
+        remaining = u_g.copy()
         while remaining.shape[1] > 0:
             x = remaining[:, 0]
-            y = c @ np.conj(x)
-            s_loc = float(np.linalg.norm(y))
-            if s_loc <= null_cut:
-                raise AccuracyError("pairing collapsed; singular value grouping failed")
-            y = y / s_loc
+            y = u_g @ (vh_g @ np.conj(x))
             y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
-            y = y / np.linalg.norm(y)
-            found.append((s_loc, np.conj(y), np.conj(x)))
+            y_norm = np.linalg.norm(y)
+            if y_norm < 0.5:
+                raise AccuracyError("pairing collapsed; singular value grouping failed")
+            y = y / y_norm
+            cols += [np.conj(y), np.conj(x)]
             keep = remaining.shape[1] - 2
             if keep <= 0:
                 break
@@ -165,10 +159,7 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
                 raise AccuracyError("deflation lost rank while pairing singular vectors")
             remaining = uz[:, :keep]
 
-    found.sort(key=lambda t: -t[0])
-    cols = [col for _, qy, qx in found for col in (qy, qx)]
-    v_null = vh[k:, :].conj().T  # right null space of C
-    q = np.column_stack(cols + [v_null]) if cols else v_null.copy()
+    q = np.column_stack(cols + [np.conj(u[:, k:])])  # null(C) = conj(null(C*))
 
     jact = q.T @ c @ q
     pairs = []

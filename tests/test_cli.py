@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURES
-from dclinalg import DCError, DCMatrix, SingularStandardPart, errors, gen_random, jsonio
+from dclinalg import (
+    DCError,
+    DCMatrix,
+    SingularStandardPart,
+    Tolerances,
+    cli,
+    errors,
+    gen_random,
+    jsonio,
+)
 from dclinalg.cli import main
 
 # exit status per error class: 2 rejects the input, 3 is a numerical failure
@@ -310,6 +320,18 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
                  "--resid-tol", "1e-9"]) == 0
     monkeypatch.setenv("DCTOOL_TOL", "bogus=1")
     assert main(["verify", "--input", str(tmp_path / "s.json")]) == 1
+
+
+@pytest.mark.parametrize("value, resid_tol", [("1e-30", 1e-30), ("", 1e-9), ("  ", 1e-9)])
+def test_env_tolerance_bare_number_or_empty(tmp_path, monkeypatch, value, resid_tol):
+    # a bare number is resid_tol; an empty or blank value keeps the defaults
+    assert main(["gen", "--kind", "hermitian", "--m", "4", "--seed", "1",
+                 "--output", str(tmp_path / "h.json")]) == 0
+    assert main(["spectral", "--input", str(tmp_path / "h.json"),
+                 "--output", str(tmp_path / "s.json")]) == 0
+    monkeypatch.setenv("DCTOOL_TOL", value)
+    assert cli._tolerances(argparse.Namespace()) == Tolerances(resid_tol=resid_tol)
+    assert main(["verify", "--input", str(tmp_path / "s.json")]) == (3 if value.strip() else 0)
 
 
 def test_run_jobspec_api(tmp_path):

@@ -341,6 +341,8 @@ def _reference_cases():
         yield f"near-defective-{delta:g}", DCMatrix(q @ t @ q.conj().T, cgauss(rng, 5, 5))
     yield "EX1", EX1
     yield "mixed", mixed_spectrum()
+    yield "kron-complex", kron_complex()
+    yield "real-rotation", real_rotation()
 
 
 def mixed_spectrum() -> DCMatrix:
@@ -360,6 +362,25 @@ def mixed_spectrum() -> DCMatrix:
     a_inf = cgauss(rng, 8, 8)
     a_inf[5:, 5:] = (0.7 + 0.4j) * np.outer(q[:, 2], q[:, 2])
     return DCMatrix(a_st, a_inf)
+
+
+def kron_complex() -> DCMatrix:
+    """P kron(A, I_2) P* for a generic complex 3x3 A and a unitary P.
+
+    Each eigenvalue of A_st is a non-real double one, far from every
+    conjugate: its cluster solves through V, with no lstsq, and both of its
+    basis columns lift.
+    """
+    rng = np.random.default_rng(19)
+    a = DCMatrix(np.kron(cgauss(rng, 3, 3), np.eye(2)), np.kron(cgauss(rng, 3, 3), np.eye(2)))
+    p = gen_random("unitary", 6, 6, 20)
+    return mat_mul(mat_mul(p, a), conj_transpose(p))
+
+
+def real_rotation() -> DCMatrix:
+    """P (I_2 kron [[1, -2], [2, 1]]) P^T with A_I = 0: 1 + 2i and 1 - 2i, each double."""
+    p, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((4, 4)))
+    return DCMatrix(p @ np.kron(np.eye(2), [[1.0, -2.0], [2.0, 1.0]]) @ p.T)
 
 
 REFERENCE_CASES = list(_reference_cases())
@@ -448,6 +469,22 @@ def test_mixed_spectrum_splits_one_call(monkeypatch):
     assert abs(pairs["complex"][-1].value.standard - 2) <= 1e-12
 
 
+@pytest.mark.parametrize("make, lstsq_calls", [(kron_complex, 0), (real_rotation, 2)],
+                         ids=["kron-complex", "real-rotation"])
+def test_non_real_cluster_keeps_one_similarity_class(monkeypatch, make, lstsq_calls):
+    # every basis column of a cluster solves its system, and a non-real
+    # cluster keeps the first: one dual pair, flagged, beside its complex pair
+    a = make()
+    calls = _count_calls(monkeypatch)
+    dual, cplx = right_eigs(a)
+    assert calls["lstsq"] == lstsq_calls
+    assert len(dual) == len(cplx) == a.rows // 2
+    assert [p.value for p in dual] == [p.value for p in cplx]
+    assert all(abs(p.value.standard.imag) > 0.01 for p in dual)
+    assert all(p.warning == eig_mod._CLUSTER_WARNING for p in dual)
+    assert all(p.warning is None for p in cplx)
+
+
 def planted_hermitian(seed: int) -> DCMatrix:
     """U Sigma U* with levels 2 (two Eigen blocks and a Sub block), -1, 0.5 (Sub) and 1.3."""
     blocks = (SpectralBlock("Eigen", 2.0), SpectralBlock("Eigen", 2.0),
@@ -461,6 +498,8 @@ def _phi_cases():
     for seed in range(3):
         yield f"generic-{seed}", rand_dcmatrix(np.random.default_rng([18, seed]), 12, 12)
     yield "mixed", mixed_spectrum()
+    yield "kron-complex", kron_complex()
+    yield "real-rotation", real_rotation()
     for seed in range(3):
         yield f"planted-hermitian-{seed}", planted_hermitian(300 + seed)
 

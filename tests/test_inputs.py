@@ -9,13 +9,16 @@ import pytest
 from dclinalg import (
     AccuracyError,
     DCMatrix,
+    Inconsistent,
     NonFinite,
     complex_right_eigs,
     dc_svd,
+    double_eig_classify,
     dual_right_eigs,
     gen_random,
     herm_spectral,
     jsonio,
+    simple_eig_lift,
 )
 from dclinalg.cli import main
 
@@ -83,7 +86,12 @@ def test_cli_maps_non_finite_to_validation_exit(tmp_path, monkeypatch, capsys):
 NEAR_OVERFLOW = {"herm_spectral": (herm_spectral, np.linalg.LinAlgError),
                  "dc_svd": (dc_svd, AccuracyError),
                  "dual_right_eigs": (dual_right_eigs, np.linalg.LinAlgError),
-                 "complex_right_eigs": (complex_right_eigs, np.linalg.LinAlgError)}
+                 "complex_right_eigs": (complex_right_eigs, np.linalg.LinAlgError),
+                 # once A_st is scaled to nothing, e_1 and e_2 are eigenvectors for 0
+                 "simple_eig_lift": (lambda a: simple_eig_lift(a, 0.0, np.eye(4)[0]),
+                                     np.linalg.LinAlgError),
+                 "double_eig_classify": (lambda a: double_eig_classify(a, *np.eye(4)[:2]),
+                                         np.linalg.LinAlgError)}
 
 
 def near_overflow(part):
@@ -135,6 +143,10 @@ def test_tiny_standard_part_emits_no_warning(routine, scale):
     if routine == "dc_svd":
         with pytest.raises(AccuracyError, match="too small against A_I"):
             dc_svd(a)
+    elif routine == "simple_eig_lift" and scale[1] > 1e308 * scale[0]:
+        # x_I, of the size of A_I / A_st, leaves double range
+        with pytest.raises(Inconsistent, match="no solution"):
+            NEAR_OVERFLOW[routine][0](a)
     else:
         NEAR_OVERFLOW[routine][0](a)
 

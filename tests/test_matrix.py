@@ -23,6 +23,7 @@ from dclinalg import (
     vector_norm,
     zeros,
 )
+from oracle import phi
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
 
@@ -73,6 +74,24 @@ def test_mat_mul_matches_entrywise_scalars():
     for _ in range(5):
         a, b = rand_dcmatrix(rng, 3, 3), rand_dcmatrix(rng, 3, 3)
         assert_dc_close(mat_mul(a, b), entrywise_mat_mul(a, b), 1e-13)
+
+
+def test_scalar_multiples_and_negation_through_phi():
+    # q A and A q are the products with q I, and -A is (-1) A; phi keeps
+    # products, so each is one plain numpy product of phi matrices
+    rng = np.random.default_rng(5)
+    a = rand_dcmatrix(rng, 3, 4)
+
+    def phi_scalar(q, n):
+        return phi(DCMatrix(q.standard * np.eye(n), q.infinitesimal * np.eye(n)))
+
+    for q in (rand_dc(rng), 2.5, -1j, 3):
+        dq = q if isinstance(q, DualComplex) else DualComplex(q)
+        np.testing.assert_allclose(phi(q * a), phi_scalar(dq, 3) @ phi(a), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(phi(a * q), phi(a) @ phi_scalar(dq, 4), rtol=0, atol=1e-14)
+    assert np.array_equal(phi(-a), -phi(a))
+    assert np.array_equal(phi((-1) * a), phi(-a))
+    assert a.__rmul__("x") is NotImplemented
 
 
 def test_mat_mul_associative():

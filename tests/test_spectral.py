@@ -219,6 +219,73 @@ def test_youla_raises_when_a_group_span_runs_out(monkeypatch):
         youla_skew(c)
 
 
+def test_youla_raises_when_a_group_span_runs_out_after_a_pair(monkeypatch):
+    # a group of four whose columns of U repeat two, and a V that pairs the
+    # first with the second: the first pair takes all of their span
+    c = congruent_skew([1.0, 1.0], 4, 950)
+    svd = np.linalg.svd
+
+    def two_columns(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return np.tile(u[:, :2], 2), s, np.outer([0, 1, 0, 0], u[:, 0])
+
+    monkeypatch.setattr(np.linalg, "svd", two_columns)
+    with pytest.raises(AccuracyError, match="span ran out"):
+        youla_skew(c)
+
+
+# --------------------------------- a small pair beside a large one (graded)
+
+def assert_youla_checks(c, q, pairs):
+    """youla_skew's congruence and unitarity, by plain numpy against its bound."""
+    n = c.shape[0]
+    bound = spectral_mod.DEFAULT_TOL.resid_tol * (1 + np.linalg.norm(c))
+    assert np.linalg.norm(q.T @ c @ q - canonical_skew(pairs, n)) <= bound
+    assert np.linalg.norm(q.conj().T @ q - np.eye(n)) <= bound
+
+
+@pytest.mark.parametrize("t", [1e-7, 1e-9, 1e-11])
+def test_youla_pairs_a_small_value_apart_from_a_large_one(t):
+    # pairing through C itself carried the rounding of the pair at 1 into
+    # the pair at t, and the congruence check raised
+    for seed in range(4):
+        c = congruent_skew([1.0, t], 5, seed)
+        q, pairs, null_dim = youla_skew(c)
+        assert null_dim == 1
+        np.testing.assert_allclose(pairs, [1.0, t], rtol=0, atol=1e-14)
+        assert_youla_checks(c, q, pairs)
+
+
+def test_youla_pair_at_the_null_cut_is_kept_or_dropped_whole():
+    # t = 1e-12 is the null cutoff of a 5 x 5 C with s_1 = 1: rounding puts
+    # the pair's mean on either side of it, and the pair goes whole
+    for seed in range(12):
+        c = congruent_skew([1.0, 1e-12], 5, seed)
+        q, pairs, null_dim = youla_skew(c)
+        assert 2 * len(pairs) + null_dim == 5
+        np.testing.assert_allclose(pairs, [1.0, 1e-12][:len(pairs)], rtol=0, atol=1e-14)
+        assert_youla_checks(c, q, pairs)
+
+
+def graded_hermitian(seed):
+    """W (I + (J(1) + J(1e-9)) eps*j) W*, Hermitian parts taken: one level, two Subs."""
+    a = planted([SpectralBlock("Sub", 1.0, 1.0), SpectralBlock("Sub", 1.0, 1e-9)], seed)
+    return DCMatrix((a.standard + a.standard.conj().T) / 2,
+                    (a.infinitesimal - a.infinitesimal.T) / 2)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_graded_couplings_on_one_level_give_two_sub_blocks(seed):
+    a = graded_hermitian(seed)
+    dec = herm_spectral(a)
+    assert [b.kind for b in dec.blocks] == ["Sub", "Sub"]
+    np.testing.assert_allclose([b.lam for b in dec.blocks], 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose([abs(b.mu) for b in dec.blocks], [1.0, 1e-9], rtol=0, atol=1e-13)
+    pu, pu_star = oracle.phi(dec.U), oracle.phi(conj_transpose(dec.U))
+    assert np.linalg.norm(pu_star @ oracle.phi(a) @ pu - oracle.phi(dec.sigma())) <= 1e-13
+    assert np.linalg.norm(pu_star @ pu - np.eye(8)) <= 1e-13
+
+
 # ------------------------------------------------------ the clustering rule
 
 _clusters = spectral_mod._clusters

@@ -301,6 +301,22 @@ def test_planted_coupled_clusters_match_gram_form(seed):
     assert max(got.residual) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_graded_couplings_at_one_sigma_give_two_coupled_blocks(seed):
+    # U (2 I + (J(1) + J(1e-9)) eps*j) V*: the coupling 1e-9 lies far below
+    # the one at 1 within the cluster at sigma = 2
+    layout = assemble_layout(4, 4, (SingularBlock(2.0, 1.0), SingularBlock(2.0, 1e-9)), ())
+    a = mat_mul(mat_mul(gen_random("unitary", 4, 4, seed), layout),
+                conj_transpose(gen_random("unitary", 4, 4, 10 + seed)))
+    res = dc_svd(a)
+    assert (res.standard_rank, res.infinitesimal_rank) == (4, 0)
+    assert [b.dim for b in res.standard_blocks] == [2, 2]
+    np.testing.assert_allclose([b.sigma for b in res.standard_blocks], 2.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose([abs(b.nu) for b in res.standard_blocks], [1.0, 1e-9],
+                               rtol=0, atol=1e-13)
+    assert max(res.residual) <= 1e-13
+
+
 def test_no_herm_spectral_call(monkeypatch):
     calls = []
     original = spectral_mod.herm_spectral
