@@ -20,9 +20,14 @@ stages 1 and 3 are the helpers here that both call:
 3. _canonical_blocks puts each remaining diagonal cluster block, a value
    times I plus a skew-symmetric infinitesimal part, into canonical form by
    a complex unitary transpose-congruence (youla_skew), which rotates the
-   cluster's columns of the factors.  A 1x1 cluster is canonical already,
+   cluster's columns of the factors.  It runs once per distinct cluster
+   size: the skew blocks of all clusters of that size go through one
+   stacked SVD and one stacked pairing pass (_youla_stack), and their
+   columns of the factors turn in one stacked product.  A block's result
+   does not depend on the stack it is in: it is what youla_skew gives on
+   that block alone, bit for bit.  A 1x1 cluster is canonical already,
    since its infinitesimal part is zero: it becomes one 1x1 block with no
-   youla_skew call and no rotation of its column.
+   congruence and no rotation of its column.
 
 _diagonals describes the blocks of either decomposition as a diagonal and
 its coupling, and _block_diagonal assembles them.  Both decompositions
@@ -151,8 +156,8 @@ def _chain(vals, tau: float):
 
     A new chain starts wherever the next value drops by more than tau.
     """
-    # np.diff with prepend and append costs about three times this on the
-    # short arrays of youla_skew's groups
+    # np.diff with prepend and append costs about three times this on short
+    # arrays
     starts = np.flatnonzero(np.concatenate(([np.inf], vals[:-1])) - vals > tau)
     return starts, np.append(starts[1:], len(vals))[:starts.size]  # none if no vals
 
@@ -182,30 +187,150 @@ def _clusters(vals, count: int, tau: float, below: float, what: str):
 def _canonical_blocks(skew, starts, sizes, reps, factors, tol: Tolerances):
     """Canonical (value, coupling) blocks of each cluster, in order.
 
-    A cluster is reps[k] I plus the block of the skew-symmetric `skew` on
-    its rows and columns.  youla_skew puts each multi-member cluster's block
-    into canonical form as W* B conj(W), W = conj(Q); W rotates that
-    cluster's columns of every (standard, infinitesimal) pair in `factors`
-    in place, which leaves the standard block reps[k] I as it is.  A 1x1
-    cluster is canonical already: its block is zero.  coupling is None for a
-    1x1 block and the youla_skew pair value for a 2x2 one; 1x1 blocks come
-    first within a cluster.
+    A cluster is reps[k] I plus the block B of the skew-symmetric `skew` on
+    its rows and columns.  The clusters of one size s > 1 go to canonical
+    form together: _youla_stack takes their K blocks as one (K, s, s) stack,
+    and each block becomes W* B conj(W) with W = conj(Q), its columns rolled
+    so that the null block comes first.  One gather, one stacked product and
+    one scatter rotate those clusters' columns of every (standard,
+    infinitesimal) pair in `factors` in place, by W and conj(W), which
+    leaves the standard block reps[k] I as it is.  A 1x1 cluster is
+    canonical already: its block is zero and its column stays as it is.
+    coupling is None for a 1x1 block and the pair value for a 2x2 one; 1x1
+    blocks come first within a cluster.
     """
-    blocks = []
-    for start, size, value in zip(starts.tolist(), sizes.tolist(), reps.tolist()):
-        if size == 1:
-            blocks.append((value, None))
-            continue
-        sl = slice(start, start + size)
-        q, pairs, null_dim = youla_skew(skew[sl, sl], tol)
-        perm = list(range(2 * len(pairs), size)) + list(range(2 * len(pairs)))
-        w_blk = np.conj(q[:, perm])
+    values = reps.tolist()
+    blocks = [[(value, None)] for value in values]
+    # sorted(set()) rather than np.unique, whose first call pages in about
+    # 0.6 MB of numpy's sort code
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        ks = np.flatnonzero(sizes == size)
+        cols = starts[ks, None] + np.arange(size)
+        q, pairs, null_dims = _youla_stack(skew[cols[:, :, None], cols[:, None, :]], tol)
+        roll = (np.arange(size) + (size - null_dims)[:, None]) % size
+        q = np.take_along_axis(q, roll[:, None, :], axis=2)
+        w = np.conj(q)
         for f_st, f_inf in factors:
-            f_st[:, sl] = f_st[:, sl] @ w_blk
-            f_inf[:, sl] = f_inf[:, sl] @ np.conj(w_blk)
-        blocks.extend((value, None) for _ in range(null_dim))
-        blocks.extend((value, s) for s in pairs)
-    return blocks
+            for f, rot in ((f_st, w), (f_inf, q)):
+                f[:, cols] = (f[:, cols].transpose(1, 0, 2) @ rot).transpose(1, 0, 2)
+        for k, p, null_dim in zip(ks.tolist(), pairs, null_dims.tolist()):
+            blocks[k] = [(values[k], None)] * null_dim + [(values[k], s) for s in p]
+    return [b for cluster in blocks for b in cluster]
+
+
+def _youla_stack(c, tol: Tolerances):
+    """youla_skew on every block of a stack c of shape (..., n, n), n >= 1, as stacks.
+
+    Returns (Q, pairs, null_dims): Q of shape (K, n, n) for the K blocks, a
+    list of K pair lists and an integer array of K null dimensions.
+    np.linalg.svd takes c as it is given, so a 2-D c stays 2-D there.  Each
+    step is a per-block numpy call or a stacked one that hands BLAS and
+    LAPACK each block as the 2-D call would, so a block's result does not
+    depend on the stack it comes in.  Each block is checked against its own
+    bound, and any block that fails raises.
+    """
+    n = c.shape[-1]
+    bound = (tol.resid_tol * (1.0 + np.linalg.norm(c, axis=(-2, -1)))).reshape(-1)
+    if np.any(np.linalg.norm(c + np.swapaxes(c, -1, -2), axis=(-2, -1)).reshape(-1) > bound):
+        raise NotSkewSymmetric("matrix is not skew-symmetric")
+
+    u, s, vh = np.linalg.svd(c)
+    c, u, vh = (x.reshape(-1, n, n) for x in (c, u, vh))
+    s = s.reshape(-1, n)
+    scale = np.maximum(1.0, s[:, 0])
+    null_cut = max(tol.zero_tol, 64 * n * _EPS) * scale
+    # pairs are kept or dropped whole, by the mean of their two values
+    k = 2 * np.count_nonzero((s[:, :n - 1:2] + s[:, 1::2]) / 2 > null_cut[:, None], axis=1)
+
+    # groups of equal values in s[:k], chained as _chain chains them, as
+    # (block, start, end) triples.  The pairing map x -> U_g V_g* conj(x)
+    # preserves its own group's span, so vectors pair off within their group
+    head = np.ones(s.shape, dtype=bool)
+    head[:, 1:] = s[:, :-1] - s[:, 1:] > (64 * n * _EPS * scale)[:, None]
+    blk, g0 = np.nonzero(head & (np.arange(n) < k[:, None]))
+    g1 = np.where(np.append(blk[1:] != blk[:-1], True), k[blk], np.append(g0[1:], 0))
+    width = g1 - g0
+    if np.any(width % 2):
+        raise AccuracyError("odd singular value group; equal values were split")
+
+    # the first pair of every group, one stacked pass per group width: x is
+    # the group's first column of U as it is, y = U_g (V_g* conj(x))
+    x = u[blk, :, g0]
+    y = np.empty_like(x)
+    for g in sorted(set(width.tolist())):
+        sel = np.flatnonzero(width == g)
+        cols = g0[sel, None] + np.arange(g)
+        u_g = u[blk[sel, None, None], np.arange(n)[:, None], cols[:, None, :]]
+        y_g = u_g @ (vh[blk[sel, None], cols] @ np.conj(x[sel])[:, :, None])
+        # exact orthogonality is automatic; enforce it anyway.  x enters the
+        # dot product as a strided column of conj(U_g): BLAS sums a strided
+        # vector in another order than a contiguous one, and this is the
+        # order np.vdot takes on x as a column of a copy of U_g
+        y_g -= x[sel, :, None] * (np.conj(u_g)[:, None, :, 0] @ y_g)
+        y[sel] = y_g[:, :, 0]
+    # np.linalg.norm of one complex vector: dot products of its real and
+    # imaginary parts, here one stacked product each
+    y_real, y_imag = y.real[:, None], y.imag[:, None]
+    y_norm = np.sqrt((y_real @ np.swapaxes(y_real, 1, 2) + y_imag @ np.swapaxes(y_imag, 1, 2))
+                     .reshape(-1))
+    if np.any(y_norm < 0.5):
+        raise AccuracyError("group span ran out before it paired off")
+    y /= y_norm[:, None]
+
+    # the conjugated pairs, ordered (conj(y), conj(x)), then the columns of
+    # conj(U) past the kept pairs: null(C) = conj(null(C*)), and U's last
+    # n - k columns span null(C*)
+    q = np.conj(u)
+    q[blk, :, g0], q[blk, :, g0 + 1] = np.conj(y), np.conj(x)
+    for i in np.flatnonzero(width > 2).tolist():
+        b, a0, a1 = int(blk[i]), int(g0[i]), int(g1[i])
+        q[b, :, a0 + 2:a1] = _later_pairs(u[b, :, a0:a1], vh[b, a0:a1], x[i], y[i])
+
+    jact = np.swapaxes(q, 1, 2) @ c @ q
+    ev = np.arange(0, n - 1, 2)
+    half = (jact[:, ev, ev + 1] - jact[:, ev + 1, ev]).real / 2
+    kept = np.where(ev < k[:, None], half, 0.0)
+    jideal = np.zeros_like(jact)
+    jideal[:, ev, ev + 1], jideal[:, ev + 1, ev] = kept, -kept
+    if np.any(np.linalg.norm(jact - jideal, axis=(1, 2)) > bound):
+        raise AccuracyError("congruence residual exceeded tolerance")
+    if np.any(np.linalg.norm(np.swapaxes(np.conj(q), 1, 2) @ q - np.eye(n), axis=(1, 2)) > bound):
+        raise AccuracyError("computed congruence factor is not unitary")
+    return q, [row[:m].tolist() for row, m in zip(half, (k // 2).tolist())], n - k
+
+
+def _later_pairs(u_g, vh_g, x, y):
+    """Columns (conj(y), conj(x)) of the pairs after (x, y) in one group of U's columns.
+
+    A symplectic Gram-Schmidt pass: every pair is projected out of the
+    group's columns, and the next x is the column with the largest part left.
+    """
+    g = u_g.shape[1]
+    # rest holds the group's columns of U projected onto the complement of the
+    # pairs found so far, and sq their squared norms, less the squared
+    # coefficients of each pair projected out.  After i pairs they sum to
+    # g - 2i over g - i columns that still count, so in exact arithmetic the
+    # largest is at least 4 / (g + 2)
+    rest = u_g.copy()
+    sq = np.ones(g)
+    cols = []
+    for _ in range(g // 2 - 1):
+        xy = np.column_stack((x, y))
+        coef = xy.conj().T @ rest
+        rest -= xy @ coef
+        sq -= (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
+        j = sq.argmax()
+        if sq[j] < 1 / g:
+            raise AccuracyError("group span ran out before it paired off")
+        x = rest[:, j] / np.linalg.norm(rest[:, j])
+        y = u_g @ (vh_g @ np.conj(x))
+        y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
+        y_norm = np.linalg.norm(y)
+        if y_norm < 0.5:
+            raise AccuracyError("group span ran out before it paired off")
+        y = y / y_norm
+        cols += [np.conj(y), np.conj(x)]
+    return np.column_stack(cols)
 
 
 def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
@@ -234,70 +359,20 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     kept pairs fill the zero block, since null(C) = conj(null(C*)).  The
     resulting congruence is re-verified and AccuracyError is raised rather
     than returning a bad factor.
+
+    youla_skew is the one-block case of _youla_stack, which herm_spectral
+    and dc_svd run on the blocks of all their clusters of one size at once:
+    there the first pair of every group comes from one stacked pass, and a
+    block's result is the one youla_skew gives on that block alone, bit for
+    bit.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise NotSkewSymmetric(f"expected a square matrix, got shape {c.shape}")
-    n = c.shape[0]
-    bound = tol.resid_tol * (1.0 + float(np.linalg.norm(c)))
-    if np.linalg.norm(c + c.T) > bound:
-        raise NotSkewSymmetric("matrix is not skew-symmetric")
-    if n == 0:
+    if c.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), [], 0
-
-    u, s, vh = np.linalg.svd(c)
-    smax = float(s[0])
-    null_cut = max(tol.zero_tol, 64 * n * _EPS) * max(1.0, smax)
-    # pairs are kept or dropped whole, by the mean of their two values
-    k = 2 * int(np.sum((s[:n - 1:2] + s[1::2]) / 2 > null_cut))
-
-    # the pairing map x -> U_g V_g* conj(x) preserves its own group's span,
-    # so vectors pair off within their own group
-    starts, ends = _chain(s[:k], 64 * n * _EPS * max(1.0, smax))
-    cols = []  # conj(y), conj(x) per pair, groups in descending order
-    for g0, g1 in zip(starts.tolist(), ends.tolist()):
-        if (g1 - g0) % 2 == 1:
-            raise AccuracyError("odd singular value group; equal values were split")
-        # rest holds the group's columns of U projected onto the complement of
-        # the pairs found so far, and sq their squared norms, less the squared
-        # coefficients of each pair projected out.  After i pairs they sum to
-        # g1 - g0 - 2i over g1 - g0 - i columns that still count, so in exact
-        # arithmetic the largest is at least 4 / (g1 - g0 + 2)
-        u_g, vh_g = u[:, g0:g1], vh[g0:g1]
-        rest = u_g.copy()
-        sq = np.ones(g1 - g0)
-        x = rest[:, 0]  # the first x is U's unit column as it is
-        for i in range((g1 - g0) // 2):
-            if i:  # project the last pair out of rest, take its largest column
-                xy = np.column_stack((x, y))
-                coef = xy.conj().T @ rest
-                rest -= xy @ coef
-                sq -= (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
-                j = sq.argmax()
-                if sq[j] < 1 / (g1 - g0):
-                    raise AccuracyError("group span ran out before it paired off")
-                x = rest[:, j] / np.linalg.norm(rest[:, j])
-            y = u_g @ (vh_g @ np.conj(x))
-            y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
-            y_norm = np.linalg.norm(y)
-            if y_norm < 0.5:
-                raise AccuracyError("group span ran out before it paired off")
-            y = y / y_norm
-            cols += [np.conj(y), np.conj(x)]
-
-    # null(C) = conj(null(C*)), and U's last n - k columns span null(C*)
-    q = np.column_stack(cols + [np.conj(u[:, k:])])
-
-    jact = q.T @ c @ q
-    pairs = [float((jact[i, i + 1] - jact[i + 1, i]).real / 2) for i in range(0, k, 2)]
-    jideal = np.zeros((n, n), dtype=complex)
-    for i, s_i in zip(range(0, k, 2), pairs):
-        jideal[i, i + 1], jideal[i + 1, i] = s_i, -s_i
-    if np.linalg.norm(jact - jideal) > bound:
-        raise AccuracyError("congruence residual exceeded tolerance")
-    if np.linalg.norm(q.conj().T @ q - np.eye(n)) > bound:
-        raise AccuracyError("computed congruence factor is not unitary")
-    return q, pairs, n - k
+    q, pairs, null_dims = _youla_stack(c, tol)
+    return q[0], pairs[0], int(null_dims[0])
 
 
 def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
@@ -418,7 +493,8 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
 
     The verdict and |mu| do not depend on which orthonormal basis of the
     eigenspace is supplied; the phase of mu does.  Entries too large for
-    this arithmetic raise numpy's LinAlgError.
+    this arithmetic raise numpy's LinAlgError, and an A_st so small against
+    A_I that the least-squares x_inf or y_inf overflows raises AccuracyError.
     """
     _check_range(a, np.linalg.LinAlgError)
     if not is_hermitian(a, tol):
@@ -446,6 +522,8 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
     m = lam * np.eye(a.rows) - a_st
     x_inf = np.linalg.lstsq(m, a_inf @ np.conj(x) - mu * y, rcond=None)[0]
     y_inf = np.linalg.lstsq(m, a_inf @ np.conj(y) + mu * x, rcond=None)[0]
+    if not (np.isfinite(x_inf).all() and np.isfinite(y_inf).all()):
+        raise AccuracyError("x_inf or y_inf overflows: A_st is too small against A_I")
     return DoubleEigClassification("DoubleSub", lam, mu, x_inf, y_inf)
 
 

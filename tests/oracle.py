@@ -10,7 +10,8 @@ herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
 references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
 its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
 deflates each group of equal singular values with one SVD per pair,
-youla_skew_deflation.  residual_pair is the residual pair of herm_spectral
+youla_skew_deflation, which also takes a stack of blocks in place of the
+library's stacked core.  residual_pair is the residual pair of herm_spectral
 and dc_svd by dense numpy products on the assembled layout.  phi is the
 block-triangular representation of a dual complex matrix as a complex one,
 for checks by plain numpy products, and sub_count reads the number of Sub
@@ -115,8 +116,15 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
     column x with y = U_g V_g* conj(x), projects both out of the remaining
     columns, and re-orthonormalizes what is left with a fresh SVD, guarded
     by a rank test, before it takes the next pair.
+
+    A stack c of shape (K, n, n) goes block by block, and the results come
+    back stacked as spectral._youla_stack returns them: Q of shape
+    (K, n, n), K pair lists and an array of K null dimensions.
     """
     c = np.asarray(c, dtype=complex)
+    if c.ndim == 3:
+        qs, pairs, null_dims = zip(*(youla_skew_deflation(block, tol) for block in c))
+        return np.stack(qs), list(pairs), np.array(null_dims)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise NotSkewSymmetric(f"expected a square matrix, got shape {c.shape}")
     n = c.shape[0]

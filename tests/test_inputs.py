@@ -147,6 +147,10 @@ def test_tiny_standard_part_emits_no_warning(routine, scale):
         # x_I, of the size of A_I / A_st, leaves double range
         with pytest.raises(Inconsistent, match="no solution"):
             NEAR_OVERFLOW[routine][0](a)
+    elif routine == "double_eig_classify" and scale[1] > 1e308 * scale[0]:
+        # x_inf and y_inf, of the size of A_I / A_st, leave double range
+        with pytest.raises(AccuracyError, match="overflows: A_st is too small against A_I"):
+            NEAR_OVERFLOW[routine][0](a)
     else:
         NEAR_OVERFLOW[routine][0](a)
 

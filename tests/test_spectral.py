@@ -177,8 +177,16 @@ def kron_ex2(m, seed):
 def test_kron_ex2_matches_deflation_through_both_decompositions(monkeypatch, m):
     a = kron_ex2(m, 930 + m)
     dec, res = herm_spectral(a), dc_svd(a)
-    monkeypatch.setattr(spectral_mod, "youla_skew", oracle.youla_skew_deflation)
+    reached = []
+
+    def deflation(c, tol):
+        reached.append(c.shape)
+        return oracle.youla_skew_deflation(c, tol)
+
+    monkeypatch.setattr(spectral_mod, "_youla_stack", deflation)
     ref_dec, ref_res = herm_spectral(a), dc_svd(a)
+    # the one cluster of each decomposition went through the deflation form
+    assert reached == [(1, 2 * m, 2 * m)] * 2
     assert [b.kind for b in dec.blocks] == ["Sub"] * m
     np.testing.assert_allclose([b.mu for b in dec.blocks], [b.mu for b in ref_dec.blocks],
                                rtol=0, atol=1e-12)
@@ -232,6 +240,84 @@ def test_youla_raises_when_a_group_span_runs_out_after_a_pair(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", two_columns)
     with pytest.raises(AccuracyError, match="span ran out"):
         youla_skew(c)
+
+
+# ------------------------------------------ the stacked core, block by block
+
+def kron_ex2_skew(seed):
+    """The skew block herm_spectral hands the stacked core for kron(EX2, I_3): a group of six."""
+    seen = []
+    youla_stack = spectral_mod._youla_stack
+
+    def recording(c, tol):
+        seen.append(c[0].copy())
+        return youla_stack(c, tol)
+
+    spectral_mod._youla_stack = recording
+    try:
+        herm_spectral(kron_ex2(3, seed))
+    finally:
+        spectral_mod._youla_stack = youla_stack
+    return seen[0]
+
+
+def mixed_blocks(seed):
+    """Skew 6 x 6 blocks: one pair, a group of four, a group of six, zero, rank four."""
+    rank_four = rand_skew(np.random.default_rng(seed), 6)
+    p = gen_random("unitary", 6, 6, seed + 1).standard[:, :4]
+    return [congruent_skew([0.7], 6, seed), congruent_skew([1.0, 1.0], 6, seed + 2),
+            kron_ex2_skew(seed + 3), np.zeros((6, 6), dtype=complex),
+            p.conj() @ (p.T @ rank_four @ p) @ p.conj().T]
+
+
+@pytest.mark.parametrize("seed", [960, 970, 980])
+def test_stacked_blocks_are_bit_identical_to_youla_skew(seed):
+    blocks = mixed_blocks(seed)
+    singles = [youla_skew(b) for b in blocks]
+    assert [2 * len(pairs) for _, pairs, _ in singles] == [2, 4, 6, 0, 4]
+    order = np.random.default_rng(seed).permutation(np.tile(np.arange(len(blocks)), 2))
+    q, pairs, null_dims = spectral_mod._youla_stack(
+        np.stack([blocks[i] for i in order]), spectral_mod.DEFAULT_TOL)
+    assert q.shape == (order.size, 6, 6)
+    for j, i in enumerate(order.tolist()):
+        ref_q, ref_pairs, ref_null = singles[i]
+        assert q[j].tobytes() == ref_q.tobytes()
+        assert pairs[j] == ref_pairs and null_dims[j] == ref_null
+
+
+def test_stack_with_one_non_skew_block_raises():
+    blocks = mixed_blocks(990)
+    blocks[2] = blocks[2] + np.eye(6)
+    with pytest.raises(NotSkewSymmetric, match="not skew-symmetric"):
+        spectral_mod._youla_stack(np.stack(blocks), spectral_mod.DEFAULT_TOL)
+
+
+def collapsed_columns(u):
+    """U's columns all one vector: a group of four spans too little for a second pair."""
+    return np.repeat(u[:, :1], u.shape[1], axis=1)
+
+
+@pytest.mark.parametrize("target", [0, 2])
+def test_stack_with_one_group_span_running_out_raises_as_the_single_call(monkeypatch, target):
+    blocks = [congruent_skew([1.0, 1.0], 4, 950), congruent_skew([0.5], 4, 951),
+              congruent_skew([2.0, 1.0], 4, 952)]
+    blocks[0], blocks[target] = blocks[target], blocks[0]
+    svd = np.linalg.svd
+
+    def collapsing(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        if u.ndim == 2:
+            return collapsed_columns(u), s, vh
+        u = u.copy()
+        u[target] = collapsed_columns(u[target])
+        return u, s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", collapsing)
+    with pytest.raises(AccuracyError) as single:
+        youla_skew(blocks[target])
+    with pytest.raises(AccuracyError) as stacked:
+        spectral_mod._youla_stack(np.stack(blocks), spectral_mod.DEFAULT_TOL)
+    assert str(stacked.value) == str(single.value) == "group span ran out before it paired off"
 
 
 # --------------------------------- a small pair beside a large one (graded)
@@ -533,20 +619,32 @@ def test_array_form_matches_loop_form_on_one_cluster():
 
 
 def test_youla_skew_skips_one_by_one_clusters(monkeypatch):
-    calls = []
+    # the stacked core sees no 1x1 block, every multi-member cluster once,
+    # and takes one np.linalg.svd per distinct cluster size
+    stacks, svd_calls = [], []
+    youla_stack, svd = spectral_mod._youla_stack, np.linalg.svd
 
-    def counting(c, tol=spectral_mod.DEFAULT_TOL):
-        calls.append(c.shape[0])
-        return youla_skew(c, tol)
+    def recording(c, tol):
+        stacks.append(c.shape)
+        return youla_stack(c, tol)
 
-    monkeypatch.setattr(spectral_mod, "youla_skew", counting)
+    def counting(*args, **kwargs):
+        svd_calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(spectral_mod, "_youla_stack", recording)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     herm_spectral(gen_random("hermitian", 64, 64, 41))
-    assert calls == []
+    assert stacks == [] and svd_calls == []
     for kind in ("clustered", "mixed"):
         a, sizes = planted_levels(kind, 64, 42)
-        calls.clear()
+        stacks.clear()
+        svd_calls.clear()
         herm_spectral(a)
-        assert calls == [s for s in sizes if s > 1]
+        multi = [s for s in sizes if s > 1]
+        assert all(k > 0 and s > 1 for k, s, _ in stacks)
+        assert sorted(s for k, s, _ in stacks for _ in range(k)) == sorted(multi)
+        assert len(stacks) == len(svd_calls) == len(set(multi))
 
 
 @pytest.mark.parametrize("shape", [(12, 8), (8, 12)])
