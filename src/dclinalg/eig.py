@@ -18,13 +18,17 @@ in one array pass through V, in whose basis the system is diagonal; such a
 pair is the same in both lists.  Everywhere else (clusters, conjugate
 pairs, real or nearly defective standard parts) the SVD of each shifted
 matrix gives the eigenspace and the unsolvable directions, and the system
-is solved by least squares, cluster by cluster.  Entries too large for
-this arithmetic raise numpy's LinAlgError on entry.
+is solved by least squares, cluster by cluster.  The pairs are assembled
+as arrays: one index vector in cluster order gathers every kept column,
+value and lam_I at once, and every vector is a read-only view of one
+checked copy of that block (_pairs).  Entries too large for this
+arithmetic raise numpy's LinAlgError on entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 import numpy as np
@@ -64,15 +68,20 @@ def _pairs(a: DCMatrix, x_st: np.ndarray, x_inf: np.ndarray, lam: np.ndarray,
            lam_inf: np.ndarray, warnings) -> list[RightEigenPair]:
     """One RightEigenPair per column k of (x_st, x_inf): value lam_k + lam_inf_k eps*j.
 
-    The residuals are the column norms of A X - X diag(lam + lam_inf eps*j),
-    the quantities verify_eigenpair gives pair by pair, from one dual product
-    for all.
+    The block is checked finite and copied once, transposed and read-only;
+    each pair's vector is an n x 1 view of one row of that copy, so the
+    pairs share it and none of them copies or scans its own.  The residuals
+    are the column norms of A X - X diag(lam + lam_inf eps*j), from one dual
+    product for all: what verify_eigenpair gives pair by pair, up to the
+    rounding of a matrix product against a matrix-vector one.
     """
+    rows = DCMatrix(x_st.T, x_inf.T)
     rs, ri = dual_residual(a, (x_st, x_inf), (lam, lam_inf), axis=0)
-    return [RightEigenPair(DualComplex(lam[k], lam_inf[k]),
-                           DCMatrix(x_st[:, k:k + 1], x_inf[:, k:k + 1]),
-                           (float(rs[k]), float(ri[k])), warning)
-            for k, warning in enumerate(warnings)]
+    return [RightEigenPair(DualComplex(value, value_inf), DCMatrix._frozen(st, inf),
+                           (r_st, r_inf), warning)
+            for value, value_inf, st, inf, r_st, r_inf, warning
+            in zip(lam.tolist(), lam_inf.tolist(), rows.standard[:, :, None],
+                   rows.infinitesimal[:, :, None], rs.tolist(), ri.tolist(), warnings)]
 
 
 def _normalize_phase(x: np.ndarray) -> np.ndarray:
@@ -171,8 +180,13 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     right_eigs sends Hermitian input, the empty matrix included, to
     _hermitian_pairs instead.  A pair is kept when its consistency residual
     is at most resid_tol (1 + ||A_I||).  Pairs come in cluster order
-    (_cluster_complex), and the residuals of all of them come from one dual
-    product (_pairs).
+    (_cluster_complex).  The columns of the array pass come first and those
+    of the SVD path after them; every kept pair is one entry (column,
+    cluster position, flagged, in the dual list, in the complex list), and
+    a stable sort by cluster position gives the one index vector that
+    gathers X_st, X_I, lam and lam_I.  An array-pass pair is one entry in
+    both lists, so it is one object in both; the residuals of all pairs
+    come from one dual product (_pairs).
 
     The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
     (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
@@ -215,25 +229,31 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     simple = separated & (np.abs(np.conj(vals)[:, None] - vals).min(axis=1) > reach)
 
     groups = _cluster_complex(vals, tau)
-    fast = [g[0] for g in groups if len(g) == 1 and simple[g[0]]]
+    alone = [len(g) == 1 and simple[g[0]] for g in groups]
+    # the array pass, in cluster order: its k-th column is the eigenvalue
+    # fast[k], whose cluster comes place[k]-th
+    place = np.flatnonzero(alone)
+    fast = [groups[k][0] for k in place.tolist()]
     inv_vecs = None
+    fast_st = fast_inf = np.empty((n, 0), dtype=complex)
+    fast_resid = np.empty(0)
     if fast:
         # reach < |shift| <= 2 ||A_st||_F, so kappa < 1 / (32 n eps): V inverts
         inv_vecs = np.linalg.inv(vecs)
         fast_st = _normalize_phase(vecs[:, fast])
         fast_inf, fast_resid = _solve_through_v(a_st, vecs, inv_vecs, vals, vals[fast],
                                                 a_inf @ np.conj(fast_st))
-        column = dict(zip(fast, range(len(fast))))
+    kept = np.flatnonzero(fast_resid <= accept)
 
-    # one entry per returned pair, in cluster order: (x_st, x_inf, lam, lam_I,
-    # warning, whether it is a dual pair, whether it is a complex pair)
-    found = []
-    for group in groups:
-        if len(group) == 1 and simple[group[0]]:
-            k = column[group[0]]
-            if fast_resid[k] <= accept:
-                found.append((fast_st[:, k], fast_inf[:, k], vals[group[0]], 0j, None,
-                              True, True))
+    # the SVD path, cluster by cluster: its columns (x_st, x_inf, lam, lam_I)
+    # follow the array-pass ones, and every pair it returns is one entry
+    # (column, cluster position, flagged, dual pair, complex pair)
+    parts: list[tuple[np.ndarray, ...]] = [(fast_st, fast_inf, vals[fast],
+                                            np.zeros(len(fast), dtype=complex))]
+    entries = []
+    offset = len(fast)
+    for k, group in enumerate(groups):
+        if alone[k]:
             continue
         lam = complex(np.mean(vals[group]))
         if len(group) == 1 and separated[group[0]]:
@@ -263,12 +283,13 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             x_st = np.column_stack([x_st, _normalize_phase(basis @ bvt[-1])])
             rhs = np.column_stack([rhs - x_st[:, :cols] * lam_inf,
                                    a_inf @ np.conj(x_st[:, cols])])
+            lam_inf = np.append(lam_inf, 0j)
         if m is None:
             x_inf, resid = _solve_through_v(a_st, vecs, inv_vecs, vals, lam, rhs)
         else:
             x_inf, resid = _lstsq_resid(m, rhs)
+        parts.append((x_st, x_inf, np.full(x_st.shape[1], lam), lam_inf))
 
-        warning = _CLUSTER_WARNING if cols > 1 else None
         class_tol = 1e-8 * (1.0 + abs(lam))
         kept_class: list[float] = []
         for col in np.flatnonzero(resid[:cols] <= accept):
@@ -280,18 +301,25 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
                 if any(abs(abs(lam_inf[col]) - prev) <= class_tol for prev in kept_class):
                     continue
                 kept_class.append(abs(lam_inf[col]))
-            found.append((x_st[:, col], x_inf[:, col], lam, lam_inf[col], warning, True, False))
+            entries.append((offset + col, k, cols > 1, 1, 0))
         c = cols if nleft.shape[1] else 0  # the complex pair's column
         if resid[c] <= accept:
-            found.append((x_st[:, c], x_inf[:, c], lam, 0j, None, False, True))
+            entries.append((offset + c, k, 0, 0, 1))
+        offset += x_st.shape[1]
 
-    if not found:
-        return [], []
-    x_st, x_inf, lam, lam_inf, warnings, in_dual, in_cplx = zip(*found)
-    pairs = _pairs(a, np.column_stack(x_st), np.column_stack(x_inf), np.array(lam),
-                   np.array(lam_inf), warnings)
-    return ([p for p, keep in zip(pairs, in_dual) if keep],
-            [p for p, keep in zip(pairs, in_cplx) if keep])
+    # one index vector in cluster order: a kept array-pass column is a pair
+    # in both lists, and the stable sort keeps the pairs of one cluster in
+    # the order they were found in
+    on, off = np.ones_like(kept), np.zeros_like(kept)
+    table = np.concatenate([np.column_stack([kept, place[kept], off, on, on]),
+                            np.array(entries, dtype=int).reshape(-1, 5)])
+    index, _, flagged, in_dual, in_cplx = table[np.argsort(table[:, 1], kind="stable")].T
+    x_st, x_inf, lam, lam_inf = (np.take(np.concatenate(part, axis=-1), index, axis=-1)
+                                 for part in zip(*parts))
+    pairs = _pairs(a, x_st, x_inf, lam, lam_inf,
+                   [_CLUSTER_WARNING if f else None for f in flagged.tolist()])
+    return (list(compress(pairs, in_dual.tolist())),
+            list(compress(pairs, in_cplx.tolist())))
 
 
 def _hermitian_pairs(a: DCMatrix, tol: Tolerances):
@@ -362,8 +390,10 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
 
     Solves (lam I - A_st) x_I = A_I conj(x_st) by minimum-norm least squares;
     the system is guaranteed consistent when lam is simple, so a large
-    residual signals invalid input and raises Inconsistent.  Entries too
-    large for this arithmetic raise numpy's LinAlgError.
+    residual signals invalid input and raises Inconsistent.  So does a
+    solution that leaves double range, as it does when A_st is tiny against
+    A_I, with a message that says so.  Entries too large for this
+    arithmetic raise numpy's LinAlgError.
     """
     _check_range(a, np.linalg.LinAlgError)
     if not is_hermitian(a, tol):
@@ -380,6 +410,9 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
         raise Inconsistent("x_st is not an eigenvector of the standard part for lam")
     m = lam * np.eye(a.rows) - a_st
     x_inf, resid = _lstsq_resid(m, a_inf @ np.conj(x))
+    if not np.isfinite(x_inf).all():
+        raise Inconsistent("consistency system has no solution in double range: "
+                           "x_I overflows, A_st is too small against A_I")
     if resid > tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf))) * max(1.0, xnorm):
         raise Inconsistent("consistency system has no solution; lam is not simple")
     return x_inf

@@ -8,7 +8,8 @@ rule is
 
 and the conjugate transpose is (conj(A_st).T, -A_I.T).  Vectors are n-by-1
 matrices.  All instances are immutable; the component arrays are copied on
-construction, checked to be finite, and marked read-only.
+construction, checked to be finite, and marked read-only.  The vectors of
+the eigenpairs that one call returns are views of one such frozen copy.
 
 The one residual kernel is R = A V - U L against a block layout L given by
 its diagonal (_one_sided): dual_residual takes its norms for eigenpair and
@@ -38,8 +39,7 @@ class DCMatrix:
         st = np.array(standard, dtype=complex, order="C")
         if st.ndim != 2:
             raise ShapeMismatch(f"expected a 2-d array, got ndim={st.ndim}")
-        # count_nonzero costs half of .all() on the small vectors that the
-        # eigenpair routines build by the hundred
+        # count_nonzero costs half of .all() on small arrays
         if np.count_nonzero(np.isfinite(st)) != st.size:
             raise NonFinite("standard part has a NaN or infinite entry")
         if infinitesimal is None:
@@ -55,6 +55,19 @@ class DCMatrix:
         inf.setflags(write=False)
         self.standard = st
         self.infinitesimal = inf
+
+    @classmethod
+    def _frozen(cls, standard: np.ndarray, infinitesimal: np.ndarray) -> "DCMatrix":
+        """Wrap two arrays as they are: no copy, no finiteness scan, no setflags.
+
+        The caller vouches that they are what __init__ makes, 2-d, complex,
+        C-contiguous, of one shape, finite and read-only, as the row views of
+        one checked block are (eig._pairs).
+        """
+        m = object.__new__(cls)
+        m.standard = standard
+        m.infinitesimal = infinitesimal
+        return m
 
     @property
     def rows(self) -> int:

@@ -43,6 +43,7 @@ too large for that arithmetic raise numpy's LinAlgError before any of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -539,13 +540,32 @@ def classify_multiplicity(dec: SpectralDecomposition, lam: float,
     return p, k
 
 
+def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
+    """(lambda_min(A_st), resid_tol ||A_st||_2) of a Hermitian matrix.
+
+    The right eigenvalues and subeigenvalues of a Hermitian matrix are the
+    eigenvalues of its standard part, with multiplicity (a Sub block holds
+    its lam twice), so definiteness needs none of the blocks of
+    herm_spectral: one eigvalsh of the Hermitian part of A_st gives them,
+    and the cut scales with the largest of them in magnitude.  The empty
+    matrix has no eigenvalue, and inf stands for its minimum.
+    """
+    _check_range(a, np.linalg.LinAlgError)
+    if not is_hermitian(a, tol):
+        raise NotHermitian("definiteness applies to Hermitian matrices")
+    w = np.linalg.eigvalsh((a.standard + a.standard.conj().T) / 2)
+    if not w.size:
+        return math.inf, 0.0
+    return float(w[0]), tol.resid_tol * max(-float(w[0]), float(w[-1]))
+
+
 def is_psd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positive semi-definite iff every eigen/subeigenvalue is nonnegative."""
-    dec = herm_spectral(a, tol)
-    return all(b.lam >= -tol.resid_tol for b in dec.blocks)
+    """Positive semi-definite iff no eigen/subeigenvalue lies below -resid_tol ||A_st||_2."""
+    low, cut = _lowest_level(a, tol)
+    return low >= -cut
 
 
 def is_pd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Positive definite iff every eigen/subeigenvalue is positive."""
-    dec = herm_spectral(a, tol)
-    return all(b.lam > tol.resid_tol for b in dec.blocks)
+    """Positive definite iff every eigen/subeigenvalue exceeds resid_tol ||A_st||_2."""
+    low, cut = _lowest_level(a, tol)
+    return low > cut

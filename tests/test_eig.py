@@ -32,6 +32,7 @@ from dclinalg import (
     verify_eigenpair,
 )
 from dclinalg.cli import main
+from dclinalg.matrix import dual_residual
 from oracle import (
     _EPS,
     cluster_complex_loop,
@@ -583,3 +584,82 @@ def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
     assert calls == {"eig": 1, "cond": 1}
     doc = jsonio.decode_eig_result(json.loads(out.read_text()))
     assert len(doc[1]) == len(doc[2]) == 12
+
+
+def _assembly_cases():
+    yield "generic", rand_dcmatrix(np.random.default_rng(23), 16, 16)
+    yield "mixed", mixed_spectrum()
+    rng = np.random.default_rng(24)
+    yield "real", DCMatrix(rng.standard_normal((7, 7)), cgauss(rng, 7, 7))
+    yield "planted-hermitian", planted_hermitian(303)
+
+
+ASSEMBLY_CASES = list(_assembly_cases())
+
+
+def _block_row(vector: np.ndarray, block: np.ndarray) -> int:
+    """The row of the read-only block that an n x 1 vector is a view of."""
+    offset = vector.__array_interface__["data"][0] - block.__array_interface__["data"][0]
+    assert offset % block.strides[0] == 0
+    return offset // block.strides[0]
+
+
+@pytest.mark.parametrize("name,a", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_pair_vectors_are_read_only_views_of_one_block(name, a):
+    dual, cplx = right_eigs(a)
+    pairs = dual + cplx
+    assert pairs
+    block_st, block_inf = pairs[0].vector.standard.base, pairs[0].vector.infinitesimal.base
+    assert block_st.shape == block_inf.shape and block_st.shape[1] == a.rows
+    for p in pairs:
+        for part, block in ((p.vector.standard, block_st), (p.vector.infinitesimal, block_inf)):
+            assert part.base is block
+            assert part.shape == (a.rows, 1) and part.dtype == complex
+            assert part.flags.c_contiguous and not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 1.0
+        assert _block_row(p.vector.standard, block_st) == _block_row(p.vector.infinitesimal,
+                                                                      block_inf)
+
+
+@pytest.mark.parametrize("name,a", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_pair_in_both_lists_is_one_object(name, a):
+    # array-pass pairs and each Hermitian level's first Eigen pair are in
+    # both lists; the SVD path's dual and complex pairs are not
+    dual, cplx = right_eigs(a)
+    shared = {id(p) for p in dual} & {id(p) for p in cplx}
+    if name == "generic":
+        assert all(p is q for p, q in zip(dual, cplx)) and len(dual) == len(cplx) == a.rows
+    elif name == "mixed":
+        assert len(shared) == 5  # the five simple complex eigenvalues
+    elif name == "planted-hermitian":
+        assert len(shared) == len(cplx) == 3
+    rows = [_block_row(p.vector.standard, dual[0].vector.standard.base) for p in dual + cplx]
+    # one row of the block per pair object, so a shared pair is one row
+    assert len(set(rows)) == len({id(p) for p in dual + cplx})
+
+
+@pytest.mark.parametrize("name,a", ASSEMBLY_CASES, ids=[c[0] for c in ASSEMBLY_CASES])
+def test_pair_residual_is_its_column_of_the_block_residual(name, a):
+    # each residual is, bit for bit, its row's column norm of the one dual
+    # residual of the block the vectors view, so value, vector and residual
+    # of a pair come from the same column; verify_eigenpair recomputes it
+    # with a matrix-vector product, which agrees to rounding
+    pairs = {id(p): p for p in sum(right_eigs(a), [])}.values()
+    block_st = next(iter(pairs)).vector.standard.base
+    block_inf = next(iter(pairs)).vector.infinitesimal.base
+    by_row = {_block_row(p.vector.standard, block_st): p for p in pairs}
+    assert sorted(by_row) == list(range(block_st.shape[0]))
+    ordered = [by_row[k] for k in range(block_st.shape[0])]
+    lam = np.array([p.value.standard for p in ordered])
+    lam_inf = np.array([p.value.infinitesimal for p in ordered])
+    rs, ri = dual_residual(a, (np.ascontiguousarray(block_st.T), np.ascontiguousarray(block_inf.T)),
+                           (lam, lam_inf), axis=0)
+    a_scale = np.linalg.norm(a.standard) + np.linalg.norm(a.infinitesimal)
+    for k, p in enumerate(ordered):
+        assert p.residual == (rs[k], ri[k])
+        scale = (a_scale + abs(p.value.standard) + abs(p.value.infinitesimal)) * (
+            1 + np.linalg.norm(p.vector.standard) + np.linalg.norm(p.vector.infinitesimal))
+        bound = 64 * a.rows * _EPS * scale
+        again = verify_eigenpair(a, p.value, p.vector)
+        assert abs(again[0] - p.residual[0]) <= bound and abs(again[1] - p.residual[1]) <= bound

@@ -894,3 +894,36 @@ def test_psd_quadratic_form():
         assert val.standard.real >= -1e-10
         assert abs(val.standard.imag) <= 1e-10
         assert abs(val.infinitesimal) <= 1e-10
+
+
+def hermitian_with_levels(levels, seed, scale=1.0):
+    """scale W diag(levels) W* + scale K eps*j, W unitary and K skew, both seeded."""
+    rng = np.random.default_rng(seed)
+    w, _ = np.linalg.qr(cgauss(rng, len(levels), len(levels)))
+    a_st = w @ np.diag(levels) @ w.conj().T
+    return DCMatrix(scale * (a_st + a_st.conj().T) / 2, scale * rand_skew(rng, len(levels)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_definiteness_of_levels_between_tau_and_ten_tau(seed):
+    # 1 and 1 + 2e-7 lie between tau = 6e-8 and 10 tau apart, so herm_spectral
+    # refuses the gap; definiteness reads the standard spectrum alone
+    h = hermitian_with_levels([1, 1 + 2e-7, 2, 3, 4, 5], seed)
+    with pytest.raises(IllConditionedGap):
+        herm_spectral(h)
+    assert is_psd(h) and is_pd(h)
+    assert not is_psd(-1.0 * h) and not is_pd(-1.0 * h)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_definiteness_cut_is_relative(scale):
+    # the cut is resid_tol ||A_st||_2: a level at +-cut/2 counts as zero at
+    # every scale, one at +-2 cut keeps its sign
+    cut = spectral_mod.DEFAULT_TOL.resid_tol * 3.0
+    for sign in (1, -1):
+        half = hermitian_with_levels([sign * cut / 2, 1, 2, 3], 31, scale)
+        assert is_psd(half) and not is_pd(half)
+        twice = hermitian_with_levels([sign * 2 * cut, 1, 2, 3], 31, scale)
+        assert is_psd(twice) == is_pd(twice) == (sign > 0)
+    assert is_pd(DCMatrix(scale * 1e-10 * np.eye(3)))
+    assert not is_psd(DCMatrix(-scale * 1e-10 * np.eye(3)))
