@@ -314,12 +314,14 @@ def _check_range(a: DCMatrix, error: type) -> None:
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:
-    """Inverse (X + Y*eps*j)^-1 = X^-1 - X^-1 Y conj(X^-1) eps*j."""
+    """Inverse (X + Y*eps*j)^-1 = X^-1 - X^-1 Y conj(X^-1) eps*j; the 0 x 0 matrix is its own."""
     if a.rows != a.cols:
         raise ShapeMismatch("only square matrices can be inverted")
     x, y = a.standard, a.infinitesimal
+    if not a.rows:
+        return DCMatrix(x, y)
     svals = np.linalg.svd(x, compute_uv=False)
-    if svals.size == 0 or svals[-1] <= a.rows * _EPS * svals[0]:
+    if svals[-1] <= a.rows * _EPS * svals[0]:
         raise SingularStandardPart("standard part is numerically singular")
     xinv = np.linalg.inv(x)
     return DCMatrix(xinv, -xinv @ y @ np.conj(xinv))

@@ -14,6 +14,7 @@ inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,8 +39,9 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("group_tol", "resid_tol", "zero_tol"):
             value = getattr(self, name)
-            if not value >= 0.0:  # also rejects NaN
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+            # also rejects NaN; an infinite one would switch every check off
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
 
 
 DEFAULT_TOL = Tolerances()

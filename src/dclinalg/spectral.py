@@ -22,12 +22,13 @@ stages 1 and 3 are the helpers here that both call:
    a complex unitary transpose-congruence (youla_skew), which rotates the
    cluster's columns of the factors.  It runs once per distinct cluster
    size: the skew blocks of all clusters of that size go through one
-   stacked SVD and one stacked pairing pass (_youla_stack), and their
-   columns of the factors turn in one stacked product.  A block's result
-   does not depend on the stack it is in: it is what youla_skew gives on
-   that block alone, bit for bit.  A 1x1 cluster is canonical already,
-   since its infinitesimal part is zero: it becomes one 1x1 block with no
-   congruence and no rotation of its column.
+   stacked SVD and then one pairing loop per width of a group of equal
+   singular values, stacked over every group of that width in every block
+   (_youla_stack), and their columns of the factors turn in one stacked
+   product.  A block's result does not depend on the stack it is in: it is
+   what youla_skew gives on that block alone, bit for bit.  A 1x1 cluster
+   is canonical already, since its infinitesimal part is zero: it becomes
+   one 1x1 block with no congruence and no rotation of its column.
 
 _diagonals describes the blocks of either decomposition as a diagonal and
 its coupling, and _block_diagonal assembles them.  Both decompositions
@@ -254,38 +255,48 @@ def _youla_stack(c, tol: Tolerances):
     if np.any(width % 2):
         raise AccuracyError("odd singular value group; equal values were split")
 
-    # the first pair of every group, one stacked pass per group width: x is
-    # the group's first column of U as it is, y = U_g (V_g* conj(x))
-    x = u[blk, :, g0]
-    y = np.empty_like(x)
+    # every group pairs off by symplectic Gram-Schmidt, one stacked pass per
+    # group width.  rest holds the group's columns of U less their parts on
+    # the pairs found so far, and sq their squared norms, ones while nothing
+    # is projected out.  After i pairs they sum to g - 2i over g - i columns
+    # that still count, so in exact arithmetic the largest is at least
+    # 4 / (g + 2).  x is that column normalized (the first column as it is),
+    # y = U_g (V_g* conj(x)), and pair holds (conj(y), conj(x)), the pair's
+    # two columns of Q.  The columns of conj(U) past the kept pairs stay:
+    # null(C) = conj(null(C*)), and U's last n - k columns span null(C*)
+    q = np.conj(u)
     for g in sorted(set(width.tolist())):
         sel = np.flatnonzero(width == g)
-        cols = g0[sel, None] + np.arange(g)
-        u_g = u[blk[sel, None, None], np.arange(n)[:, None], cols[:, None, :]]
-        y_g = u_g @ (vh[blk[sel, None], cols] @ np.conj(x[sel])[:, :, None])
-        # exact orthogonality is automatic; enforce it anyway.  x enters the
-        # dot product as a strided column of conj(U_g): BLAS sums a strided
-        # vector in another order than a contiguous one, and this is the
-        # order np.vdot takes on x as a column of a copy of U_g
-        y_g -= x[sel, :, None] * (np.conj(u_g)[:, None, :, 0] @ y_g)
-        y[sel] = y_g[:, :, 0]
-    # np.linalg.norm of one complex vector: dot products of its real and
-    # imaginary parts, here one stacked product each
-    y_real, y_imag = y.real[:, None], y.imag[:, None]
-    y_norm = np.sqrt((y_real @ np.swapaxes(y_real, 1, 2) + y_imag @ np.swapaxes(y_imag, 1, 2))
-                     .reshape(-1))
-    if np.any(y_norm < 0.5):
-        raise AccuracyError("group span ran out before it paired off")
-    y /= y_norm[:, None]
-
-    # the conjugated pairs, ordered (conj(y), conj(x)), then the columns of
-    # conj(U) past the kept pairs: null(C) = conj(null(C*)), and U's last
-    # n - k columns span null(C*)
-    q = np.conj(u)
-    q[blk, :, g0], q[blk, :, g0 + 1] = np.conj(y), np.conj(x)
-    for i in np.flatnonzero(width > 2).tolist():
-        b, a0, a1 = int(blk[i]), int(g0[i]), int(g1[i])
-        q[b, :, a0 + 2:a1] = _later_pairs(u[b, :, a0:a1], vh[b, a0:a1], x[i], y[i])
+        b, cols, at = blk[sel], g0[sel, None] + np.arange(g), np.arange(sel.size)
+        u_g = u[b[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
+        vh_g = vh[b[:, None], cols]
+        rest, sq = u_g, np.ones((sel.size, g))
+        pair = np.empty((sel.size, n, 2), dtype=complex)
+        for i in range(0, g, 2):
+            j = sq.argmax(axis=1)
+            if np.any(sq[at, j] < 1 / g):
+                raise AccuracyError("group span ran out before it paired off")
+            x = rest[at, :, j] / np.sqrt(sq[at, j])[:, None]
+            pair[:, :, 1] = x_conj = np.conj(x)
+            y = (u_g @ (vh_g @ x_conj[:, :, None]))[:, :, 0]
+            # bit identity with the deflation form (oracle.youla_skew_deflation)
+            # fixes two orders of summation.  x enters the dot product as a
+            # strided column of pair: BLAS sums a strided vector in another
+            # order than a contiguous one, and np.vdot takes x as a column of
+            # a copy of U_g.  ||y|| is np.linalg.norm's: dot products of its
+            # real and imaginary parts, here one stacked product each.  Exact
+            # orthogonality is automatic; enforce it anyway
+            y -= x * (pair[:, None, :, 1] @ y[:, :, None])[:, 0]
+            y_real, y_imag = y.real[:, None], y.imag[:, None]
+            y_norm = np.sqrt((y_real @ np.swapaxes(y_real, 1, 2)
+                              + y_imag @ np.swapaxes(y_imag, 1, 2)).reshape(-1))
+            if np.any(y_norm < 0.5):
+                raise AccuracyError("group span ran out before it paired off")
+            pair[:, :, 0] = np.conj(y / y_norm[:, None])
+            q[b, :, cols[:, i]], q[b, :, cols[:, i + 1]] = pair[:, :, 0], pair[:, :, 1]
+            if i + 2 < g:
+                rest = rest - np.conj(pair) @ (np.swapaxes(pair, 1, 2) @ rest)
+                sq = (rest.real ** 2 + rest.imag ** 2).sum(axis=1)
 
     jact = np.swapaxes(q, 1, 2) @ c @ q
     ev = np.arange(0, n - 1, 2)
@@ -298,40 +309,6 @@ def _youla_stack(c, tol: Tolerances):
     if np.any(np.linalg.norm(np.swapaxes(np.conj(q), 1, 2) @ q - np.eye(n), axis=(1, 2)) > bound):
         raise AccuracyError("computed congruence factor is not unitary")
     return q, [row[:m].tolist() for row, m in zip(half, (k // 2).tolist())], n - k
-
-
-def _later_pairs(u_g, vh_g, x, y):
-    """Columns (conj(y), conj(x)) of the pairs after (x, y) in one group of U's columns.
-
-    A symplectic Gram-Schmidt pass: every pair is projected out of the
-    group's columns, and the next x is the column with the largest part left.
-    """
-    g = u_g.shape[1]
-    # rest holds the group's columns of U projected onto the complement of the
-    # pairs found so far, and sq their squared norms, less the squared
-    # coefficients of each pair projected out.  After i pairs they sum to
-    # g - 2i over g - i columns that still count, so in exact arithmetic the
-    # largest is at least 4 / (g + 2)
-    rest = u_g.copy()
-    sq = np.ones(g)
-    cols = []
-    for _ in range(g // 2 - 1):
-        xy = np.column_stack((x, y))
-        coef = xy.conj().T @ rest
-        rest -= xy @ coef
-        sq -= (coef.real ** 2 + coef.imag ** 2).sum(axis=0)
-        j = sq.argmax()
-        if sq[j] < 1 / g:
-            raise AccuracyError("group span ran out before it paired off")
-        x = rest[:, j] / np.linalg.norm(rest[:, j])
-        y = u_g @ (vh_g @ np.conj(x))
-        y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
-        y_norm = np.linalg.norm(y)
-        if y_norm < 0.5:
-            raise AccuracyError("group span ran out before it paired off")
-        y = y / y_norm
-        cols += [np.conj(y), np.conj(x)]
-    return np.column_stack(cols)
 
 
 def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
@@ -351,11 +328,12 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     with y = J x, x and y orthonormal, and the complement of found pairs in
     the span is again invariant under J (Youla, Canad. J. Math. 13, 1961).
     Through U_g V_g* rather than C, no rounding from larger singular values
-    reaches a small pair.  A symplectic Gram-Schmidt pass pairs each group
-    off without a second factorization: the first x is the group's first
-    column of U, each later x the group's column of U with the largest part
-    left in that complement, normalized, and every pair is projected out of
-    the rest.  The conjugated pairs, ordered (conj(y), conj(x)), realize
+    reaches a small pair.  A symplectic Gram-Schmidt loop pairs each group
+    off without a second factorization: each x is the group's column of U
+    with the largest part left in that complement, normalized, which is the
+    first column as it is before any pair is found, and every pair but the
+    last is projected out of the rest.  The conjugated pairs, ordered
+    (conj(y), conj(x)), realize
     exactly the 2x2 canonical blocks, and the columns of conj(U) past the
     kept pairs fill the zero block, since null(C) = conj(null(C*)).  The
     resulting congruence is re-verified and AccuracyError is raised rather
@@ -363,9 +341,9 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
 
     youla_skew is the one-block case of _youla_stack, which herm_spectral
     and dc_svd run on the blocks of all their clusters of one size at once:
-    there the first pair of every group comes from one stacked pass, and a
-    block's result is the one youla_skew gives on that block alone, bit for
-    bit.
+    there the loop runs once per group width, stacked over every group of
+    that width in every block, and a block's result is the one youla_skew
+    gives on that block alone, bit for bit.
     """
     c = np.asarray(c, dtype=complex)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:

@@ -322,6 +322,22 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
     assert main(["verify", "--input", str(tmp_path / "s.json")]) == 1
 
 
+@pytest.mark.parametrize("flags, env", [
+    (["--resid-tol", "inf"], None), (["--group-tol", "nan"], None),
+    ([], "inf"), ([], "resid=1e-9,zero=inf")])
+def test_non_finite_tolerance_is_a_bad_setting(tmp_path, monkeypatch, capsys, flags, env):
+    # an infinite resid_tol passes every gate: verify wrote "ok": true for any document
+    doc = tmp_path / "svd.json"
+    assert main(["svd", "--input", str(FIXTURES / "example1.json"), "--output", str(doc)]) == 0
+    if env is not None:
+        monkeypatch.setenv("DCTOOL_TOL", env)
+    for command, source in (("svd", FIXTURES / "example1.json"), ("verify", doc)):
+        out = tmp_path / f"{command}.out.json"
+        assert main([command, "--input", str(source), "--output", str(out)] + flags) == 1
+        assert "dctool: bad tolerance setting" in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("value, resid_tol", [("1e-30", 1e-30), ("", 1e-9), ("  ", 1e-9)])
 def test_env_tolerance_bare_number_or_empty(tmp_path, monkeypatch, value, resid_tol):
     # a bare number is resid_tol; an empty or blank value keeps the defaults

@@ -156,6 +156,13 @@ def test_inv_product_and_conj_transpose_rules():
                     conj_transpose(mat_inv(a)), 1e-10)
 
 
+def test_inv_of_the_empty_matrix():
+    # herm_spectral, dc_svd and right_eigs all take the 0 x 0 matrix
+    inv = mat_inv(zeros(0, 0))
+    assert inv.shape == (0, 0)
+    assert inv.standard.dtype == inv.infinitesimal.dtype == complex
+
+
 def test_inv_singular_standard_part():
     # an all-infinitesimal row makes the standard part singular
     a = from_scalars([[EPS_J, EPS_J], [1, 2]])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,11 @@ def test_tolerances_validation():
     assert Tolerances().group_tol == 1e-8
     with pytest.raises(ValueError):
         Tolerances(resid_tol=-1)
+
+
+@pytest.mark.parametrize("name", ["group_tol", "resid_tol", "zero_tol"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_tolerances_reject_non_finite_values(name, value):
+    # an infinite resid_tol would switch every residual gate off
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        Tolerances(**{name: value})

@@ -285,6 +285,34 @@ def test_stacked_blocks_are_bit_identical_to_youla_skew(seed):
         assert pairs[j] == ref_pairs and null_dims[j] == ref_null
 
 
+def two_wide_groups(seed):
+    """Skew 15 x 15: groups of four, eight and two equal singular values, one null column."""
+    return congruent_skew([2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5], 15, 1000 + seed)
+
+
+def test_two_wide_groups_in_one_block_match_deflation():
+    for seed in range(5):
+        pairs = assert_matches_deflation(two_wide_groups(seed))
+        np.testing.assert_allclose(pairs, [2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5], rtol=0, atol=3e-12)
+
+
+def test_two_wide_groups_stacked_with_others_are_bit_identical_to_youla_skew():
+    # the groups of four and eight pair off in two passes, one per group
+    # width, that write into the same Q; the padded 6 x 6 blocks bring
+    # groups of two, four and six into the same passes
+    blocks = [two_wide_groups(seed) for seed in range(3)]
+    blocks += [np.pad(b, ((0, 9), (0, 9))) for b in mixed_blocks(960)]
+    singles = [youla_skew(b) for b in blocks]
+    assert [2 * len(pairs) for _, pairs, _ in singles] == [14] * 3 + [2, 4, 6, 0, 4]
+    order = np.random.default_rng(1000).permutation(len(blocks))
+    q, pairs, null_dims = spectral_mod._youla_stack(
+        np.stack([blocks[i] for i in order]), spectral_mod.DEFAULT_TOL)
+    for j, i in enumerate(order.tolist()):
+        ref_q, ref_pairs, ref_null = singles[i]
+        assert q[j].tobytes() == ref_q.tobytes()
+        assert pairs[j] == ref_pairs and null_dims[j] == ref_null
+
+
 def test_stack_with_one_non_skew_block_raises():
     blocks = mixed_blocks(990)
     blocks[2] = blocks[2] + np.eye(6)
