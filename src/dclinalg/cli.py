@@ -28,6 +28,8 @@ or a single number for resid).
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import os
 import sys
@@ -39,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .eig import right_eigs, verify_eigenpair
+from .eig import _verify_pairs, right_eigs
 from .errors import DCError
 from .matrix import gen_random
 from .scalar import Tolerances
@@ -101,8 +103,10 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
         residual = verify_svd(a, res)
     elif kind == "eig":
         a, pairs, complex_pairs = jsonio.decode_eig_result(doc)
-        rows = [verify_eigenpair(a, p.value, p.vector, tol) for p in pairs + complex_pairs]
-        residual = [max((row[i] for row in rows), default=0.0) for i in (0, 1)]
+        # one stack per list, as eig computed the residuals the pairs store;
+        # a stack of both lists rounds differently
+        norms = [_verify_pairs(a, p, tol) for p in (pairs, complex_pairs) if p]
+        residual = [max((float(n[i].max()) for n in norms), default=0.0) for i in (0, 1)]
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
     ok = residual[0] <= tol.resid_tol and residual[1] <= tol.resid_tol
@@ -126,8 +130,8 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
         if args.command == "verify":
             out = _verify_doc(doc, tol)
         else:
-            # the parsed input goes before the result's lists are built: each
-            # pass of the garbage collector walks every live list
+            # the parsed input goes before the result's lists are built, so
+            # the two are never live at once
             a, doc = jsonio.decode_matrix(doc), None
             if args.command == "spectral":
                 out = jsonio.encode_spectral(a, herm_spectral(a, tol))
@@ -157,7 +161,9 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
         return exc.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The dctool parser, built once: every main call parses with it."""
     # gen reads no input and uses no tolerance, so it takes only the output flags
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", "-o", type=Path,
@@ -195,7 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run dctool on argv (default sys.argv[1:]); returns the exit code."""
+    """Run dctool on argv (default sys.argv[1:]); returns the exit code.
+
+    The cyclic garbage collector is paused for the call, since each of its
+    passes would walk every number list of the parsed and encoded documents.
+    A job leaves only a few dozen objects in cycles (the closures of the
+    stdlib's JSON encoder), which the first collection after the call
+    frees.  The caller's setting is restored on every exit, argparse's
+    SystemExit included.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         tol = _tolerances(args)

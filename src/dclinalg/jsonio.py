@@ -22,7 +22,13 @@ matrix.factor_residual, which verify_spectral and verify_svd, and so
 
 `dumps` writes a document as the text `dctool` stores, byte for byte
 `json.dumps(doc, sort_keys=True, indent=2)` (or the compact form) plus a
-newline, without running the pure-Python encoder over the matrix parts.
+newline.  The stdlib's pure-Python encoder, which CPython runs whenever
+indent is set, writes only the skeleton of the document.  Each matrix part
+is written as the repr of its numbers joined by three fixed separators
+(re to im, entry to entry, row to row), so a part costs about the repr of
+its floats.  Reading and writing find the parts with one helper,
+_flat_grid, which flattens a part once; decode_matrix then reads it with
+one np.fromiter.
 """
 
 from __future__ import annotations
@@ -84,24 +90,30 @@ def _encode_part(part: np.ndarray) -> list:
     return np.ascontiguousarray(part).view(float).reshape(m, n, 2).tolist()
 
 
-def _is_grid(obj) -> bool:
-    """True when obj is a non-empty list of non-empty lists of non-empty lists
-    of JSON numbers (int or float; numpy would also read True, None and "1")."""
-    if type(obj) is not list or set(map(type, obj)) != {list} or not all(obj):
-        return False
+def _flat_grid(obj):
+    """(n, flat) when obj is a list of m >= 1 lists of n >= 1 lists of two
+    JSON numbers, exact ints or floats (numpy would also read True, None and
+    "1"), with flat the 2 m n numbers row by row; None otherwise."""
+    if type(obj) is not list or set(map(type, obj)) != {list}:
+        return None
+    widths = set(map(len, obj))
     entries = list(chain.from_iterable(obj))
-    return (set(map(type, entries)) == {list} and all(entries)
-            and set(map(type, chain.from_iterable(entries))) <= {int, float})
+    if (len(widths) != 1 or not entries or set(map(type, entries)) != {list}
+            or set(map(len, entries)) != {2}):
+        return None
+    flat = list(chain.from_iterable(entries))
+    return (widths.pop(), flat) if set(map(type, flat)) <= {int, float} else None
 
 
 def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
-    if _is_grid(obj):
+    grid = _flat_grid(obj)
+    if grid is not None and grid[0] == n and len(obj) == m:
         try:
-            arr = np.array(obj, dtype=float)
-        except (ValueError, OverflowError):  # ragged rows; an integer beyond double range
+            arr = np.fromiter(grid[1], float, 2 * m * n)
+        except OverflowError:  # an integer beyond double range
             arr = None
-        if arr is not None and arr.shape == (m, n, 2) and np.isfinite(arr).all():
-            return arr.view(complex)[..., 0]
+        if arr is not None and np.isfinite(arr).all():
+            return arr.view(complex).reshape(m, n)
     # the entry-by-entry walk names the first entry that breaks the format
     if not isinstance(obj, list) or len(obj) != m:
         raise SchemaError(f"{where}: expected {m} rows")
@@ -275,27 +287,28 @@ _HOLE_TEXT = json.dumps(_HOLE)
 
 
 def _hollow(obj, parts: list):
-    """A copy of obj with each grid replaced by _HOLE and appended to parts,
-    in the order json.dumps(sort_keys=True) writes them."""
+    """A copy of obj with each grid replaced by _HOLE and its _flat_grid
+    appended to parts, in the order json.dumps(sort_keys=True) writes them."""
     if isinstance(obj, dict):
         return {key: _hollow(value, parts) for key, value in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
-        if _is_grid(obj):
-            parts.append(obj)
+        grid = _flat_grid(obj)
+        if grid is not None:
+            parts.append(grid)
             return _HOLE
         return [_hollow(value, parts) for value in obj]
     return obj
 
 
-def _indent_grid(grid: list, level: int) -> str:
-    """json.dumps(grid, indent=2) for a grid opened on a line indented by
-    level spaces, from the C encoder: numbers hold no [ , or ]."""
+def _indent_grid(n: int, flat: list, level: int) -> str:
+    """json.dumps(grid, indent=2) for a grid of n columns holding the numbers
+    flat, opened on a line indented by level spaces.  repr is the text json
+    writes for an int and for a finite float."""
     nl0, nl2, nl4, nl6 = ("\n" + " " * (level + k) for k in (0, 2, 4, 6))
-    # the C encoder breaks the line after every comma; the breaks between
-    # entries and between rows then become closing and opening brackets
-    body = json.dumps(grid, separators=("," + nl6, ":"))[3:-3]
-    body = body.replace("]]," + nl6 + "[[", f"{nl4}]{nl2}],{nl2}[{nl4}[{nl6}")
-    body = body.replace("]," + nl6 + "[", f"{nl4}],{nl4}[{nl6}")
+    numbers = map(repr, flat)
+    entries = map(("," + nl6).join, zip(numbers, numbers))
+    rows = map(f"{nl4}],{nl4}[{nl6}".join, zip(*[entries] * n))
+    body = f"{nl4}]{nl2}],{nl2}[{nl4}[{nl6}".join(rows)
     return f"[{nl2}[{nl4}[{nl6}{body}{nl4}]{nl2}]{nl0}]"
 
 
@@ -305,7 +318,7 @@ def dumps(doc, compact: bool = False) -> str:
 
     Both forms are byte-identical to the stdlib's.  The indented one, which
     CPython runs in its pure-Python encoder, is built from a json.dumps
-    skeleton of the document with each matrix part C-encoded and re-indented.
+    skeleton of the document with each matrix part written by _indent_grid.
     """
     if compact:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -314,9 +327,12 @@ def dumps(doc, compact: bool = False) -> str:
     if len(pieces) != len(parts) + 1:  # a string of the document reads "\x00"
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
     out = [pieces[0]]
-    for grid, piece in zip(parts, pieces[1:]):
+    parts.reverse()  # popped as written: a grid's flat list goes once its text is made
+    for piece in pieces[1:]:
         line = out[-1][out[-1].rfind("\n") + 1:]
-        out.append(_indent_grid(grid, len(line) - len(line.lstrip(" "))))
-        out.append(piece)
+        grid = _indent_grid(*parts.pop(), len(line) - len(line.lstrip(" ")))
+        if "n" in grid:  # inf or nan, which json writes as Infinity or NaN
+            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        out += (grid, piece)
     out.append("\n")
     return "".join(out)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -381,3 +382,86 @@ def test_batch_error_lines_name_the_input(tmp_path, capsys):
     # one input, one file: the error line stays as it was
     assert main(["spectral", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == "dctool: standard[0][0]: expected a number, got True\n"
+
+
+def test_verify_of_an_eig_document_writes_the_stored_residual(tmp_path):
+    # each list of pairs is checked as one stack, as eig computed the
+    # residuals it stores, so verify gives back their maximum bit for bit
+    for kind, n, seed in (("general", 32, 21), ("hermitian", 12, 3), ("general", 9, 5)):
+        src, out, ver = (tmp_path / f"{kind}{n}.{ext}.json" for ext in ("in", "eig", "verify"))
+        src.write_text(json.dumps(jsonio.encode_matrix(gen_random(kind, n, n, seed))))
+        assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
+        assert main(["verify", "--input", str(out), "--output", str(ver)]) == 0
+        doc = json.loads(out.read_text())
+        stored = [max(p["residual"][i] for p in doc["pairs"] + doc["complex_pairs"])
+                  for i in (0, 1)]
+        assert json.loads(ver.read_text())["residual"] == stored, (kind, n)
+
+
+@pytest.mark.parametrize("mutate, error", [
+    (lambda pair: pair["vector"].update(rows=1, standard=[[[1.0, 0.0]]],
+                                        infinitesimal=[[[0.0, 0.0]]]), "ShapeMismatch"),
+    (lambda pair: pair["vector"].update(standard=[[[0.0, 0.0]]] * 2), "NotAppreciable"),
+], ids=["shape", "zero_vector"])
+def test_verify_of_an_eig_document_checks_every_vector(tmp_path, capsys, mutate, error):
+    out = tmp_path / "eig.json"
+    assert main(["eig", "--input", str(FIXTURES / "example1.json"), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mutate(doc["pairs"][-1])
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(out)]) == 2
+    assert f"{error}: " in capsys.readouterr().err
+
+
+def _gc_case(case, tmp_path):
+    """argv of one way out of main, and its exit code or SystemExit."""
+    bad = tmp_path / "doc.json"
+    bad.write_text('{"rows": 2, "cols": 2}')
+    return {
+        "success": (["svd", "--input", str(FIXTURES / "zero.json"),
+                     "--output", str(tmp_path / "svd.json")], 0),
+        "dc_error": (["spectral", "--input", str(FIXTURES / "example1.json")], 2),
+        "schema_error": (["svd", "--input", str(bad)], 1),
+        "argparse_exit": (["svd", "--no-such-flag"], SystemExit),
+        "batch": (["svd", "--input-dir", str(FIXTURES), "--output", str(tmp_path / "out")], 0),
+    }[case]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc_on", "gc_off"])
+@pytest.mark.parametrize("case", ["success", "dc_error", "schema_error", "argparse_exit",
+                                  "batch"])
+def test_main_restores_the_collector_state(tmp_path, capsys, case, enabled):
+    argv, expected = _gc_case(case, tmp_path)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if expected is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_back_to_back_main_calls_match_fresh_processes(tmp_path):
+    # one parser serves every call: no flag or subcommand of one call leaks
+    # into the next
+    assert cli.build_parser() is cli.build_parser()
+    h, spec, svd, ver, gen = "h.json", "spec.json", "svd.json", "verify.json", "gen.json"
+    runs = [
+        ["gen", "--kind", "hermitian", "--m", "6", "--seed", "2", "--output", h],
+        ["spectral", "--input", h, "--output", spec, "--group-tol", "1e-7"],
+        ["svd", "--input", h, "--json-compact", "--output", svd],
+        ["verify", "--input", spec, "--resid-tol", "1e-30", "--output", ver],
+        ["gen", "--kind", "general", "--m", "2", "--n", "3", "--output", gen],
+    ]
+    fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+    for root in (fresh, warm):
+        root.mkdir()
+    at = lambda root, argv: [str(root / a) if a.endswith(".json") else a for a in argv]
+    for argv in runs:
+        assert main(at(warm, argv)) == dctool(*at(fresh, argv)).returncode, argv
+    for name in (h, spec, svd, ver, gen):
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -119,6 +119,16 @@ def _documents() -> dict:
         "gen_empty_cols": jsonio.encode_matrix(DCMatrix(np.zeros((2, 0)))),
         "warning_reads_like_a_hole": hole,
         "verify": {"type": "verify", "target": "svd", "residual": [1e-16, 0.0], "ok": True},
+        # grids the writer leaves to the stdlib, and grids at the edges of its own form
+        "ragged_rows": {"standard": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]]},
+        "three_number_entries": {"standard": [[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]},
+        "grid_holds_true": {"standard": [[[True, 0.0]], [[1.0, 2.0]]]},
+        "grid_holds_inf": {"standard": [[[float("inf"), 0.0]], [[1.0, float("nan")]]]},
+        "exact_ints": {"standard": [[[1, -2], [0, 10 ** 30]], [[3, 4], [-5, 6]]]},
+        "gen_3x1": jsonio.encode_matrix(gen_random("general", 3, 1, 11)),
+        "extreme_floats": jsonio.encode_matrix(DCMatrix(
+            np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)]]),
+            np.array([[complex(-5e-324, -1.7976931348623157e308), 0j]]))),
     }
 
 
@@ -129,6 +139,25 @@ def test_documents_cover_each_kind():
     assert docs["svd_wide"]["infinitesimal_values"] == []
     assert docs["eig_warning"]["pairs"][0]["warning"]
     assert docs["eig_general"]["pairs"][0]["vector"]["cols"] == 1
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["standard"][0].__setitem__(1, [True, 0]),
+     "standard[0][1]: expected a number, got True"),
+    (lambda d: d.__setitem__("infinitesimal", [[[True, False]] * 2] * 2),
+     "infinitesimal[0][0]: expected a number, got True"),
+    (lambda d: d["infinitesimal"][1].__setitem__(1, [0, -10 ** 400]),
+     "infinitesimal[1][1]: numbers must lie within double range"),
+    (lambda d: d["standard"].__setitem__(1, [[1, 0]]), "standard: row 1 must have 2 entries"),
+    (lambda d: d["standard"].__setitem__(0, [[1, 0], [0, 0], [0, 1]]),
+     "standard: row 0 must have 2 entries"),
+], ids=["bool", "bool_grid", "int_beyond_double", "short_row", "long_row"])
+def test_decode_matrix_error_text(mutate, message):
+    doc = jsonio.encode_matrix(from_scalars([[1, EPS_J], [-EPS_J, 1]]))
+    mutate(doc)
+    with pytest.raises(jsonio.SchemaError) as exc:
+        jsonio.decode_matrix(doc)
+    assert str(exc.value) == message
 
 
 def test_dumps_matches_the_stdlib_byte_for_byte():
