@@ -11,11 +11,13 @@ Result documents embed the input matrix, so `verify` needs no second file.
 (eig.right_eigs): herm_spectral for Hermitian input, one eig of the
 standard part otherwise.  `gen` takes only --output and
 --json-compact besides its own flags.
-Batch mode (--input-dir) processes every *.json in a directory concurrently,
-one worker thread per usable CPU, and writes one output file per input; its
-error lines name the input file.  All writes are atomic (write-then-rename),
-and the text is byte for byte json.dumps(doc, sort_keys=True, indent=2), or
-the compact form under --json-compact (see jsonio.dumps).  Exit codes:
+Batch mode (--input-dir) runs every *.json in a directory, one after another
+in sorted order, and writes one output file per input; its error lines name
+the input file.  gen, one --input and each batch input are jobs of one loop
+over _run_one, and the exit code is the largest of theirs.  All writes are
+atomic (write-then-rename), and the text is byte for byte json.dumps(doc,
+sort_keys=True, indent=2), or the compact form under --json-compact (see
+jsonio.dumps).  Exit codes:
 0 success, 1 malformed input, 2 validation failure, 3 numerical failure.
 main(argv) is the one entry point, for the console script and for Python
 callers alike; argument errors raise argparse's SystemExit(2).
@@ -34,7 +36,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -114,7 +115,7 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
 
 
 def _run_one(args, tol: Tolerances, input_path: Optional[Path],
-             output_path: Optional[Path], where: str = "") -> int:
+             output_path: Optional[Path], where: str) -> int:
     """Run one job; error lines start "dctool: " + where (the input in batch mode)."""
     try:
         if args.command == "gen":
@@ -226,25 +227,21 @@ def _main(argv) -> int:
     except ValueError as exc:
         print(f"dctool: bad tolerance setting: {exc}", file=sys.stderr)
         return 1
+    # (input, output, error-line prefix) per job; the prefix names the input
+    # in batch mode only
     if args.command == "gen":
-        return _run_one(args, tol, None, args.output)
-    if args.input_dir is not None:
+        jobs = [(None, args.output, "")]
+    elif args.input_dir is not None:
         inputs = sorted(args.input_dir.glob("*.json"))
         if not inputs:
             print(f"dctool: no *.json files in {args.input_dir}", file=sys.stderr)
             return 1
         out_dir = args.output if args.output is not None else args.input_dir
-        jobs = [(path, Path(out_dir) / f"{path.stem}.{args.command}.json")
+        jobs = [(path, Path(out_dir) / f"{path.stem}.{args.command}.json", f"{path}: ")
                 for path in inputs]
-        # one thread per CPU this process may run on; os.cpu_count() counts
-        # the CPUs of the host, whatever the affinity mask allows
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
-            codes = list(pool.map(lambda job: _run_one(args, tol, *job, f"{job[0]}: "),
-                                  jobs))
-        return max(codes)
-    if args.input is None:
+    elif args.input is None:
         print("dctool: --input (or --input-dir) is required", file=sys.stderr)
         return 1
-    return _run_one(args, tol, args.input, args.output)
+    else:
+        jobs = [(args.input, args.output, "")]
+    return max([_run_one(args, tol, *job) for job in jobs])

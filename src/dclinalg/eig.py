@@ -22,7 +22,7 @@ is solved by least squares, cluster by cluster.  The pairs are assembled
 as arrays: one index vector in cluster order gathers every kept column,
 value and lam_I at once, and every vector is a read-only view of one
 checked copy of that block (_pairs).  Entries too large for this
-arithmetic raise numpy's LinAlgError on entry.
+arithmetic raise AccuracyError on entry.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Inconsistent, NotAppreciable, NotHermitian, ShapeMismatch
-from .matrix import DCMatrix, _EPS, _check_range, dual_residual, is_hermitian
+from .errors import Inconsistent, NotAppreciable, ShapeMismatch
+from .matrix import DCMatrix, _EPS, _check_hermitian, _check_range, dual_residual, is_hermitian
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
-from .spectral import herm_spectral
+from .spectral import _level_tol, herm_spectral
 
 _CLUSTER_WARNING = ("clustered eigenvalue of the standard part; returned pairs "
                     "may be incomplete")
@@ -236,7 +236,7 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     a_st, a_inf = a.standard, a.infinitesimal
     accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
     vals, vecs = np.linalg.eig(a_st)
-    tau = tol.group_tol * (1.0 + float(np.abs(vals).max()))
+    tau = _level_tol(vals, tol)
     kappa = float(np.linalg.cond(vecs))  # inf for a singular V
     a_norm = float(np.linalg.norm(a_st))
 
@@ -368,7 +368,7 @@ def right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
     square input one eig of the standard part (_eig_clusters); either way
     both lists cost about what one of them costs.
     """
-    _check_range(a, np.linalg.LinAlgError)
+    _check_range(a)
     if is_hermitian(a, tol):
         return _hermitian_pairs(a, tol)
     return _eig_clusters(a, tol)
@@ -412,11 +412,9 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
     residual signals invalid input and raises Inconsistent.  So does a
     solution that leaves double range, as it does when A_st is tiny against
     A_I, with a message that says so.  Entries too large for this
-    arithmetic raise numpy's LinAlgError.
+    arithmetic raise AccuracyError.
     """
-    _check_range(a, np.linalg.LinAlgError)
-    if not is_hermitian(a, tol):
-        raise NotHermitian("the lift applies to Hermitian matrices")
+    _check_hermitian(a, tol, "the lift applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)
     if x.size != a.rows:
         raise ShapeMismatch("eigenvector length must match the matrix")

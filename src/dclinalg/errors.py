@@ -62,6 +62,10 @@ class UnknownEigenvalue(DCError):
 
 
 class AccuracyError(DCError):
-    """An internal residual check failed; the computed factor was rejected."""
+    """An internal residual check failed, or the arithmetic would leave double range.
+
+    Either way no factor is returned: a computed factor was rejected, or an
+    input entry or an intermediate is too large for the routine to go on.
+    """
 
     exit_code = 3

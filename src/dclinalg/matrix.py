@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, NonFinite, ShapeMismatch, SingularStandardPart
+from .errors import AccuracyError, NonFinite, NotHermitian, ShapeMismatch, SingularStandardPart
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 
 _EPS = float(np.finfo(float).eps)
@@ -296,8 +296,8 @@ def _range_limit(n: int) -> float:
     return _SQRT_MAX / (4 * max(1, n))
 
 
-def _check_range(a: DCMatrix, error: type) -> None:
-    """Raise `error` when A's entries are too large for the decompositions' arithmetic.
+def _check_range(a: DCMatrix) -> None:
+    """Raise AccuracyError when A's entries are too large for the routines' arithmetic.
 
     A Frobenius norm squares the entries it sums, so it overflows once they
     pass sqrt(max double) / n.  With every real and imaginary part at most
@@ -309,8 +309,8 @@ def _check_range(a: DCMatrix, error: type) -> None:
         v = part.view(float)  # max and min allocate nothing, unlike np.abs
         big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
         if big > limit:
-            raise error(f"{name} part has an entry of size {big:.3e}, above {limit:.3e}, "
-                        f"where sums and norms overflow")
+            raise AccuracyError(f"{name} part has an entry of size {big:.3e}, above "
+                                f"{limit:.3e}, where sums and norms overflow")
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:
@@ -333,6 +333,13 @@ def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
         return False
     return (np.linalg.norm(a.standard - a.standard.conj().T) <= tol.resid_tol
             and np.linalg.norm(a.infinitesimal + a.infinitesimal.T) <= tol.resid_tol)
+
+
+def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str) -> None:
+    """_check_range, then NotHermitian(message) unless A is Hermitian."""
+    _check_range(a)
+    if not is_hermitian(a, tol):
+        raise NotHermitian(message)
 
 
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

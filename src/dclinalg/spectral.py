@@ -39,7 +39,7 @@ that pair, so the residual a spectral document stores is what `dctool
 verify` writes for it.  Its gate, which bounds the two-sided residual and
 includes the defect, is compared with a bound scaled by the norms of A and
 of U's infinitesimal part, and AccuracyError is raised above it.  Entries
-too large for that arithmetic raise numpy's LinAlgError before any of it.
+too large for that arithmetic raise AccuracyError before any of it.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from .errors import (
     AccuracyError,
     BadEigenspace,
     IllConditionedGap,
-    NotHermitian,
     NotOrthogonal,
     NotAppreciable,
     NotSkewSymmetric,
@@ -64,13 +63,12 @@ from .errors import (
 from .matrix import (
     DCMatrix,
     _EPS,
-    _check_range,
+    _check_hermitian,
     _times_layout,
     check_residual,
     dual_residual,
     factor_residual,
     inner,
-    is_hermitian,
 )
 from .scalar import DEFAULT_TOL, Tolerances
 
@@ -162,6 +160,11 @@ def _chain(vals, tau: float):
     # arrays
     starts = np.flatnonzero(np.concatenate(([np.inf], vals[:-1])) - vals > tau)
     return starts, np.append(starts[1:], len(vals))[:starts.size]  # none if no vals
+
+
+def _level_tol(vals, tol: Tolerances) -> float:
+    """The clustering tolerance tau = group_tol (1 + max |vals|) of a set of levels."""
+    return tol.group_tol * (1.0 + float(np.abs(vals).max(initial=0.0)))
 
 
 def _clusters(vals, count: int, tau: float, below: float, what: str):
@@ -287,6 +290,13 @@ def _youla_stack(c, tol: Tolerances):
             # real and imaginary parts, here one stacked product each.  Exact
             # orthogonality is automatic; enforce it anyway
             y -= x * (pair[:, None, :, 1] @ y[:, :, None])[:, 0]
+            if i:
+                # J J = -1 holds only to the spread of the group's computed
+                # values relative to their size, so y also leaks onto the
+                # pairs found so far (Q's columns written for the group,
+                # conjugated)
+                done = q[b[:, None], :, cols[:, :i]]
+                y -= (np.swapaxes(np.conj(done), 1, 2) @ (done @ y[:, :, None]))[:, :, 0]
             y_real, y_imag = y.real[:, None], y.imag[:, None]
             y_norm = np.sqrt((y_real @ np.swapaxes(y_real, 1, 2)
                               + y_imag @ np.swapaxes(y_imag, 1, 2)).reshape(-1))
@@ -363,9 +373,7 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     """
     if a.rows != a.cols:
         raise ShapeMismatch("spectral decomposition needs a square matrix")
-    _check_range(a, np.linalg.LinAlgError)
-    if not is_hermitian(a, tol):
-        raise NotHermitian("matrix is not Hermitian")
+    _check_hermitian(a, tol, "matrix is not Hermitian")
     n = a.rows
     a_st = (a.standard + a.standard.conj().T) / 2
     a_inf = (a.infinitesimal - a.infinitesimal.T) / 2
@@ -373,8 +381,7 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     w, v = np.linalg.eigh(a_st)
     w = w[::-1]
     v = v[:, ::-1]
-    wmax = float(np.abs(w).max()) if n else 0.0
-    tau = tol.group_tol * (1.0 + wmax)
+    tau = _level_tol(w, tol)
     starts, sizes, reps = _clusters(w, n, tau, -np.inf, "eigenvalue")
 
     s_mat = v.conj().T
@@ -472,12 +479,10 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
 
     The verdict and |mu| do not depend on which orthonormal basis of the
     eigenspace is supplied; the phase of mu does.  Entries too large for
-    this arithmetic raise numpy's LinAlgError, and an A_st so small against
-    A_I that the least-squares x_inf or y_inf overflows raises AccuracyError.
+    this arithmetic raise AccuracyError, as does an A_st so small against
+    A_I that the least-squares x_inf or y_inf overflows.
     """
-    _check_range(a, np.linalg.LinAlgError)
-    if not is_hermitian(a, tol):
-        raise NotHermitian("classification applies to Hermitian matrices")
+    _check_hermitian(a, tol, "classification applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)
     y = np.asarray(y_st, dtype=complex).reshape(-1)
     if x.size != a.rows or y.size != a.rows:
@@ -508,8 +513,13 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
 
 def classify_multiplicity(dec: SpectralDecomposition, lam: float,
                           tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:
-    """Total dimension p of blocks at lam and the number k of Sub blocks among them."""
-    tau = tol.group_tol * (1.0 + abs(lam))
+    """Total dimension p of blocks at lam and the number k of Sub blocks among them.
+
+    A block is at lam when its level lies within herm_spectral's clustering
+    tolerance of lam, so every value that herm_spectral merged into one
+    level finds that level.
+    """
+    tau = _level_tol([b.lam for b in dec.blocks], tol)
     sel = [b for b in dec.blocks if abs(b.lam - lam) <= tau]
     if not sel:
         raise UnknownEigenvalue(f"no block matches {lam!r}")
@@ -528,9 +538,7 @@ def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
     and the cut scales with the largest of them in magnitude.  The empty
     matrix has no eigenvalue, and inf stands for its minimum.
     """
-    _check_range(a, np.linalg.LinAlgError)
-    if not is_hermitian(a, tol):
-        raise NotHermitian("definiteness applies to Hermitian matrices")
+    _check_hermitian(a, tol, "definiteness applies to Hermitian matrices")
     w = np.linalg.eigvalsh((a.standard + a.standard.conj().T) / 2)
     if not w.size:
         return math.inf, 0.0

@@ -111,7 +111,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     before coupled ones, coupled ones by descending nu; nu is the canonical
     positive real produced by youla_skew, and D descends.
     """
-    _check_range(a, AccuracyError)
+    _check_range(a)
     m, n = a.shape
     k, big = min(m, n), max(m, n)
     p_st, s, qh = np.linalg.svd(a.standard)

@@ -154,15 +154,15 @@ def test_singular_standard_part_exits_numerical(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["spectral", "eig"])
 def test_near_overflow_input_exits_numerical(tmp_path, capsys, command):
-    # finite entries whose Hermitian part overflows inside the routine; numpy's
-    # LinAlgError is a ValueError but must not read as malformed input (1)
+    # finite entries whose Hermitian part would overflow inside the routine;
+    # the range check's AccuracyError reads as a numerical failure (3)
     h = gen_random("hermitian", 4, 4, 3)
     src = tmp_path / "big.json"
     big = DCMatrix(h.standard * 1e308, h.infinitesimal)
     src.write_text(json.dumps(jsonio.encode_matrix(big)))
     with np.errstate(over="ignore", invalid="ignore"):
         assert main([command, "--input", str(src)]) == 3
-    assert "LinAlgError" in capsys.readouterr().err
+    assert "AccuracyError" in capsys.readouterr().err
 
 
 def test_svd_near_overflow_input_exits_numerical(tmp_path, capsys):
@@ -382,6 +382,22 @@ def test_batch_error_lines_name_the_input(tmp_path, capsys):
     # one input, one file: the error line stays as it was
     assert main(["spectral", "--input", str(bad)]) == 1
     assert capsys.readouterr().err == "dctool: standard[0][0]: expected a number, got True\n"
+
+
+def test_batch_runs_its_inputs_in_sorted_order(tmp_path, capsys):
+    # one job after another: the error lines come in the inputs' sorted
+    # order as they are printed, with the good input's job between them
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    (in_dir / "not_hermitian.json").write_text((FIXTURES / "example1.json").read_text())
+    (in_dir / "good.json").write_text((FIXTURES / "example2.json").read_text())
+    (in_dir / "bad.json").write_text('{"rows": 1, "cols": 1, "standard": [[[true, 0]]], '
+                                     '"infinitesimal": [[[0, 0]]]}')
+    assert main(["spectral", "--input-dir", str(in_dir), "--output", str(out_dir)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[1] for line in lines] == [str(in_dir / "bad.json"),
+                                                     str(in_dir / "not_hermitian.json")]
+    assert lines[1].startswith(f"dctool: {in_dir / 'not_hermitian.json'}: NotHermitian: ")
 
 
 def test_verify_of_an_eig_document_writes_the_stored_residual(tmp_path):

@@ -370,6 +370,20 @@ def test_youla_pairs_a_small_value_apart_from_a_large_one(t):
         assert_youla_checks(c, q, pairs)
 
 
+def test_youla_small_group_of_four_beside_a_large_pair():
+    # the group at 1e-9 spreads by about eps s_1 over its computed values, so
+    # its pairing map squares to -1 only to 1e-7, and the second pair's y
+    # leaked onto the first pair until it was projected off it
+    for seed in range(10):
+        c = congruent_skew([1.0, 1e-9, 1e-9], 7, seed)
+        q, pairs, null_dim = youla_skew(c)
+        assert null_dim == 1
+        np.testing.assert_allclose(pairs, [1.0, 1e-9, 1e-9], rtol=0, atol=1e-12)
+        assert_youla_checks(c, q, pairs)
+        dec = herm_spectral(DCMatrix(np.eye(7), c))
+        assert sorted(b.kind for b in dec.blocks) == ["Eigen", "Sub", "Sub", "Sub"]
+
+
 def test_youla_pair_at_the_null_cut_is_kept_or_dropped_whole():
     # t = 1e-12 is the null cutoff of a 5 x 5 C with s_1 = 1: rounding puts
     # the pair's mean on either side of it, and the pair goes whole
@@ -824,6 +838,17 @@ def test_classify_multiplicity():
     assert classify_multiplicity(dec_p, 0.5) == (1, 0)
     with pytest.raises(UnknownEigenvalue):
         classify_multiplicity(dec_p, 9.0)
+
+
+def test_classify_multiplicity_finds_a_merged_level():
+    # tau = group_tol (1 + 100) merges 3e-7 and 0 into one level at 1.5e-7;
+    # a tau scaled by |lam| alone missed it from either value.  The
+    # similarity's infinitesimal part couples the merged pair into one Sub
+    blocks = tuple(SpectralBlock("Eigen", v) for v in (100.0, 3e-7, 0.0, -2.0))
+    dec = herm_spectral(planted(blocks, 1))
+    assert len(dec.blocks) == 3
+    assert classify_multiplicity(dec, 3e-7) == classify_multiplicity(dec, 0.0) == (2, 1)
+    assert classify_multiplicity(dec, 100.0) == classify_multiplicity(dec, -2.0) == (1, 0)
 
 
 def planted_theorem_case(seed):
