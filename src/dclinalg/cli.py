@@ -14,10 +14,13 @@ standard part otherwise.  `gen` takes only --output and
 Batch mode (--input-dir) runs every *.json in a directory, one after another
 in sorted order, and writes one output file per input; its error lines name
 the input file.  gen, one --input and each batch input are jobs of one loop
-over _run_one, and the exit code is the largest of theirs.  All writes are
-atomic (write-then-rename), and the text is byte for byte json.dumps(doc,
-sort_keys=True, indent=2), or the compact form under --json-compact (see
-jsonio.dumps).  Exit codes:
+over _run_one, and the exit code is the largest of theirs.  Result
+documents are built with array parts (jsonio's private builders) and their
+text is streamed, piece by piece, to stdout or to a temporary file that is
+then renamed over the output (write-then-rename); the output gets the mode
+0o666 less the umask, as a plain open() would give it.  The text is byte
+for byte json.dumps(doc, sort_keys=True, indent=2), or the compact form
+under --json-compact (see jsonio.dumps).  Exit codes:
 0 success, 1 malformed input, 2 validation failure, 3 numerical failure.
 main(argv) is the one entry point, for the console script and for Python
 callers alike; argument errors raise argparse's SystemExit(2).
@@ -35,7 +38,6 @@ import gc
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -78,15 +80,17 @@ def _tolerances(args) -> Tolerances:
 
 
 def _emit(doc, path: Optional[Path], compact: bool) -> None:
-    text = jsonio.dumps(doc, compact)
     if path is None:
-        sys.stdout.write(text)
+        jsonio._write(doc, sys.stdout.write, compact)
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    # created with mode 0o666, which the kernel narrows by the umask, as for
+    # open(); O_EXCL makes the random name the caller's own
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            jsonio._write(doc, handle.write, compact)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -123,7 +127,7 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
             if args.m < 1 or n < 1:
                 raise jsonio.SchemaError(f"--m and --n must be at least 1, got {args.m} and {n}")
             a = gen_random(args.kind, args.m, n, args.seed)
-            _emit(jsonio.encode_matrix(a), output_path, args.json_compact)
+            _emit(jsonio._matrix_doc(a), output_path, args.json_compact)
             return 0
 
         with open(input_path, "r") as handle:
@@ -131,15 +135,14 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
         if args.command == "verify":
             out = _verify_doc(doc, tol)
         else:
-            # the parsed input goes before the result's lists are built, so
-            # the two are never live at once
+            # the parsed input's lists go before the decomposition runs
             a, doc = jsonio.decode_matrix(doc), None
             if args.command == "spectral":
-                out = jsonio.encode_spectral(a, herm_spectral(a, tol))
+                out = jsonio._spectral_doc(a, herm_spectral(a, tol))
             elif args.command == "svd":
-                out = jsonio.encode_svd(a, dc_svd(a, tol))
+                out = jsonio._svd_doc(a, dc_svd(a, tol))
             else:
-                out = jsonio.encode_eig_result(a, *right_eigs(a, tol))
+                out = jsonio._eig_doc(a, *right_eigs(a, tol))
         _emit(out, output_path, args.json_compact)
         if args.command == "verify" and not out["ok"]:
             print(f"dctool: {where}residual {tuple(out['residual'])} exceeds resid_tol "
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
     """Run dctool on argv (default sys.argv[1:]); returns the exit code.
 
     The cyclic garbage collector is paused for the call, since each of its
-    passes would walk every number list of the parsed and encoded documents.
+    passes would walk every number list of the parsed input document.
     A job leaves only a few dozen objects in cycles (the closures of the
     stdlib's JSON encoder), which the first collection after the call
     frees.  The caller's setting is restored on every exit, argparse's

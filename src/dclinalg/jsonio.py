@@ -20,21 +20,32 @@ A x - x lam.  A spectral or svd residual is the pair of
 matrix.factor_residual, which verify_spectral and verify_svd, and so
 `dctool verify`, recompute bit for bit from the document.
 
-`dumps` writes a document as the text `dctool` stores, byte for byte
-`json.dumps(doc, sort_keys=True, indent=2)` (or the compact form) plus a
-newline.  The stdlib's pure-Python encoder, which CPython runs whenever
-indent is set, writes only the skeleton of the document.  Each matrix part
-is written as the repr of its numbers joined by three fixed separators
-(re to im, entry to entry, row to row), so a part costs about the repr of
-its floats.  Reading and writing find the parts with one helper,
-_flat_grid, which flattens a part once; decode_matrix then reads it with
-one np.fromiter.
+Each encoder has a private builder (_matrix_doc, _eigenpair_doc,
+_eig_doc, _spectral_doc, _svd_doc) that holds each matrix part as its
+complex array; the public encode_* functions are the builder's document
+with every array turned into the nested [re, im] lists above (_lists).
+dctool writes the array documents.
+
+`dumps` writes a document, with list or array parts, as the text `dctool`
+stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` (or the
+compact form) plus a newline; `_write` hands the same text to a write
+callable piece by piece, so no whole-document string is made.  The stdlib's
+pure-Python encoder, which CPython runs whenever indent is set, writes only
+the skeleton of the document.  Each matrix part is written as the repr of
+its numbers joined by three fixed separators (re to im, entry to entry, row
+to row), so a part costs about the repr of its floats: an array part from
+part.view(float).ravel().tolist(), a list part from _flat_grid's flat copy.
+A part that one document holds twice at one indent level, such as the
+vector of a pair in both lists of an eig document, is formatted once.  The
+reader finds list parts with the same _flat_grid, which flattens a part
+once; decode_matrix then reads it with one np.fromiter.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -90,6 +101,17 @@ def _encode_part(part: np.ndarray) -> list:
     return np.ascontiguousarray(part).view(float).reshape(m, n, 2).tolist()
 
 
+def _lists(obj):
+    """obj with each array part as the nested [re, im] lists of its wire format."""
+    if isinstance(obj, np.ndarray):
+        return _encode_part(obj)
+    if isinstance(obj, dict):
+        return {key: _lists(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_lists(value) for value in obj]
+    return obj
+
+
 def _flat_grid(obj):
     """(n, flat) when obj is a list of m >= 1 lists of n >= 1 lists of two
     JSON numbers, exact ints or floats (numpy would also read True, None and
@@ -127,13 +149,17 @@ def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def encode_matrix(a: DCMatrix) -> dict:
+def _matrix_doc(a: DCMatrix) -> dict:
     return {
         "rows": a.rows,
         "cols": a.cols,
-        "standard": _encode_part(a.standard),
-        "infinitesimal": _encode_part(a.infinitesimal),
+        "standard": a.standard,
+        "infinitesimal": a.infinitesimal,
     }
+
+
+def encode_matrix(a: DCMatrix) -> dict:
+    return _lists(_matrix_doc(a))
 
 
 def decode_matrix(obj) -> DCMatrix:
@@ -157,15 +183,19 @@ def _decode_residual(obj, where: str) -> tuple[float, float]:
     return (_num(obj[0], where), _num(obj[1], where))
 
 
-def encode_eigenpair(pair: RightEigenPair) -> dict:
+def _eigenpair_doc(pair: RightEigenPair) -> dict:
     doc = {
         "value": encode_scalar(pair.value),
-        "vector": encode_matrix(pair.vector),
+        "vector": _matrix_doc(pair.vector),
         "residual": _encode_residual(pair.residual),
     }
     if pair.warning:
         doc["warning"] = pair.warning
     return doc
+
+
+def encode_eigenpair(pair: RightEigenPair) -> dict:
+    return _lists(_eigenpair_doc(pair))
 
 
 def decode_eigenpair(obj) -> RightEigenPair:
@@ -178,16 +208,22 @@ def decode_eigenpair(obj) -> RightEigenPair:
     return RightEigenPair(value, vector, residual, warning)
 
 
-def encode_eig_result(a: DCMatrix, pairs, complex_pairs) -> dict:
+def _eig_doc(a: DCMatrix, pairs, complex_pairs) -> dict:
+    # a pair in both lists puts the same vector arrays in both, which the
+    # writer formats once
     return {
         "type": "eig",
-        "matrix": encode_matrix(a),
-        "pairs": [encode_eigenpair(p) for p in pairs],
-        "complex_pairs": [encode_eigenpair(p) for p in complex_pairs],
+        "matrix": _matrix_doc(a),
+        "pairs": [_eigenpair_doc(p) for p in pairs],
+        "complex_pairs": [_eigenpair_doc(p) for p in complex_pairs],
     }
 
 
-def encode_spectral(a: DCMatrix, dec: SpectralDecomposition) -> dict:
+def encode_eig_result(a: DCMatrix, pairs, complex_pairs) -> dict:
+    return _lists(_eig_doc(a, pairs, complex_pairs))
+
+
+def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition) -> dict:
     blocks = []
     for b in dec.blocks:
         entry = {"kind": b.kind, "lambda": b.lam}
@@ -197,11 +233,15 @@ def encode_spectral(a: DCMatrix, dec: SpectralDecomposition) -> dict:
         blocks.append(entry)
     return {
         "type": "spectral",
-        "matrix": encode_matrix(a),
-        "U": encode_matrix(dec.U),
+        "matrix": _matrix_doc(a),
+        "U": _matrix_doc(dec.U),
         "blocks": blocks,
         "residual": _encode_residual(dec.residual),
     }
+
+
+def encode_spectral(a: DCMatrix, dec: SpectralDecomposition) -> dict:
+    return _lists(_spectral_doc(a, dec))
 
 
 def decode_spectral(doc) -> tuple[DCMatrix, SpectralDecomposition]:
@@ -225,7 +265,7 @@ def decode_spectral(doc) -> tuple[DCMatrix, SpectralDecomposition]:
     return a, SpectralDecomposition(u, tuple(blocks), residual)
 
 
-def encode_svd(a: DCMatrix, res: SvdResult) -> dict:
+def _svd_doc(a: DCMatrix, res: SvdResult) -> dict:
     blocks = []
     for b in res.standard_blocks:
         entry = {"sigma": b.sigma}
@@ -234,15 +274,19 @@ def encode_svd(a: DCMatrix, res: SvdResult) -> dict:
         blocks.append(entry)
     return {
         "type": "svd",
-        "matrix": encode_matrix(a),
-        "U": encode_matrix(res.U),
-        "V": encode_matrix(res.V),
+        "matrix": _matrix_doc(a),
+        "U": _matrix_doc(res.U),
+        "V": _matrix_doc(res.V),
         "standard_blocks": blocks,
         "infinitesimal_values": list(res.infinitesimal_values),
         "r": res.standard_rank,
         "p": res.infinitesimal_rank,
         "residual": _encode_residual(res.residual),
     }
+
+
+def encode_svd(a: DCMatrix, res: SvdResult) -> dict:
+    return _lists(_svd_doc(a, res))
 
 
 def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
@@ -287,10 +331,17 @@ _HOLE_TEXT = json.dumps(_HOLE)
 
 
 def _hollow(obj, parts: list):
-    """A copy of obj with each grid replaced by _HOLE and its _flat_grid
-    appended to parts, in the order json.dumps(sort_keys=True) writes them."""
+    """A copy of obj with each matrix part replaced by _HOLE and appended to
+    parts, in the order json.dumps(sort_keys=True) writes them: an array as
+    it is, a list grid as its _flat_grid.  An array of size 0 (m x 0) stays
+    in the skeleton as its list form, which holds no entry."""
     if isinstance(obj, dict):
         return {key: _hollow(value, parts) for key, value in sorted(obj.items())}
+    if isinstance(obj, np.ndarray):
+        if not obj.size:
+            return _encode_part(obj)
+        parts.append(obj)
+        return _HOLE
     if isinstance(obj, (list, tuple)):
         grid = _flat_grid(obj)
         if grid is not None:
@@ -298,6 +349,14 @@ def _hollow(obj, parts: list):
             return _HOLE
         return [_hollow(value, parts) for value in obj]
     return obj
+
+
+def _finite(part) -> bool:
+    if isinstance(part, np.ndarray):
+        return bool(np.isfinite(part).all())
+    # x - x is 0 for an int and a finite float, nan for inf and nan; math.isfinite
+    # would overflow on an int beyond double range, which json writes exactly
+    return all(x - x == 0 for x in part[1])
 
 
 def _indent_grid(n: int, flat: list, level: int) -> str:
@@ -312,27 +371,57 @@ def _indent_grid(n: int, flat: list, level: int) -> str:
     return f"[{nl2}[{nl4}[{nl6}{body}{nl4}]{nl2}]{nl0}]"
 
 
+def _part_text(part, level: int) -> str:
+    if isinstance(part, np.ndarray):  # complex and C-contiguous, as DCMatrix holds it
+        return _indent_grid(part.shape[1], part.view(float).ravel().tolist(), level)
+    return _indent_grid(*part, level)
+
+
+def _write(doc, write, compact: bool = False) -> None:
+    """Pass dumps(doc, compact) to write, one piece at a time.
+
+    The indented text is a json.dumps skeleton of the document with each
+    matrix part written by _indent_grid between its pieces.  Whether the
+    document goes to the stdlib instead (a string of it reads "\x00", or a
+    part holds inf or nan, which json writes as Infinity or NaN) is settled
+    before the first write.  A part held twice at one indent level is
+    formatted once; the key is the part's identity and level, as the same
+    numbers at another level are another text.
+    """
+    if compact:
+        write(json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                         default=_encode_part) + "\n")
+        return
+    parts = []
+    pieces = json.dumps(_hollow(doc, parts), sort_keys=True, indent=2).split(_HOLE_TEXT)
+    if len(pieces) != len(parts) + 1 or not all(map(_finite, parts)):
+        write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_part) + "\n")
+        return
+    # each part opens on the last line of the piece before it
+    lines = (piece[piece.rfind("\n") + 1:] for piece in pieces[:-1])
+    levels = [len(line) - len(line.lstrip(" ")) for line in lines]
+    keys = list(zip(map(id, parts), levels))
+    shared = {key for key, count in Counter(keys).items() if count > 1}
+    texts = {}
+    write(pieces[0])
+    for part, key, piece in zip(parts, keys, pieces[1:]):
+        text = texts.get(key)
+        if text is None:
+            text = _part_text(part, key[1])
+            if key in shared:
+                texts[key] = text
+        write(text)
+        write(piece)
+    write("\n")
+
+
 def dumps(doc, compact: bool = False) -> str:
     """The text dctool writes for doc: json.dumps(doc, sort_keys=True) with
     indent=2, or with separators (",", ":") when compact, plus a newline.
 
-    Both forms are byte-identical to the stdlib's.  The indented one, which
-    CPython runs in its pure-Python encoder, is built from a json.dumps
-    skeleton of the document with each matrix part written by _indent_grid.
+    Both forms are byte-identical to the stdlib's, for list documents and for
+    the array documents of the private builders alike (see _write).
     """
-    if compact:
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    parts = []
-    pieces = json.dumps(_hollow(doc, parts), sort_keys=True, indent=2).split(_HOLE_TEXT)
-    if len(pieces) != len(parts) + 1:  # a string of the document reads "\x00"
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    out = [pieces[0]]
-    parts.reverse()  # popped as written: a grid's flat list goes once its text is made
-    for piece in pieces[1:]:
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        grid = _indent_grid(*parts.pop(), len(line) - len(line.lstrip(" ")))
-        if "n" in grid:  # inf or nan, which json writes as Infinity or NaN
-            return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        out += (grid, piece)
-    out.append("\n")
+    out = []
+    _write(doc, out.append, compact)
     return "".join(out)

@@ -1,6 +1,8 @@
 import argparse
 import gc
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -291,6 +293,26 @@ def test_gen_rejects_flags_it_would_ignore(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_outputs_take_the_umask_like_open(tmp_path):
+    # the written file gets 0o666 less the umask, as open() would give it,
+    # and no temporary is left beside it
+    old = os.umask(0o022)
+    try:
+        single, batch = tmp_path / "single", tmp_path / "batch"
+        assert main(["gen", "--kind", "general", "--m", "3", "--output",
+                     str(single / "g.json")]) == 0
+        assert main(["svd", "--input", str(single / "g.json"), "--output",
+                     str(single / "g.svd.json")]) == 0
+        assert main(["svd", "--input-dir", str(FIXTURES), "--output", str(batch)]) == 0
+    finally:
+        os.umask(old)
+    outputs = sorted(single.iterdir()) + sorted(batch.iterdir())
+    assert [p.name for p in outputs] == ["g.json", "g.svd.json", "example1.svd.json",
+                                         "example2.svd.json", "zero.svd.json"]
+    for path in outputs:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
 def test_gen_keeps_output_flags(tmp_path):

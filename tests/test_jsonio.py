@@ -14,8 +14,9 @@ from dclinalg import (
     from_scalars,
     gen_random,
     herm_spectral,
+    right_eigs,
 )
-from dclinalg import jsonio
+from dclinalg import cli, jsonio
 
 
 def test_scalar_round_trip():
@@ -94,30 +95,70 @@ def _sub_block_matrix(rng) -> DCMatrix:
     return DCMatrix(np.kron(ex2.standard, lam), np.kron(ex2.infinitesimal, d))
 
 
-def _documents() -> dict:
-    """Seeded documents of each kind dctool writes, and edge cases of the writer."""
+def _grid(part: np.ndarray) -> list:
+    return np.stack([part.real, part.imag], axis=-1).tolist()
+
+
+def _array_documents() -> dict:
+    """(array form, list form) of seeded documents of each kind dctool writes,
+    and of array documents at the edges of the writer: the array form from
+    jsonio's private builder, the list form from the public encoder."""
     rng = np.random.default_rng(11)
     sub = _sub_block_matrix(rng)
     herm = gen_random("hermitian", 5, 5, 11)
     tall, wide = rand_dcmatrix(rng, 5, 3), rand_dcmatrix(rng, 3, 5)
     ex1 = DCMatrix(np.eye(2), np.eye(2))
     general = rand_dcmatrix(rng, 4, 4)
-    eig_ex1 = jsonio.encode_eig_result(ex1, dual_right_eigs(ex1), complex_right_eigs(ex1))
-    hole = json.loads(json.dumps(eig_ex1))
-    hole["pairs"][0]["warning"] = "\x00"
+
+    def both(builder, encoder, *args):
+        return builder(*args), encoder(*args)
+
+    def matrix(a):
+        return both(jsonio._matrix_doc, jsonio.encode_matrix, a)
+
+    def eig(a, pairs, complex_pairs):
+        return both(jsonio._eig_doc, jsonio.encode_eig_result, a, pairs, complex_pairs)
+
+    hole = eig(ex1, dual_right_eigs(ex1), complex_right_eigs(ex1))
+    for doc in hole:
+        doc["pairs"][0]["warning"] = "\x00"
+    # one array twice at two indent levels, and a copy of it: a cache keyed
+    # by anything but the array and its level writes one of them wrongly
+    twice = rand_dcmatrix(rng, 2, 3).standard
+    copy = twice.copy()
+    copy.setflags(write=False)
+    inf = np.array([[complex(np.inf, 0.0), 1j]])
     return {
-        "spectral_sub": jsonio.encode_spectral(sub, herm_spectral(sub)),
-        "spectral_hermitian": jsonio.encode_spectral(herm, herm_spectral(herm)),
-        "svd_tall": jsonio.encode_svd(tall, dc_svd(tall)),
-        "svd_wide": jsonio.encode_svd(wide, dc_svd(wide)),
-        "eig_warning": eig_ex1,
-        "eig_general": jsonio.encode_eig_result(general, dual_right_eigs(general),
-                                                complex_right_eigs(general)),
-        "gen_1x1": jsonio.encode_matrix(gen_random("general", 1, 1, 11)),
-        "gen_raw": EDGE_VALUES,
-        "gen_decoded": jsonio.encode_matrix(jsonio.decode_matrix(EDGE_VALUES)),
-        "gen_empty_cols": jsonio.encode_matrix(DCMatrix(np.zeros((2, 0)))),
+        "spectral_sub": both(jsonio._spectral_doc, jsonio.encode_spectral, sub, herm_spectral(sub)),
+        "spectral_hermitian": both(jsonio._spectral_doc, jsonio.encode_spectral,
+                                   herm, herm_spectral(herm)),
+        "svd_tall": both(jsonio._svd_doc, jsonio.encode_svd, tall, dc_svd(tall)),
+        "svd_wide": both(jsonio._svd_doc, jsonio.encode_svd, wide, dc_svd(wide)),
+        "eig_warning": eig(ex1, dual_right_eigs(ex1), complex_right_eigs(ex1)),
+        # right_eigs puts each array-pass pair of generic input in both lists
+        "eig_general": eig(general, *right_eigs(general)),
+        "eig_hermitian": eig(herm, *right_eigs(herm)),
+        "gen_1x1": matrix(gen_random("general", 1, 1, 11)),
+        "gen_decoded": matrix(jsonio.decode_matrix(EDGE_VALUES)),
+        "gen_empty_cols": matrix(DCMatrix(np.zeros((2, 0)))),
+        "gen_3x1": matrix(gen_random("general", 3, 1, 11)),
+        "extreme_floats": matrix(DCMatrix(
+            np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)]]),
+            np.array([[complex(-5e-324, -1.7976931348623157e308), 0j]]))),
         "warning_reads_like_a_hole": hole,
+        "one_array_at_two_levels": (
+            {"a": twice, "b": copy, "c": {"d": twice}, "e": [twice, copy]},
+            {"a": _grid(twice), "b": _grid(copy), "c": {"d": _grid(twice)},
+             "e": [_grid(twice), _grid(copy)]}),
+        "array_holds_inf": ({"standard": inf}, {"standard": _grid(inf)}),
+    }
+
+
+def _documents() -> dict:
+    """Seeded documents of each kind dctool writes, and edge cases of the writer."""
+    docs = {name: lists for name, (_, lists) in _array_documents().items()}
+    return docs | {
+        "gen_raw": EDGE_VALUES,
         "verify": {"type": "verify", "target": "svd", "residual": [1e-16, 0.0], "ok": True},
         # grids the writer leaves to the stdlib, and grids at the edges of its own form
         "ragged_rows": {"standard": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0]]]},
@@ -125,10 +166,7 @@ def _documents() -> dict:
         "grid_holds_true": {"standard": [[[True, 0.0]], [[1.0, 2.0]]]},
         "grid_holds_inf": {"standard": [[[float("inf"), 0.0]], [[1.0, float("nan")]]]},
         "exact_ints": {"standard": [[[1, -2], [0, 10 ** 30]], [[3, 4], [-5, 6]]]},
-        "gen_3x1": jsonio.encode_matrix(gen_random("general", 3, 1, 11)),
-        "extreme_floats": jsonio.encode_matrix(DCMatrix(
-            np.array([[complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0)]]),
-            np.array([[complex(-5e-324, -1.7976931348623157e308), 0j]]))),
+        "int_beyond_double": {"standard": [[[10 ** 400, 0]]]},
     }
 
 
@@ -139,6 +177,13 @@ def test_documents_cover_each_kind():
     assert docs["svd_wide"]["infinitesimal_values"] == []
     assert docs["eig_warning"]["pairs"][0]["warning"]
     assert docs["eig_general"]["pairs"][0]["vector"]["cols"] == 1
+    assert docs["warning_reads_like_a_hole"]["pairs"][0]["warning"] == "\x00"
+    arrays = _array_documents()
+    for name in ("eig_general", "eig_hermitian"):
+        pairs, complex_pairs = (arrays[name][0][key] for key in ("pairs", "complex_pairs"))
+        assert pairs and complex_pairs, name
+    general = arrays["eig_general"][0]
+    assert general["pairs"][0]["vector"]["standard"] is general["complex_pairs"][0]["vector"]["standard"]
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -160,11 +205,27 @@ def test_decode_matrix_error_text(mutate, message):
     assert str(exc.value) == message
 
 
-def test_dumps_matches_the_stdlib_byte_for_byte():
+def test_dumps_matches_the_stdlib_byte_for_byte(tmp_path, capsys):
     for name, doc in _documents().items():
         assert jsonio.dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n", name
         assert jsonio.dumps(doc, compact=True) == json.dumps(
             doc, sort_keys=True, separators=(",", ":")) + "\n", name
+    # dctool's writes: the array form of each document, and the list forms
+    # that the writer leaves to the stdlib, to a file and to stdout
+    emitted = [(name, arrays, lists) for name, (arrays, lists) in _array_documents().items()]
+    emitted += [(name, doc, doc) for name, doc in _documents().items()
+                if name in ("grid_holds_inf", "warning_reads_like_a_hole")]
+    out = tmp_path / "out.json"
+    for name, doc, lists in emitted:
+        for compact in (False, True):
+            expected = (json.dumps(lists, sort_keys=True, separators=(",", ":")) if compact
+                        else json.dumps(lists, sort_keys=True, indent=2)) + "\n"
+            assert jsonio.dumps(doc, compact) == expected, name
+            cli._emit(doc, out, compact)
+            assert out.read_bytes() == expected.encode(), name
+            capsys.readouterr()
+            cli._emit(doc, None, compact)
+            assert capsys.readouterr().out == expected, name
 
 
 def test_spectral_document_round_trip():
