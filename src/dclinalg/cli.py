@@ -85,8 +85,9 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
     # created with mode 0o666, which the kernel narrows by the umask, as for
-    # open(); O_EXCL makes the random name the caller's own
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    # open(); O_EXCL makes the random name the caller's own, and its fixed
+    # length leaves the output's name every byte the file system allows
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:

@@ -30,22 +30,19 @@ dctool writes the array documents.
 stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` (or the
 compact form) plus a newline; `_write` hands the same text to a write
 callable piece by piece, so no whole-document string is made.  The stdlib's
-pure-Python encoder, which CPython runs whenever indent is set, writes only
-the skeleton of the document.  Each matrix part is written as the repr of
-its numbers joined by three fixed separators (re to im, entry to entry, row
-to row), so a part costs about the repr of its floats: an array part from
-part.view(float).ravel().tolist(), a list part from _flat_grid's flat copy.
-A part that one document holds twice at one indent level, such as the
-vector of a pair in both lists of an eig document, is formatted once.  The
-reader finds list parts with the same _flat_grid, which flattens a part
-once; decode_matrix then reads it with one np.fromiter.
+pure-Python encoder, which CPython runs whenever indent is set, writes the
+document with each array part left out, and so the whole of a list
+document.  Each array part is written as the repr of the floats of
+part.view(float).ravel().tolist() joined by three fixed separators (re to
+im, entry to entry, row to row), so it costs about the repr of its floats.
+The reader finds list parts with _flat_grid, which flattens a part once;
+decode_matrix then reads it with one np.fromiter.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -209,8 +206,6 @@ def decode_eigenpair(obj) -> RightEigenPair:
 
 
 def _eig_doc(a: DCMatrix, pairs, complex_pairs) -> dict:
-    # a pair in both lists puts the same vector arrays in both, which the
-    # writer formats once
     return {
         "type": "eig",
         "matrix": _matrix_doc(a),
@@ -325,16 +320,16 @@ def decode_eig_result(doc) -> tuple[DCMatrix, list, list]:
     return a, [decode_eigenpair(p) for p in raw], [decode_eigenpair(p) for p in raw_c]
 
 
-# A matrix part in the indented skeleton; json.dumps writes it as "\u0000".
+# An array part in the indented skeleton; json.dumps writes it as "\u0000".
 _HOLE = "\x00"
 _HOLE_TEXT = json.dumps(_HOLE)
 
 
 def _hollow(obj, parts: list):
-    """A copy of obj with each matrix part replaced by _HOLE and appended to
-    parts, in the order json.dumps(sort_keys=True) writes them: an array as
-    it is, a list grid as its _flat_grid.  An array of size 0 (m x 0) stays
-    in the skeleton as its list form, which holds no entry."""
+    """A copy of obj with each array part replaced by _HOLE and appended to
+    parts, in the order json.dumps(sort_keys=True) writes them.  An array of
+    size 0 (m x 0) stays in the skeleton as its list form, which holds no
+    entry; a list part stays in the skeleton as it is."""
     if isinstance(obj, dict):
         return {key: _hollow(value, parts) for key, value in sorted(obj.items())}
     if isinstance(obj, np.ndarray):
@@ -343,26 +338,14 @@ def _hollow(obj, parts: list):
         parts.append(obj)
         return _HOLE
     if isinstance(obj, (list, tuple)):
-        grid = _flat_grid(obj)
-        if grid is not None:
-            parts.append(grid)
-            return _HOLE
         return [_hollow(value, parts) for value in obj]
     return obj
-
-
-def _finite(part) -> bool:
-    if isinstance(part, np.ndarray):
-        return bool(np.isfinite(part).all())
-    # x - x is 0 for an int and a finite float, nan for inf and nan; math.isfinite
-    # would overflow on an int beyond double range, which json writes exactly
-    return all(x - x == 0 for x in part[1])
 
 
 def _indent_grid(n: int, flat: list, level: int) -> str:
     """json.dumps(grid, indent=2) for a grid of n columns holding the numbers
     flat, opened on a line indented by level spaces.  repr is the text json
-    writes for an int and for a finite float."""
+    writes for a finite float."""
     nl0, nl2, nl4, nl6 = ("\n" + " " * (level + k) for k in (0, 2, 4, 6))
     numbers = map(repr, flat)
     entries = map(("," + nl6).join, zip(numbers, numbers))
@@ -371,22 +354,15 @@ def _indent_grid(n: int, flat: list, level: int) -> str:
     return f"[{nl2}[{nl4}[{nl6}{body}{nl4}]{nl2}]{nl0}]"
 
 
-def _part_text(part, level: int) -> str:
-    if isinstance(part, np.ndarray):  # complex and C-contiguous, as DCMatrix holds it
-        return _indent_grid(part.shape[1], part.view(float).ravel().tolist(), level)
-    return _indent_grid(*part, level)
-
-
 def _write(doc, write, compact: bool = False) -> None:
     """Pass dumps(doc, compact) to write, one piece at a time.
 
     The indented text is a json.dumps skeleton of the document with each
-    matrix part written by _indent_grid between its pieces.  Whether the
-    document goes to the stdlib instead (a string of it reads "\x00", or a
-    part holds inf or nan, which json writes as Infinity or NaN) is settled
-    before the first write.  A part held twice at one indent level is
-    formatted once; the key is the part's identity and level, as the same
-    numbers at another level are another text.
+    array part written by _indent_grid between its pieces; a list document
+    is its skeleton alone.  Whether the document goes to the stdlib instead
+    (a string of it reads "\x00", or an array part holds inf or nan, which
+    json writes as Infinity or NaN) is settled before the first write.
+    Array parts come from DCMatrix, complex and C-contiguous.
     """
     if compact:
         write(json.dumps(doc, sort_keys=True, separators=(",", ":"),
@@ -394,23 +370,15 @@ def _write(doc, write, compact: bool = False) -> None:
         return
     parts = []
     pieces = json.dumps(_hollow(doc, parts), sort_keys=True, indent=2).split(_HOLE_TEXT)
-    if len(pieces) != len(parts) + 1 or not all(map(_finite, parts)):
+    if len(pieces) != len(parts) + 1 or not all(np.isfinite(part).all() for part in parts):
         write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_part) + "\n")
         return
     # each part opens on the last line of the piece before it
     lines = (piece[piece.rfind("\n") + 1:] for piece in pieces[:-1])
-    levels = [len(line) - len(line.lstrip(" ")) for line in lines]
-    keys = list(zip(map(id, parts), levels))
-    shared = {key for key, count in Counter(keys).items() if count > 1}
-    texts = {}
     write(pieces[0])
-    for part, key, piece in zip(parts, keys, pieces[1:]):
-        text = texts.get(key)
-        if text is None:
-            text = _part_text(part, key[1])
-            if key in shared:
-                texts[key] = text
-        write(text)
+    for part, line, piece in zip(parts, lines, pieces[1:]):
+        level = len(line) - len(line.lstrip(" "))
+        write(_indent_grid(part.shape[1], part.view(float).ravel().tolist(), level))
         write(piece)
     write("\n")
 

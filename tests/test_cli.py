@@ -315,6 +315,15 @@ def test_outputs_take_the_umask_like_open(tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
+def test_output_name_may_fill_the_file_system_limit(tmp_path):
+    # the temporary's name does not grow with the output's: a 250-byte name
+    # (of the usual 255) is written, and nothing is left beside it
+    out = tmp_path / ("o" * 245 + ".json")
+    assert main(["gen", "--kind", "general", "--m", "2", "--output", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+    assert jsonio.decode_matrix(json.loads(out.read_text())).shape == (2, 2)
+
+
 def test_gen_keeps_output_flags(tmp_path):
     out = tmp_path / "g.json"
     assert main(["gen", "--kind", "general", "--m", "2", "--json-compact",

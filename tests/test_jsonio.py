@@ -122,8 +122,8 @@ def _array_documents() -> dict:
     hole = eig(ex1, dual_right_eigs(ex1), complex_right_eigs(ex1))
     for doc in hole:
         doc["pairs"][0]["warning"] = "\x00"
-    # one array twice at two indent levels, and a copy of it: a cache keyed
-    # by anything but the array and its level writes one of them wrongly
+    # one array twice at two indent levels, and a copy of it: each is
+    # written at the level where it stands
     twice = rand_dcmatrix(rng, 2, 3).standard
     copy = twice.copy()
     copy.setflags(write=False)
@@ -166,7 +166,6 @@ def _documents() -> dict:
         "grid_holds_true": {"standard": [[[True, 0.0]], [[1.0, 2.0]]]},
         "grid_holds_inf": {"standard": [[[float("inf"), 0.0]], [[1.0, float("nan")]]]},
         "exact_ints": {"standard": [[[1, -2], [0, 10 ** 30]], [[3, 4], [-5, 6]]]},
-        "int_beyond_double": {"standard": [[[10 ** 400, 0]]]},
     }
 
 
