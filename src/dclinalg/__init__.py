@@ -57,6 +57,7 @@ from .eig import (
     right_eigs,
     simple_eig_lift,
     verify_eigenpair,
+    verify_right_eigs,
 )
 from .spectral import (
     DoubleEigClassification,

@@ -15,12 +15,13 @@ Batch mode (--input-dir) runs every *.json in a directory, one after another
 in sorted order, and writes one output file per input; its error lines name
 the input file.  gen, one --input and each batch input are jobs of one loop
 over _run_one, and the exit code is the largest of theirs.  Result
-documents are built with array parts (jsonio's private builders) and their
-text is streamed, piece by piece, to stdout or to a temporary file that is
-then renamed over the output (write-then-rename); the output gets the mode
-0o666 less the umask, as a plain open() would give it.  The text is byte
-for byte json.dumps(doc, sort_keys=True, indent=2), or the compact form
-under --json-compact (see jsonio.dumps).  Exit codes:
+documents are built with array parts (jsonio's private builders), and
+their text, in either form, is written from those arrays and streamed,
+piece by piece, to stdout or to a temporary file that is then renamed over
+the output (write-then-rename); the output gets the mode 0o666 less the
+umask, as a plain open() would give it.  The text is byte for byte
+json.dumps(doc, sort_keys=True, indent=2), or the compact form under
+--json-compact (see jsonio.dumps).  Exit codes:
 0 success, 1 malformed input, 2 validation failure, 3 numerical failure.
 main(argv) is the one entry point, for the console script and for Python
 callers alike; argument errors raise argparse's SystemExit(2).
@@ -44,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .eig import _verify_pairs, right_eigs
+from .eig import right_eigs, verify_right_eigs
 from .errors import DCError
 from .matrix import gen_random
 from .scalar import Tolerances
@@ -102,17 +103,11 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
 def _verify_doc(doc, tol: Tolerances) -> dict:
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "spectral":
-        a, dec = jsonio.decode_spectral(doc)
-        residual = verify_spectral(a, dec)
+        residual = verify_spectral(*jsonio.decode_spectral(doc))
     elif kind == "svd":
-        a, res = jsonio.decode_svd(doc)
-        residual = verify_svd(a, res)
+        residual = verify_svd(*jsonio.decode_svd(doc))
     elif kind == "eig":
-        a, pairs, complex_pairs = jsonio.decode_eig_result(doc)
-        # one stack per list, as eig computed the residuals the pairs store;
-        # a stack of both lists rounds differently
-        norms = [_verify_pairs(a, p, tol) for p in (pairs, complex_pairs) if p]
-        residual = [max((float(n[i].max()) for n in norms), default=0.0) for i in (0, 1)]
+        residual = verify_right_eigs(*jsonio.decode_eig_result(doc), tol)
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
     ok = residual[0] <= tol.resid_tol and residual[1] <= tol.resid_tol

@@ -64,23 +64,29 @@ def verify_eigenpair(a: DCMatrix, value: DualComplex, x: DCMatrix,
     return dual_residual(a, (x.standard, x.infinitesimal), (value.standard, value.infinitesimal))
 
 
-def _verify_pairs(a: DCMatrix, pairs, tol: Tolerances):
-    """(standard, infinitesimal) column norms of A X - X diag(values) for a
-    non-empty list of pairs, their vectors the columns of X: verify_eigenpair's
-    checks and norms for each pair, from one dual product as in _pairs, so a
-    list that _pairs built gets back the residuals it stored bit for bit."""
+def verify_right_eigs(a: DCMatrix, pairs, complex_pairs,
+                      tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
+    """The largest (standard, infinitesimal) norm of A x - x value over the
+    pairs of both lists of right_eigs, 0.0 for none: verify_eigenpair's
+    checks for each pair, and each non-empty list's norms from one dual
+    product as in _pairs, so the lists that _pairs built give back the
+    largest residuals they store bit for bit (a product of both lists would
+    round differently)."""
     if a.rows != a.cols:
         raise ShapeMismatch("eigenpair check needs a square matrix")
-    shapes = [p.vector.shape for p in pairs if p.vector.shape != (a.rows, 1)]
-    if shapes:
-        raise ShapeMismatch(f"eigenvector must be {a.rows}x1, got {shapes[0]}")
-    x_st = np.hstack([p.vector.standard for p in pairs])
-    if (np.linalg.norm(x_st, axis=0) <= tol.zero_tol).any():
-        raise NotAppreciable("an eigenvector must be appreciable")
-    x_inf = np.hstack([p.vector.infinitesimal for p in pairs])
-    lam = np.array([p.value.standard for p in pairs])
-    lam_inf = np.array([p.value.infinitesimal for p in pairs])
-    return dual_residual(a, (x_st, x_inf), (lam, lam_inf), axis=0)
+    norms = []
+    for group in filter(None, (pairs, complex_pairs)):
+        shapes = [p.vector.shape for p in group if p.vector.shape != (a.rows, 1)]
+        if shapes:
+            raise ShapeMismatch(f"eigenvector must be {a.rows}x1, got {shapes[0]}")
+        x_st = np.hstack([p.vector.standard for p in group])
+        if (np.linalg.norm(x_st, axis=0) <= tol.zero_tol).any():
+            raise NotAppreciable("an eigenvector must be appreciable")
+        x_inf = np.hstack([p.vector.infinitesimal for p in group])
+        lam = np.array([p.value.standard for p in group])
+        lam_inf = np.array([p.value.infinitesimal for p in group])
+        norms.append(dual_residual(a, (x_st, x_inf), (lam, lam_inf), axis=0))
+    return tuple(max((float(n[i].max()) for n in norms), default=0.0) for i in (0, 1))
 
 
 def _pairs(a: DCMatrix, x_st: np.ndarray, x_inf: np.ndarray, lam: np.ndarray,

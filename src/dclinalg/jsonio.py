@@ -23,18 +23,21 @@ matrix.factor_residual, which verify_spectral and verify_svd, and so
 Each encoder has a private builder (_matrix_doc, _eigenpair_doc,
 _eig_doc, _spectral_doc, _svd_doc) that holds each matrix part as its
 complex array; the public encode_* functions are the builder's document
-with every array turned into the nested [re, im] lists above (_lists).
-dctool writes the array documents.
+with every array turned into the nested [re, im] lists above.  dctool
+writes the array documents.  One walker, _walk, serves both: it visits a
+document's dicts in sorted key order and hands each array part to a leaf
+function, which gives the lists here and a hole in the writer's skeleton.
 
 `dumps` writes a document, with list or array parts, as the text `dctool`
-stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` (or the
-compact form) plus a newline; `_write` hands the same text to a write
-callable piece by piece, so no whole-document string is made.  The stdlib's
-pure-Python encoder, which CPython runs whenever indent is set, writes the
-document with each array part left out, and so the whole of a list
-document.  Each array part is written as the repr of the floats of
-part.view(float).ravel().tolist() joined by three fixed separators (re to
-im, entry to entry, row to row), so it costs about the repr of its floats.
+stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` or the
+compact form (separators (",", ":")), plus a newline; `_write` hands the
+same text to a write callable piece by piece, so no whole-document string
+is made, in either form.  The stdlib writes the document with each array
+part left out, and so the whole of a list document.  Each array part is
+written as the repr of the floats of part.view(float).ravel().tolist()
+joined by three fixed separators (re to im, entry to entry, row to row),
+which differ between the two forms only in the line breaks and indents they
+hold, so it costs about the repr of its floats.
 The reader finds list parts with _flat_grid, which flattens a part once;
 decode_matrix then reads it with one np.fromiter.
 """
@@ -98,14 +101,17 @@ def _encode_part(part: np.ndarray) -> list:
     return np.ascontiguousarray(part).view(float).reshape(m, n, 2).tolist()
 
 
-def _lists(obj):
-    """obj with each array part as the nested [re, im] lists of its wire format."""
+def _walk(obj, leaf):
+    """obj with leaf(part) in place of each array part: dicts rebuilt in
+    sorted key order, the order json.dumps(sort_keys=True) writes them, so
+    leaf sees the parts in the order of the text, and lists and tuples as
+    lists."""
     if isinstance(obj, np.ndarray):
-        return _encode_part(obj)
+        return leaf(obj)
     if isinstance(obj, dict):
-        return {key: _lists(value) for key, value in obj.items()}
-    if isinstance(obj, list):
-        return [_lists(value) for value in obj]
+        return {key: _walk(obj[key], leaf) for key in sorted(obj)}
+    if isinstance(obj, (list, tuple)):
+        return [_walk(value, leaf) for value in obj]
     return obj
 
 
@@ -156,7 +162,7 @@ def _matrix_doc(a: DCMatrix) -> dict:
 
 
 def encode_matrix(a: DCMatrix) -> dict:
-    return _lists(_matrix_doc(a))
+    return _walk(_matrix_doc(a), _encode_part)
 
 
 def decode_matrix(obj) -> DCMatrix:
@@ -192,7 +198,7 @@ def _eigenpair_doc(pair: RightEigenPair) -> dict:
 
 
 def encode_eigenpair(pair: RightEigenPair) -> dict:
-    return _lists(_eigenpair_doc(pair))
+    return _walk(_eigenpair_doc(pair), _encode_part)
 
 
 def decode_eigenpair(obj) -> RightEigenPair:
@@ -215,7 +221,7 @@ def _eig_doc(a: DCMatrix, pairs, complex_pairs) -> dict:
 
 
 def encode_eig_result(a: DCMatrix, pairs, complex_pairs) -> dict:
-    return _lists(_eig_doc(a, pairs, complex_pairs))
+    return _walk(_eig_doc(a, pairs, complex_pairs), _encode_part)
 
 
 def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition) -> dict:
@@ -236,7 +242,7 @@ def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition) -> dict:
 
 
 def encode_spectral(a: DCMatrix, dec: SpectralDecomposition) -> dict:
-    return _lists(_spectral_doc(a, dec))
+    return _walk(_spectral_doc(a, dec), _encode_part)
 
 
 def decode_spectral(doc) -> tuple[DCMatrix, SpectralDecomposition]:
@@ -281,7 +287,7 @@ def _svd_doc(a: DCMatrix, res: SvdResult) -> dict:
 
 
 def encode_svd(a: DCMatrix, res: SvdResult) -> dict:
-    return _lists(_svd_doc(a, res))
+    return _walk(_svd_doc(a, res), _encode_part)
 
 
 def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
@@ -307,6 +313,9 @@ def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
     p = _field(doc, "p", "svd")
     if type(r) is not int or type(p) is not int:
         raise SchemaError("svd: r and p must be integers")
+    if r != sum(b.dim for b in blocks) or p != len(inf_vals):
+        raise SchemaError("svd: r must be the width of standard_blocks and p the "
+                          "length of infinitesimal_values")
     residual = _decode_residual(_field(doc, "residual", "svd"), "svd")
     return a, SvdResult(u, v, tuple(blocks), inf_vals, r, p, residual)
 
@@ -320,33 +329,17 @@ def decode_eig_result(doc) -> tuple[DCMatrix, list, list]:
     return a, [decode_eigenpair(p) for p in raw], [decode_eigenpair(p) for p in raw_c]
 
 
-# An array part in the indented skeleton; json.dumps writes it as "\u0000".
+# An array part in the skeleton; json.dumps writes it as "\u0000".
 _HOLE = "\x00"
 _HOLE_TEXT = json.dumps(_HOLE)
 
 
-def _hollow(obj, parts: list):
-    """A copy of obj with each array part replaced by _HOLE and appended to
-    parts, in the order json.dumps(sort_keys=True) writes them.  An array of
-    size 0 (m x 0) stays in the skeleton as its list form, which holds no
-    entry; a list part stays in the skeleton as it is."""
-    if isinstance(obj, dict):
-        return {key: _hollow(value, parts) for key, value in sorted(obj.items())}
-    if isinstance(obj, np.ndarray):
-        if not obj.size:
-            return _encode_part(obj)
-        parts.append(obj)
-        return _HOLE
-    if isinstance(obj, (list, tuple)):
-        return [_hollow(value, parts) for value in obj]
-    return obj
-
-
-def _indent_grid(n: int, flat: list, level: int) -> str:
-    """json.dumps(grid, indent=2) for a grid of n columns holding the numbers
-    flat, opened on a line indented by level spaces.  repr is the text json
-    writes for a finite float."""
-    nl0, nl2, nl4, nl6 = ("\n" + " " * (level + k) for k in (0, 2, 4, 6))
+def _grid_text(n: int, flat: list, nl: str) -> str:
+    """The text json.dumps gives a grid of n columns holding the numbers
+    flat, where nl opens each line: a newline and the indent of the line the
+    grid opens on for indent=2, "" for the compact form.  repr is the text
+    json writes for a finite float."""
+    nl0, nl2, nl4, nl6 = (nl and nl + " " * k for k in (0, 2, 4, 6))
     numbers = map(repr, flat)
     entries = map(("," + nl6).join, zip(numbers, numbers))
     rows = map(f"{nl4}],{nl4}[{nl6}".join, zip(*[entries] * n))
@@ -357,28 +350,34 @@ def _indent_grid(n: int, flat: list, level: int) -> str:
 def _write(doc, write, compact: bool = False) -> None:
     """Pass dumps(doc, compact) to write, one piece at a time.
 
-    The indented text is a json.dumps skeleton of the document with each
-    array part written by _indent_grid between its pieces; a list document
-    is its skeleton alone.  Whether the document goes to the stdlib instead
-    (a string of it reads "\x00", or an array part holds inf or nan, which
-    json writes as Infinity or NaN) is settled before the first write.
-    Array parts come from DCMatrix, complex and C-contiguous.
+    The text is a json.dumps skeleton of the document, each array part a
+    hole in it (an array of size 0, m x 0, stays as its list form, which
+    holds no entry), with each part written by _grid_text between the
+    skeleton's pieces; a list document is its skeleton alone.  Whether the
+    document goes to the stdlib instead (a string of it reads "\x00", or an
+    array part holds inf or nan, which json writes as Infinity or NaN) is
+    settled before the first write.  Array parts come from DCMatrix, complex
+    and C-contiguous.
     """
-    if compact:
-        write(json.dumps(doc, sort_keys=True, separators=(",", ":"),
-                         default=_encode_part) + "\n")
-        return
+    form = {"separators": (",", ":")} if compact else {"indent": 2}
     parts = []
-    pieces = json.dumps(_hollow(doc, parts), sort_keys=True, indent=2).split(_HOLE_TEXT)
+
+    def hole(part):
+        if not part.size:
+            return _encode_part(part)
+        parts.append(part)
+        return _HOLE
+
+    pieces = json.dumps(_walk(doc, hole), sort_keys=True, **form).split(_HOLE_TEXT)
     if len(pieces) != len(parts) + 1 or not all(np.isfinite(part).all() for part in parts):
-        write(json.dumps(doc, sort_keys=True, indent=2, default=_encode_part) + "\n")
+        write(json.dumps(doc, sort_keys=True, default=_encode_part, **form) + "\n")
         return
-    # each part opens on the last line of the piece before it
-    lines = (piece[piece.rfind("\n") + 1:] for piece in pieces[:-1])
     write(pieces[0])
-    for part, line, piece in zip(parts, lines, pieces[1:]):
-        level = len(line) - len(line.lstrip(" "))
-        write(_indent_grid(part.shape[1], part.view(float).ravel().tolist(), level))
+    for part, before, piece in zip(parts, pieces, pieces[1:]):
+        # an indented part opens on the last line of the piece before it
+        line = before[before.rfind("\n") + 1:]
+        nl = "" if compact else "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        write(_grid_text(part.shape[1], part.view(float).ravel().tolist(), nl))
         write(piece)
     write("\n")
 

@@ -102,9 +102,6 @@ class SpectralDecomposition:
     blocks: tuple[SpectralBlock, ...]
     residual: tuple[float, float]
 
-    def sigma(self) -> DCMatrix:
-        return assemble_blocks(self.blocks)
-
     @property
     def n(self) -> int:
         return sum(b.dim for b in self.blocks)

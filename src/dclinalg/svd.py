@@ -66,10 +66,6 @@ class SvdResult:
     infinitesimal_rank: int
     residual: tuple[float, float]
 
-    def layout(self) -> DCMatrix:
-        return assemble_layout(self.U.rows, self.V.rows,
-                               self.standard_blocks, self.infinitesimal_values)
-
 
 def assemble_layout(m: int, n: int, standard_blocks, infinitesimal_values) -> DCMatrix:
     """The m x n block layout: Sigma_r, then D*eps*j, then zeros."""
@@ -101,6 +97,8 @@ def verify_svd(a: DCMatrix, res: SvdResult):
     """The residual pair dc_svd reports, recomputed (matrix.factor_residual)."""
     if res.U.shape != (a.rows, a.rows) or res.V.shape != (a.cols, a.cols):
         raise ShapeMismatch("factors do not match the matrix shape")
+    if res.standard_rank + res.infinitesimal_rank > min(a.shape):
+        raise ShapeMismatch("layout is wider than the matrix: r + p exceeds min(m, n)")
     return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
 
 

@@ -113,9 +113,10 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
     """The form of youla_skew that deflates with one SVD per pair, kept as a reference.
 
     Within a group of equal singular values it pairs the first remaining
-    column x with y = U_g V_g* conj(x), projects both out of the remaining
-    columns, and re-orthonormalizes what is left with a fresh SVD, guarded
-    by a rank test, before it takes the next pair.
+    column x with y = U_g V_g* conj(x), y projected off the group's earlier
+    pairs, projects both out of the remaining columns, and re-orthonormalizes
+    what is left with a fresh SVD, guarded by a rank test, before it takes
+    the next pair.
 
     A stack c of shape (K, n, n) goes block by block, and the results come
     back stacked as spectral._youla_stack returns them: Q of shape
@@ -148,10 +149,17 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
             raise AccuracyError("odd singular value group; equal values were split")
         u_g, vh_g = u[:, g0:g1], vh[g0:g1]
         remaining = u_g.copy()
+        first = len(cols)
         while remaining.shape[1] > 0:
             x = remaining[:, 0]
             y = u_g @ (vh_g @ np.conj(x))
             y = y - x * np.vdot(x, y)  # exact orthogonality is automatic; enforce it anyway
+            if len(cols) > first:
+                # J J = -1 holds only to the spread of the group's computed
+                # values relative to their size, so y also leaks onto the
+                # group's earlier pairs (their columns of Q, conjugated)
+                done = np.conj(np.column_stack(cols[first:]))
+                y = y - done @ (done.conj().T @ y)
             y_norm = np.linalg.norm(y)
             if y_norm < 0.5:
                 raise AccuracyError("pairing collapsed; singular value grouping failed")

@@ -460,6 +460,31 @@ def test_verify_of_an_eig_document_checks_every_vector(tmp_path, capsys, mutate,
     assert f"{error}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape, mutate, code, error", [
+    ((3, 2), lambda doc: doc["standard_blocks"].append({"sigma": 0.5}), 1,
+     "svd: r must be the width of standard_blocks"),
+    ((5, 4), lambda doc: doc.update(r=1, p=7), 1, "svd: r must be the width of standard_blocks"),
+    ((3, 2), lambda doc: doc.update(r=3, standard_blocks=doc["standard_blocks"] + [{"sigma": 0.5}]),
+     2, "ShapeMismatch: "),
+    ((5, 4), lambda doc: doc.update(infinitesimal_values=[0.25], p=1), 2, "ShapeMismatch: "),
+], ids=["extra_block", "r_and_p_off", "extra_block_counted", "extra_value_counted"])
+def test_verify_of_an_svd_document_checks_its_layout(tmp_path, capsys, shape, mutate, code,
+                                                       error):
+    # a layout that r and p do not describe, or one wider than min(m, n),
+    # is one error line, not a traceback from the residual or a pass
+    src, out, ver = (tmp_path / f"{name}.json" for name in ("a", "svd", "verify"))
+    src.write_text(json.dumps(jsonio.encode_matrix(gen_random("general", *shape, 1))))
+    assert main(["svd", "--input", str(src), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mutate(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--output", str(ver)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("dctool: ") and err.count("\n") == 1 and error in err
+    assert not ver.exists()
+
+
 def _gc_case(case, tmp_path):
     """argv of one way out of main, and its exit code or SystemExit."""
     bad = tmp_path / "doc.json"

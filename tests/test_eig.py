@@ -30,6 +30,7 @@ from dclinalg import (
     right_eigs,
     simple_eig_lift,
     verify_eigenpair,
+    verify_right_eigs,
 )
 from dclinalg.cli import main
 from dclinalg.matrix import dual_residual
@@ -286,6 +287,16 @@ def test_verify_eigenpair_bit_equal_to_products():
     for p in dual_right_eigs(a) + complex_right_eigs(a):
         assert (verify_eigenpair(a, p.value, p.vector)
                 == verify_eigenpair_products(a, p.value, p.vector))
+
+
+def test_verify_right_eigs_gives_back_the_stored_residuals():
+    # each list is one stack, as right_eigs computed the residuals it stores
+    for kind, n, seed in (("general", 16, 21), ("hermitian", 8, 3), ("general", 9, 5)):
+        a = gen_random(kind, n, n, seed)
+        pairs, complex_pairs = right_eigs(a)
+        stored = tuple(max(p.residual[i] for p in pairs + complex_pairs) for i in (0, 1))
+        assert verify_right_eigs(a, pairs, complex_pairs) == stored, (kind, n)
+        assert verify_right_eigs(a, [], []) == (0.0, 0.0)
 
 
 def test_verify_eigenpair_overflow_raises_nonfinite():

@@ -373,13 +373,15 @@ def test_youla_pairs_a_small_value_apart_from_a_large_one(t):
 def test_youla_small_group_of_four_beside_a_large_pair():
     # the group at 1e-9 spreads by about eps s_1 over its computed values, so
     # its pairing map squares to -1 only to 1e-7, and the second pair's y
-    # leaked onto the first pair until it was projected off it
+    # leaked onto the first pair until it was projected off it, in youla_skew
+    # and in the deflation reference alike
     for seed in range(10):
         c = congruent_skew([1.0, 1e-9, 1e-9], 7, seed)
         q, pairs, null_dim = youla_skew(c)
         assert null_dim == 1
         np.testing.assert_allclose(pairs, [1.0, 1e-9, 1e-9], rtol=0, atol=1e-12)
         assert_youla_checks(c, q, pairs)
+        assert_matches_deflation(c)
         dec = herm_spectral(DCMatrix(np.eye(7), c))
         assert sorted(b.kind for b in dec.blocks) == ["Eigen", "Sub", "Sub", "Sub"]
 
@@ -410,7 +412,8 @@ def test_graded_couplings_on_one_level_give_two_sub_blocks(seed):
     np.testing.assert_allclose([b.lam for b in dec.blocks], 1.0, rtol=0, atol=1e-14)
     np.testing.assert_allclose([abs(b.mu) for b in dec.blocks], [1.0, 1e-9], rtol=0, atol=1e-13)
     pu, pu_star = oracle.phi(dec.U), oracle.phi(conj_transpose(dec.U))
-    assert np.linalg.norm(pu_star @ oracle.phi(a) @ pu - oracle.phi(dec.sigma())) <= 1e-13
+    sigma = oracle.phi(assemble_blocks(dec.blocks))
+    assert np.linalg.norm(pu_star @ oracle.phi(a) @ pu - sigma) <= 1e-13
     assert np.linalg.norm(pu_star @ pu - np.eye(8)) <= 1e-13
 
 
@@ -560,7 +563,7 @@ def test_regular_case_diagonalizes():
     a = gen_random("hermitian", 5, 5, 12)
     dec = herm_spectral(a)
     assert all(b.kind == "Eigen" for b in dec.blocks)
-    sig = dec.sigma()
+    sig = assemble_blocks(dec.blocks)
     assert np.linalg.norm(sig.infinitesimal) == 0
     assert np.linalg.norm(sig.standard - np.real(sig.standard)) == 0
     r = mat_mul(mat_mul(conj_transpose(dec.U), a), dec.U) - sig

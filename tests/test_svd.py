@@ -75,7 +75,8 @@ def test_random_shapes_round_trip(m, n):
     assert max(verify_svd(a, res)) <= 1e-9
     assert res.standard_rank + res.infinitesimal_rank <= min(m, n)
     # reconstruction: A = U L V*
-    rec = mat_mul(mat_mul(res.U, res.layout()), conj_transpose(res.V))
+    layout = assemble_layout(m, n, res.standard_blocks, res.infinitesimal_values)
+    rec = mat_mul(mat_mul(res.U, layout), conj_transpose(res.V))
     diff = rec - a
     assert max(component_norms(diff)) <= 1e-9
 
