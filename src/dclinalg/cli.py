@@ -46,7 +46,7 @@ import numpy as np
 
 from . import jsonio
 from .eig import right_eigs, verify_right_eigs
-from .errors import DCError
+from .errors import AccuracyError, DCError, NonFinite
 from .matrix import gen_random
 from .scalar import Tolerances
 from .spectral import herm_spectral, verify_spectral
@@ -103,13 +103,24 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
 def _verify_doc(doc, tol: Tolerances) -> dict:
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "spectral":
-        residual = verify_spectral(*jsonio.decode_spectral(doc))
+        check, args = verify_spectral, jsonio.decode_spectral(doc)
     elif kind == "svd":
-        residual = verify_svd(*jsonio.decode_svd(doc))
+        check, args = verify_svd, jsonio.decode_svd(doc)
     elif kind == "eig":
-        residual = verify_right_eigs(*jsonio.decode_eig_result(doc), tol)
+        check, args = verify_right_eigs, (*jsonio.decode_eig_result(doc), tol)
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
+    # the decoders take finite numbers only, so a residual that is inf, or
+    # has a NaN entry (NonFinite), comes from stored values too large to
+    # multiply: an error, not a document, and no numpy warning on the way
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = check(*args)
+    except NonFinite:
+        residual = (np.nan, np.nan)
+    if not np.isfinite(residual).all():
+        raise AccuracyError(f"the {kind} residual leaves double range: the document's "
+                            "values are too large for this arithmetic")
     ok = residual[0] <= tol.resid_tol and residual[1] <= tol.resid_tol
     return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}
 

@@ -16,13 +16,15 @@ simple eigenvalue farther than kappa(V) times the rank cut from the others
 and from every conjugate takes its column of V, and all of them are solved
 in one array pass through V, in whose basis the system is diagonal; such a
 pair is the same in both lists.  Everywhere else (clusters, conjugate
-pairs, real or nearly defective standard parts) the SVD of each shifted
-matrix gives the eigenspace and the unsolvable directions, and the system
-is solved by least squares, cluster by cluster.  The pairs are assembled
-as arrays: one index vector in cluster order gathers every kept column,
-value and lam_I at once, and every vector is a read-only view of one
-checked copy of that block (_pairs).  Entries too large for this
-arithmetic raise AccuracyError on entry.
+pairs, real or nearly defective standard parts) the route is decided once
+per cluster: the SVD of A_st - lam I gives a cluster's eigenspace unless
+its eigenvalue is separated, and the system is solved through V when the
+cluster is far from every conjugate, else by least squares against the
+unsolvable directions of an SVD.  The pairs are assembled as arrays:
+one index vector in cluster order gathers every kept column, value and
+lam_I at once, and every vector is a read-only view of one checked copy
+of that block (_pairs).  Entries too large for this arithmetic raise
+AccuracyError on entry.
 """
 
 from __future__ import annotations
@@ -204,37 +206,37 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
 
     right_eigs sends Hermitian input, the empty matrix included, to
     _hermitian_pairs instead.  A pair is kept when its consistency residual
-    is at most resid_tol (1 + ||A_I||).  Pairs come in cluster order
-    (_cluster_complex).  The columns of the array pass come first and those
-    of the SVD path after them; every kept pair is one entry (column,
-    cluster position, flagged, in the dual list, in the complex list), and
-    a stable sort by cluster position gives the one index vector that
-    gathers X_st, X_I, lam and lam_I.  An array-pass pair is one entry in
-    both lists, so it is one object in both; the residuals of all pairs
-    come from one dual product (_pairs).
+    is at most resid_tol (1 + ||A_I||).  Each cluster's route is decided
+    once, before the loop, and the loop walks the clusters in order
+    (_cluster_complex), appending each kept pair as one entry (column,
+    flagged, in the dual list, in the complex list); the entries are the
+    one index vector that gathers X_st, X_I, lam and lam_I.  An array-pass
+    pair is one entry in both lists, so it is one object in both; the
+    residuals of all pairs come from one dual product (_pairs).
 
     The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
     (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
     kappa = cond(V), s_{n-1}(A_st - lam I) and s_min(M), M = conj(lam) I -
     A_st, are at least the second smallest |vals - lam| and the smallest
-    |vals - conj(lam)|, divided by kappa.  Where both distances exceed kappa
-    times the cut, the SVDs would find a one-dimensional eigenspace and no
-    unsolvable direction, and lstsq would not truncate; as that reach is at
-    least tau, such an eigenvalue is a cluster of its own.  All of them are
-    solved together: X_st holds their phase-normalized columns of V, and
-    _solve_through_v solves M_k x_k = A_I conj(x_k) for every column at
-    once, with lam_I = 0.
+    |vals - conj(lam)|, divided by kappa.  An eigenvalue is separated when
+    the first distance exceeds kappa times the cut, and a cluster, at its
+    mean, far when the second one does: the SVDs would then find a
+    one-dimensional eigenspace and no unsolvable direction, and lstsq
+    would not truncate.  A one-member cluster that is both is alone; as the
+    reach is at least tau, every separated eigenvalue is a cluster of its
+    own.  The alone ones are solved together: X_st holds their
+    phase-normalized columns of V, and _solve_through_v solves M_k x_k =
+    A_I conj(x_k) for every column at once, with lam_I = 0.
 
     Every other cluster falls back, one at a time, to an eigenspace basis
-    (its column of V when the first distance suffices, else
-    _eigenspace_basis) and, unless the second one suffices, to the
-    unsolvable directions null(M*) (_left_null_basis) and lstsq.  Its dual
-    pairs lift each basis column, with lam_I fixed first from the
-    unsolvable-direction projection, one per similarity class.  Its complex
-    pair is x_st = basis c, which solves the system iff conj(c) lies in the
-    null space of K = null(M*)* A_I conj(basis); conj(c) is the smallest
-    right singular vector of K, so c is the last row of K's Vh.  With no
-    unsolvable direction it is the first basis column.
+    (its column of V when separated, else _eigenspace_basis) and, unless
+    far, to the unsolvable directions null(M*) (_left_null_basis) and
+    lstsq.  Its dual pairs lift each basis column, with lam_I fixed first
+    from the unsolvable-direction projection, one per similarity class.
+    Its complex pair is x_st = basis c, which solves the system iff conj(c)
+    lies in the null space of K = null(M*)* A_I conj(basis); conj(c) is
+    the smallest right singular vector of K, so c is the last row of K's
+    Vh.  With no unsolvable direction it is the first basis column.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("eigenvalues need a square matrix")
@@ -246,57 +248,51 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     kappa = float(np.linalg.cond(vecs))  # inf for a singular V
     a_norm = float(np.linalg.norm(a_st))
 
-    # the two tests, each eigenvalue taken as a cluster of its own
-    reach = kappa * _svd_cut(n, tau, a_norm + np.abs(vals))
+    # the routes, decided once: an eigenvalue is separated, a cluster (at its
+    # mean, which for one member is its value) is far, and alone when both
+    groups = _cluster_complex(vals, tau)
+    means = np.array([vals[g[0]] if len(g) == 1 else np.mean(vals[g]) for g in groups],
+                     dtype=complex)
     dist = np.abs(vals[:, None] - vals)
     np.fill_diagonal(dist, np.inf)
-    separated = dist.min(axis=1) > reach
-    simple = separated & (np.abs(np.conj(vals)[:, None] - vals).min(axis=1) > reach)
+    separated = dist.min(axis=1) > kappa * _svd_cut(n, tau, a_norm + np.abs(vals))
+    far = (np.abs(np.conj(means)[:, None] - vals).min(axis=1)
+           > kappa * _svd_cut(n, tau, a_norm + np.abs(means)))
+    alone = [len(g) == 1 and separated[g[0]] and f for g, f in zip(groups, far.tolist())]
+    # a far cluster's kappa times the cut < |shift| <= 2 ||A_st||_F, so
+    # kappa < 1 / (32 n eps): V inverts
+    inv_vecs = np.linalg.inv(vecs) if far.any() else None
 
-    groups = _cluster_complex(vals, tau)
-    alone = [len(g) == 1 and simple[g[0]] for g in groups]
-    # the array pass, in cluster order: its k-th column is the eigenvalue
-    # fast[k], whose cluster comes place[k]-th
-    place = np.flatnonzero(alone)
-    fast = [groups[k][0] for k in place.tolist()]
-    inv_vecs = None
+    # the array pass, in cluster order: its j-th column is the j-th alone cluster
+    fast = [g[0] for g, one in zip(groups, alone) if one]
     fast_st = fast_inf = np.empty((n, 0), dtype=complex)
     fast_resid = np.empty(0)
     if fast:
-        # reach < |shift| <= 2 ||A_st||_F, so kappa < 1 / (32 n eps): V inverts
-        inv_vecs = np.linalg.inv(vecs)
         fast_st = _normalize_phase(vecs[:, fast])
         fast_inf, fast_resid = _solve_through_v(a_st, vecs, inv_vecs, vals, vals[fast],
                                                 a_inf @ np.conj(fast_st))
-    kept = np.flatnonzero(fast_resid <= accept)
 
-    # the SVD path, cluster by cluster: its columns (x_st, x_inf, lam, lam_I)
-    # follow the array-pass ones, and every pair it returns is one entry
-    # (column, cluster position, flagged, dual pair, complex pair)
+    # the SVD path's columns (x_st, x_inf, lam, lam_I) follow the array-pass
+    # ones; each kept pair is one entry (column, flagged, dual pair, complex
+    # pair), appended where its cluster comes
     parts: list[tuple[np.ndarray, ...]] = [(fast_st, fast_inf, vals[fast],
                                             np.zeros(len(fast), dtype=complex))]
     entries = []
-    offset = len(fast)
-    for k, group in enumerate(groups):
+    offset, j = len(fast), 0
+    for k, (group, lam) in enumerate(zip(groups, means.tolist())):
         if alone[k]:
+            if fast_resid[j] <= accept:
+                entries.append((j, 0, 1, 1))
+            j += 1
             continue
-        lam = complex(np.mean(vals[group]))
-        if len(group) == 1 and separated[group[0]]:
-            basis = vecs[:, group]
-        else:
-            basis = _eigenspace_basis(a_st, lam, tau)
+        basis = (vecs[:, group] if len(group) == 1 and separated[group[0]]
+                 else _eigenspace_basis(a_st, lam, tau))
         cols = basis.shape[1]
         x_st = _normalize_phase(basis)
         rhs = a_inf @ np.conj(x_st)
         lam_inf = np.zeros(cols, dtype=complex)
-        m = None
-        nleft = basis[:, :0]
-        if np.abs(np.conj(lam) - vals).min() > kappa * _svd_cut(n, tau, a_norm + abs(lam)):
-            if inv_vecs is None:
-                inv_vecs = np.linalg.inv(vecs)
-        else:
-            m = np.conj(lam) * np.eye(n) - a_st
-            nleft = _left_null_basis(m, tau)
+        m = np.conj(lam) * np.eye(n) - a_st
+        nleft = basis[:, :0] if far[k] else _left_null_basis(m, tau)
         if nleft.shape[1]:
             tn = nleft.conj().T @ x_st
             tb = nleft.conj().T @ rhs
@@ -309,10 +305,8 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             rhs = np.column_stack([rhs - x_st[:, :cols] * lam_inf,
                                    a_inf @ np.conj(x_st[:, cols])])
             lam_inf = np.append(lam_inf, 0j)
-        if m is None:
-            x_inf, resid = _solve_through_v(a_st, vecs, inv_vecs, vals, lam, rhs)
-        else:
-            x_inf, resid = _lstsq_resid(m, rhs)
+        x_inf, resid = (_solve_through_v(a_st, vecs, inv_vecs, vals, lam, rhs) if far[k]
+                        else _lstsq_resid(m, rhs))
         parts.append((x_st, x_inf, np.full(x_st.shape[1], lam), lam_inf))
 
         class_tol = 1e-8 * (1.0 + abs(lam))
@@ -326,19 +320,13 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
                 if any(abs(abs(lam_inf[col]) - prev) <= class_tol for prev in kept_class):
                     continue
                 kept_class.append(abs(lam_inf[col]))
-            entries.append((offset + col, k, cols > 1, 1, 0))
+            entries.append((offset + col, cols > 1, 1, 0))
         c = cols if nleft.shape[1] else 0  # the complex pair's column
         if resid[c] <= accept:
-            entries.append((offset + c, k, 0, 0, 1))
+            entries.append((offset + c, 0, 0, 1))
         offset += x_st.shape[1]
 
-    # one index vector in cluster order: a kept array-pass column is a pair
-    # in both lists, and the stable sort keeps the pairs of one cluster in
-    # the order they were found in
-    on, off = np.ones_like(kept), np.zeros_like(kept)
-    table = np.concatenate([np.column_stack([kept, place[kept], off, on, on]),
-                            np.array(entries, dtype=int).reshape(-1, 5)])
-    index, _, flagged, in_dual, in_cplx = table[np.argsort(table[:, 1], kind="stable")].T
+    index, flagged, in_dual, in_cplx = np.array(entries, dtype=int).reshape(-1, 4).T
     x_st, x_inf, lam, lam_inf = (np.take(np.concatenate(part, axis=-1), index, axis=-1)
                                  for part in zip(*parts))
     pairs = _pairs(a, x_st, x_inf, lam, lam_inf,

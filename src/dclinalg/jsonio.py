@@ -20,13 +20,14 @@ A x - x lam.  A spectral or svd residual is the pair of
 matrix.factor_residual, which verify_spectral and verify_svd, and so
 `dctool verify`, recompute bit for bit from the document.
 
-Each encoder has a private builder (_matrix_doc, _eigenpair_doc,
-_eig_doc, _spectral_doc, _svd_doc) that holds each matrix part as its
-complex array; the public encode_* functions are the builder's document
-with every array turned into the nested [re, im] lists above.  dctool
-writes the array documents.  One walker, _walk, serves both: it visits a
-document's dicts in sorted key order and hands each array part to a leaf
-function, which gives the lists here and a hole in the writer's skeleton.
+Each encoder has a private builder (_matrix_doc, _eig_doc, whose pairs
+_eigenpair_doc builds, _spectral_doc, _svd_doc) that holds each matrix
+part as its complex array; the public encode_* functions are the
+builder's document with every array turned into the nested [re, im]
+lists above.  dctool writes the array documents.  One walker, _walk,
+serves both: it visits a document's dicts in sorted key order and hands
+each array part to a leaf function, which gives the lists here and a
+hole in the writer's skeleton.
 
 `dumps` writes a document, with list or array parts, as the text `dctool`
 stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` or the
@@ -195,10 +196,6 @@ def _eigenpair_doc(pair: RightEigenPair) -> dict:
     if pair.warning:
         doc["warning"] = pair.warning
     return doc
-
-
-def encode_eigenpair(pair: RightEigenPair) -> dict:
-    return _walk(_eigenpair_doc(pair), _encode_part)
 
 
 def decode_eigenpair(obj) -> RightEigenPair:

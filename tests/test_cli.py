@@ -485,6 +485,33 @@ def test_verify_of_an_svd_document_checks_its_layout(tmp_path, capsys, shape, mu
     assert not ver.exists()
 
 
+def _set_first_pair_value(doc):
+    doc["pairs"][0]["value"][0][0] = 1e308
+
+
+@pytest.mark.parametrize("command, kind, shape, mutate", [
+    ("svd", "general", (3, 2), lambda doc: doc["standard_blocks"][0].update(sigma=1e308)),
+    ("spectral", "hermitian", (3, 3), lambda doc: doc["blocks"][0].update({"lambda": 1e308})),
+    ("eig", "general", (3, 3), _set_first_pair_value),
+], ids=["svd_sigma", "spectral_lambda", "eig_value"])
+def test_verify_of_a_huge_stored_value_is_a_numerical_failure(tmp_path, capsys, command, kind,
+                                                              shape, mutate):
+    # finite stored values whose residual overflows: one error line and no
+    # document (the residual [Infinity, Infinity] is not JSON), and none of
+    # numpy's overflow warnings, which the suite turns into errors
+    src, out, ver = (tmp_path / f"{name}.json" for name in ("a", command, "verify"))
+    src.write_text(json.dumps(jsonio.encode_matrix(gen_random(kind, *shape, 1))))
+    assert main([command, "--input", str(src), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    mutate(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--output", str(ver)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("dctool: AccuracyError: ") and err.count("\n") == 1
+    assert not ver.exists()
+
+
 def _gc_case(case, tmp_path):
     """argv of one way out of main, and its exit code or SystemExit."""
     bad = tmp_path / "doc.json"

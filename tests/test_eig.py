@@ -353,6 +353,7 @@ def _reference_cases():
         yield f"near-defective-{delta:g}", DCMatrix(q @ t @ q.conj().T, cgauss(rng, 5, 5))
     yield "EX1", EX1
     yield "mixed", mixed_spectrum()
+    yield "interleaved", interleaved_spectrum()
     yield "kron-complex", kron_complex()
     yield "real-rotation", real_rotation()
 
@@ -393,6 +394,24 @@ def real_rotation() -> DCMatrix:
     """P (I_2 kron [[1, -2], [2, 1]]) P^T with A_I = 0: 1 + 2i and 1 - 2i, each double."""
     p, _ = np.linalg.qr(np.random.default_rng(21).standard_normal((4, 4)))
     return DCMatrix(p @ np.kron(np.eye(2), [[1.0, -2.0], [2.0, 1.0]]) @ p.T)
+
+
+def interleaved_spectrum() -> DCMatrix:
+    """W diag(-2 + i, -0.5 - i, 1.5 + 0.5i, 3 - i) W^-1 beside Q diag(0.5, 0.5, -1) Q^T.
+
+    As mixed_spectrum, A_I included, but the clusters that take the SVD
+    path, the real -1 and the double 0.5, lie between the array pass's four
+    non-real eigenvalues in the order of the real parts, not at the ends.
+    """
+    rng = np.random.default_rng(25)
+    w = cgauss(rng, 4, 4) + 4 * np.eye(4)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    a_st = np.zeros((7, 7), dtype=complex)
+    a_st[:4, :4] = w @ np.diag([-2 + 1j, -0.5 - 1j, 1.5 + 0.5j, 3 - 1j]) @ np.linalg.inv(w)
+    a_st[4:, 4:] = q @ np.diag([0.5, 0.5, -1.0]) @ q.T
+    a_inf = cgauss(rng, 7, 7)
+    a_inf[4:, 4:] = (0.7 + 0.4j) * np.outer(q[:, 2], q[:, 2])
+    return DCMatrix(a_st, a_inf)
 
 
 REFERENCE_CASES = list(_reference_cases())
@@ -479,6 +498,23 @@ def test_mixed_spectrum_splits_one_call(monkeypatch):
     lifted = pairs["dual"][0].value
     assert abs(lifted.standard + 1) <= 1e-12 and abs(lifted.infinitesimal - (0.7 + 0.4j)) <= 1e-12
     assert abs(pairs["complex"][-1].value.standard - 2) <= 1e-12
+
+
+def test_svd_path_clusters_between_array_pass_pairs_keep_cluster_order(monkeypatch):
+    # the pairs of both lists come in cluster order (_cluster_complex: by
+    # real part, then imaginary part) wherever the SVD path's clusters lie,
+    # each array-pass pair is one object in both lists, and V is inverted once
+    a = interleaved_spectrum()
+    calls = _count_linalg(monkeypatch, "inv")
+    dual, cplx = right_eigs(a)
+    assert calls == {"inv": 1}
+    for pairs, reals in ((dual, [-2, -1, -0.5, 0.5, 1.5, 3]), (cplx, [-2, -0.5, 0.5, 1.5, 3])):
+        keys = [(p.value.standard.real, p.value.standard.imag) for p in pairs]
+        assert keys == sorted(keys)
+        np.testing.assert_allclose([re for re, _ in keys], reals, rtol=0, atol=1e-12)
+    # the four non-real pairs are the array pass's
+    fast = [p for p in dual if abs(p.value.standard.imag) > 0.1]
+    assert len(fast) == 4 and all(any(p is q for q in cplx) for p in fast)
 
 
 @pytest.mark.parametrize("make, lstsq_calls", [(kron_complex, 0), (real_rotation, 2)],
