@@ -57,11 +57,10 @@ def _parse_env_tol(text: str) -> dict:
     text = text.strip()
     if not text:
         return {}
+    if "=" not in text:
+        return {"resid_tol": float(text)}
     names = {"group": "group_tol", "resid": "resid_tol", "zero": "zero_tol"}
     out = {}
-    if "=" not in text:
-        out["resid_tol"] = float(text)
-        return out
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()

@@ -36,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import Inconsistent, NotAppreciable, ShapeMismatch
-from .matrix import DCMatrix, _EPS, _check_hermitian, _check_range, dual_residual, is_hermitian
+from .matrix import DCMatrix, _EPS, _check_hermitian, _check_range, _hermitian_parts, dual_residual
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
-from .spectral import _level_tol, herm_spectral
+from .spectral import _herm_spectral, _level_tol
 
 _CLUSTER_WARNING = ("clustered eigenvalue of the standard part; returned pairs "
                     "may be incomplete")
@@ -291,8 +291,8 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
         x_st = _normalize_phase(basis)
         rhs = a_inf @ np.conj(x_st)
         lam_inf = np.zeros(cols, dtype=complex)
-        m = np.conj(lam) * np.eye(n) - a_st
-        nleft = basis[:, :0] if far[k] else _left_null_basis(m, tau)
+        m = None if far[k] else np.conj(lam) * np.eye(n) - a_st  # far: no SVD, no lstsq
+        nleft = basis[:, :0] if m is None else _left_null_basis(m, tau)
         if nleft.shape[1]:
             tn = nleft.conj().T @ x_st
             tb = nleft.conj().T @ rhs
@@ -335,8 +335,11 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             list(compress(pairs, in_cplx.tolist())))
 
 
-def _hermitian_pairs(a: DCMatrix, tol: Tolerances):
+def _hermitian_pairs(a: DCMatrix, halves, tol: Tolerances):
     """(dual pairs, complex pairs) of a Hermitian matrix from one herm_spectral.
+
+    halves are A's Hermitian parts, from the check that accepted A
+    (matrix._hermitian_parts), which herm_spectral would otherwise repeat.
 
     The right eigenpairs are the 1x1 (Eigen) blocks, each a real value with
     its column of U; 2x2 (Sub) blocks yield none.  Every Eigen block is a
@@ -345,7 +348,7 @@ def _hermitian_pairs(a: DCMatrix, tol: Tolerances):
     and the blocks of one level carry one value, so a level starts where
     the value changes.
     """
-    dec = herm_spectral(a, tol)
+    dec = _herm_spectral(a, *halves, tol)
     offsets = np.cumsum([0] + [blk.dim for blk in dec.blocks])
     eigen = [k for k, blk in enumerate(dec.blocks) if blk.kind == "Eigen"]
     cols = offsets[eigen]
@@ -360,12 +363,12 @@ def right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL):
 
     Hermitian input takes one herm_spectral (_hermitian_pairs), any other
     square input one eig of the standard part (_eig_clusters); either way
-    both lists cost about what one of them costs.
+    both lists cost about what one of them costs.  The range check and the
+    Hermitian check run once, here.
     """
     _check_range(a)
-    if is_hermitian(a, tol):
-        return _hermitian_pairs(a, tol)
-    return _eig_clusters(a, tol)
+    halves = _hermitian_parts(a, tol)
+    return _eig_clusters(a, tol) if halves is None else _hermitian_pairs(a, halves, tol)
 
 
 def complex_right_eigs(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> list[RightEigenPair]:

@@ -154,12 +154,8 @@ def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
 
 
 def _matrix_doc(a: DCMatrix) -> dict:
-    return {
-        "rows": a.rows,
-        "cols": a.cols,
-        "standard": a.standard,
-        "infinitesimal": a.infinitesimal,
-    }
+    return {"rows": a.rows, "cols": a.cols,
+            "standard": a.standard, "infinitesimal": a.infinitesimal}
 
 
 def encode_matrix(a: DCMatrix) -> dict:
@@ -188,11 +184,8 @@ def _decode_residual(obj, where: str) -> tuple[float, float]:
 
 
 def _eigenpair_doc(pair: RightEigenPair) -> dict:
-    doc = {
-        "value": encode_scalar(pair.value),
-        "vector": _matrix_doc(pair.vector),
-        "residual": _encode_residual(pair.residual),
-    }
+    doc = {"value": encode_scalar(pair.value), "vector": _matrix_doc(pair.vector),
+           "residual": _encode_residual(pair.residual)}
     if pair.warning:
         doc["warning"] = pair.warning
     return doc

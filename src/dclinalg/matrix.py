@@ -9,12 +9,16 @@ rule is
 and the conjugate transpose is (conj(A_st).T, -A_I.T).  Vectors are n-by-1
 matrices.  All instances are immutable; the component arrays are copied on
 construction, checked to be finite, and marked read-only.  The vectors of
-the eigenpairs that one call returns are views of one such frozen copy.
+the eigenpairs that one call returns are views of one such frozen copy,
+and the factors of herm_spectral and dc_svd are the arrays they computed,
+checked and frozen with no copy (_checked).
 
-The one residual kernel is R = A V - U L against a block layout L given by
-its diagonal (_one_sided): dual_residual takes its norms for eigenpair and
-subeigenpair checks, and factor_residual builds on it the pair that both
-decompositions gate and report and that verify recomputes.
+Residuals take a block layout L given by its diagonal and the coupling
+next to it.  dual_residual takes the norms of the one-sided R = A X - X L
+for eigenpair and subeigenpair checks.  factor_residual forms the
+two-sided T = U* A V - L directly, 7 complex products for a similarity
+and 9 otherwise, for the pair that both decompositions gate and report
+and that verify recomputes.
 """
 
 from __future__ import annotations
@@ -30,6 +34,27 @@ _EPS = float(np.finfo(float).eps)
 _SQRT_MAX = math.sqrt(float(np.finfo(float).max))
 
 
+def _checked(st: np.ndarray, inf: np.ndarray):
+    """(st, inf), checked 2-d, of one shape and finite, and marked read-only.
+
+    DCMatrix(st, inf) runs it on copies; DCMatrix._frozen(*_checked(st,
+    inf)) wraps complex C-contiguous arrays that the caller made, with no
+    copy, and the caller must not write them again.
+    """
+    if st.ndim != 2:
+        raise ShapeMismatch(f"expected a 2-d array, got ndim={st.ndim}")
+    # count_nonzero costs half of .all() on small arrays
+    if np.count_nonzero(np.isfinite(st)) != st.size:
+        raise NonFinite("standard part has a NaN or infinite entry")
+    if inf.shape != st.shape:
+        raise ShapeMismatch(f"component shapes differ: {st.shape} vs {inf.shape}")
+    if np.count_nonzero(np.isfinite(inf)) != inf.size:
+        raise NonFinite("infinitesimal part has a NaN or infinite entry")
+    st.setflags(write=False)
+    inf.setflags(write=False)
+    return st, inf
+
+
 class DCMatrix:
     """Matrix over the dual complex numbers, stored as a (standard, infinitesimal) pair."""
 
@@ -37,24 +62,9 @@ class DCMatrix:
 
     def __init__(self, standard, infinitesimal=None):
         st = np.array(standard, dtype=complex, order="C")
-        if st.ndim != 2:
-            raise ShapeMismatch(f"expected a 2-d array, got ndim={st.ndim}")
-        # count_nonzero costs half of .all() on small arrays
-        if np.count_nonzero(np.isfinite(st)) != st.size:
-            raise NonFinite("standard part has a NaN or infinite entry")
-        if infinitesimal is None:
-            inf = np.zeros_like(st)
-        else:
-            inf = np.array(infinitesimal, dtype=complex, order="C")
-            if inf.shape != st.shape:
-                raise ShapeMismatch(
-                    f"component shapes differ: {st.shape} vs {inf.shape}")
-            if np.count_nonzero(np.isfinite(inf)) != inf.size:
-                raise NonFinite("infinitesimal part has a NaN or infinite entry")
-        st.setflags(write=False)
-        inf.setflags(write=False)
-        self.standard = st
-        self.infinitesimal = inf
+        self.standard, self.infinitesimal = _checked(
+            st, np.zeros_like(st) if infinitesimal is None
+            else np.array(infinitesimal, dtype=complex, order="C"))
 
     @classmethod
     def _frozen(cls, standard: np.ndarray, infinitesimal: np.ndarray) -> "DCMatrix":
@@ -62,7 +72,9 @@ class DCMatrix:
 
         The caller vouches that they are what __init__ makes, 2-d, complex,
         C-contiguous, of one shape, finite and read-only, as the row views of
-        one checked block are (eig._pairs).
+        one checked block are (eig._pairs) and as _checked makes arrays that
+        a caller owns and hands over, with no copy (herm_spectral's and
+        dc_svd's factors).
         """
         m = object.__new__(cls)
         m.standard = standard
@@ -186,16 +198,6 @@ def _times_layout(f, diag, coupling, k: int):
     return f_st * diag[0], fl_inf
 
 
-def _one_sided(a: DCMatrix, u, v, diag, coupling):
-    """The arrays of R = A V - U L, L as in dual_residual."""
-    k = np.size(diag[0])
-    ul_st, ul_inf = _times_layout(u, diag, coupling, k)
-    r_st, r_inf = a.standard @ v[0], a.standard @ v[1] + a.infinitesimal @ np.conj(v[0])
-    r_st[:, :k] -= ul_st
-    r_inf[:, :k] -= ul_inf
-    return r_st, r_inf
-
-
 def _norms(r_st: np.ndarray, r_inf: np.ndarray, axis=None):
     """Component norms of a residual; a NaN or infinite entry raises NonFinite.
 
@@ -215,52 +217,69 @@ def dual_residual(a: DCMatrix, x, diag, coupling=None, axis=None):
     dual diagonal diag = (standard, infinitesimal), two arrays of length k
     or, for one column, two scalars, and the infinitesimal coupling c_i at
     (i, i+1) and -c_i at (i+1, i), which is how 2x2 Sub and (sigma, nu)
-    blocks couple; it has no other nonzero, so X L costs O(n k) and A X the
-    three products of the product rule (_one_sided, which factor_residual
-    runs with V apart from U).  The norms are Frobenius norms, or column
-    norms with axis=0.  A NaN or infinite entry of R raises NonFinite.
+    blocks couple; it has no other nonzero, so X L costs O(n k)
+    (_times_layout) and A X the three products of the product rule.  The
+    norms are Frobenius norms, or column norms with axis=0.  A NaN or
+    infinite entry of R raises NonFinite.
     """
-    return _norms(*_one_sided(a, x, x, diag, coupling), axis)
+    k = np.size(diag[0])
+    ul_st, ul_inf = _times_layout(x, diag, coupling, k)
+    r_st, r_inf = a.standard @ x[0], a.standard @ x[1] + a.infinitesimal @ np.conj(x[0])
+    r_st[:, :k] -= ul_st
+    r_inf[:, :k] -= ul_inf
+    return _norms(r_st, r_inf, axis)
 
 
-def _defect(x: np.ndarray, y: np.ndarray):
-    """The arrays of U* U - I for U = X + Y eps*j.
+def _defect(u: DCMatrix, xc: np.ndarray):
+    """The arrays of U* U - I for U = X + Y eps*j, with xc = conj(X).
 
     The infinitesimal part of U* U is M - M^T with M = X* Y, so one
     product gives it where the general product rule takes two.
     """
-    xh = x.conj().T
-    m = xh @ y
-    return xh @ x - np.eye(x.shape[1]), m - m.T
+    e_st, m = xc.T @ u.standard, xc.T @ u.infinitesimal
+    e_st.reshape(-1)[::e_st.shape[1] + 1] -= 1  # the diagonal, in place
+    return e_st, m - m.T
 
 
 def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
     """Component norms of U* U - I."""
-    return tuple(float(np.linalg.norm(e)) for e in _defect(u.standard, u.infinitesimal))
+    return tuple(float(np.linalg.norm(e)) for e in _defect(u, np.conj(u.standard)))
 
 
 def factor_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, diag, coupling=None):
     """(pair, gate) of a factorization U* A V = L, L as in dual_residual.
 
-    With R = A V - U L and E = U* U - I, the two-sided residual is
-    T = U* A V - L = U* R + E L.  The standard part of a dual unitary acts
-    as a unitary, so ||R_st|| stands for ||T_st||:
-    ||T_st|| <= (1 + ||E_st||) ||R_st|| + ||E_st|| ||L_st||.  Its
-    infinitesimal part does not: U_I carries the standard residual, and
-    with it whatever the decomposition dropped from A_st, into R_I.  So the
-    infinitesimal component is T_I = (U* R + E L)_I itself, two products
-    on top of the three of R.  pair, what a result reports and `verify`
-    recomputes, is (||R_st||, ||T_I||) against the unitarity defects of U
-    and V (V is U for a similarity), the larger per component; gate, what
+    The two-sided residual T = U* A V - L is formed directly.  G = A V
+    takes the three products of the product rule, and with U = X + Y eps*j
+    its infinitesimal part is T_I = X* G_I - Y^T conj(G_st) - L_I, two
+    more products, L_I subtracted at its O(k) nonzeros.  The standard part
+    of a dual unitary acts as a unitary, so the one-sided R_st = G_st -
+    X L_st stands for T_st: with E = U* U - I,
+    ||T_st|| <= (1 + ||E_st||) ||R_st|| + ||E_st|| ||L_st||.  The
+    infinitesimal part has no such stand-in: U_I carries the standard
+    residual, and with it whatever the decomposition dropped from A_st,
+    into T_I.  E takes two products per factor, so a similarity (V is U)
+    costs 7 complex products and any other factorization 9.  G_I
+    accumulates in place and then holds conj(G_st), and R_st is taken in
+    place on G_st's first k columns.  pair, what a
+    result reports and `verify` recomputes, is (||R_st||, ||T_I||) against
+    the unitarity defects of U and V, the larger per component; gate, what
     check_residual judges, puts the bound on ||T_st|| in place of ||R_st||.
     """
-    x, y = u.standard, u.infinitesimal
-    r_st, r_inf = _one_sided(a, (x, y), (v.standard, v.infinitesimal), diag, coupling)
-    e_st, e_inf = _defect(x, y)
-    t_inf = x.conj().T @ r_inf - y.T @ np.conj(r_st)
-    t_inf[:, :len(diag[0])] += _times_layout((e_st, e_inf), diag, coupling, len(diag[0]))[1]
-    rs, ti = _norms(r_st, t_inf)
-    eu = tuple(float(np.linalg.norm(e)) for e in (e_st, e_inf))
+    k = len(diag[0])
+    xc = np.conj(u.standard)  # conj(V_st) as well when V is U
+    g_st, g_inf = a.standard @ v.standard, a.standard @ v.infinitesimal
+    g_inf += a.infinitesimal @ (xc if v is u else np.conj(v.standard))
+    t_inf = xc.T @ g_inf
+    t_inf -= u.infinitesimal.T @ np.conj(g_st, out=g_inf)
+    flat, step = t_inf.reshape(-1), t_inf.shape[1] + 1  # L_I's diagonals, as views
+    flat[::step][:k] -= diag[1]
+    if coupling is not None:
+        flat[1::step][:k - 1] -= coupling
+        flat[step - 1::step][:k - 1] += coupling
+    g_st[:, :k] -= u.standard[:, :k] * diag[0]  # R_st
+    rs, ti = _norms(g_st, t_inf)
+    eu = tuple(float(np.linalg.norm(e)) for e in _defect(u, xc))
     ev = eu if v is u else unitarity_defect(v)
     t_st = (1 + eu[0]) * rs + eu[0] * float(np.linalg.norm(diag[0]))
     return ((max(rs, eu[0], ev[0]), max(ti, eu[1], ev[1])),
@@ -327,19 +346,37 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
     return DCMatrix(xinv, -xinv @ y @ np.conj(xinv))
 
 
+def _hermitian_parts(a: DCMatrix, tol: Tolerances):
+    """((A_st + A_st*) / 2, (A_I - A_I^T) / 2) when A is Hermitian, else None.
+
+    A is Hermitian when it is square and A_st - A_st* and A_I + A_I^T have
+    norms at most resid_tol.  The check and the halves share one conjugate
+    copy of A_st, transposed, and a transposed view of A_I, which nothing
+    writes: A's own arrays are read-only.
+    """
+    st_h, inf_t = a.standard.conj().T, a.infinitesimal.T
+    if (a.rows == a.cols and np.linalg.norm(a.standard - st_h) <= tol.resid_tol
+            and np.linalg.norm(a.infinitesimal + inf_t) <= tol.resid_tol):
+        return (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2
+    return None
+
+
 def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the standard part is Hermitian and the infinitesimal part skew-symmetric."""
-    if a.rows != a.cols:
-        return False
-    return (np.linalg.norm(a.standard - a.standard.conj().T) <= tol.resid_tol
-            and np.linalg.norm(a.infinitesimal + a.infinitesimal.T) <= tol.resid_tol)
+    return _hermitian_parts(a, tol) is not None
 
 
-def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str) -> None:
-    """_check_range, then NotHermitian(message) unless A is Hermitian."""
+def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str):
+    """_check_range, then A's Hermitian parts (_hermitian_parts), or NotHermitian(message).
+
+    The parts are (A_st + A_st*) / 2 and (A_I - A_I^T) / 2, which differ
+    from A's own by at most resid_tol / 2 each.
+    """
     _check_range(a)
-    if not is_hermitian(a, tol):
+    halves = _hermitian_parts(a, tol)
+    if halves is None:
         raise NotHermitian(message)
+    return halves
 
 
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

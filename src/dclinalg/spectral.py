@@ -30,11 +30,17 @@ stages 1 and 3 are the helpers here that both call:
    is canonical already, since its infinitesimal part is zero: it becomes
    one 1x1 block with no congruence and no rotation of its column.
 
+herm_spectral takes A's Hermitian parts from the check that accepts A
+(matrix._check_hermitian), and right_eigs, which has run that check, hands
+them to _herm_spectral.  U's infinitesimal part is one product with the
+eigenvectors, and U's two parts are frozen as computed, with no copy.
+
 _diagonals describes the blocks of either decomposition as a diagonal and
 its coupling, and _block_diagonal assembles them.  Both decompositions
-report the residual pair of matrix.factor_residual: the one-sided residual
-R = A U - U Sigma, the two-sided residual's infinitesimal part, and U's
-unitarity defect, with no dense Sigma built.  verify_spectral recomputes
+report the residual pair of matrix.factor_residual: the standard part of
+the one-sided residual R = A U - U Sigma, the infinitesimal part of the
+two-sided T = U* A U - Sigma, formed directly, and U's unitarity defect,
+7 complex products with no dense Sigma built.  verify_spectral recomputes
 that pair, so the residual a spectral document stores is what `dctool
 verify` writes for it.  Its gate, which bounds the two-sided residual and
 includes the defect, is compared with a bound scaled by the norms of A and
@@ -64,6 +70,7 @@ from .matrix import (
     DCMatrix,
     _EPS,
     _check_hermitian,
+    _checked,
     _times_layout,
     check_residual,
     dual_residual,
@@ -370,14 +377,14 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     """
     if a.rows != a.cols:
         raise ShapeMismatch("spectral decomposition needs a square matrix")
-    _check_hermitian(a, tol, "matrix is not Hermitian")
-    n = a.rows
-    a_st = (a.standard + a.standard.conj().T) / 2
-    a_inf = (a.infinitesimal - a.infinitesimal.T) / 2
+    return _herm_spectral(a, *_check_hermitian(a, tol, "matrix is not Hermitian"), tol)
 
+
+def _herm_spectral(a: DCMatrix, a_st, a_inf, tol: Tolerances) -> SpectralDecomposition:
+    """herm_spectral of a checked A, given its Hermitian parts (matrix._hermitian_parts)."""
+    n = a.rows
     w, v = np.linalg.eigh(a_st)
-    w = w[::-1]
-    v = v[:, ::-1]
+    w, v = w[::-1], v[:, ::-1]
     tau = _level_tol(w, tol)
     starts, sizes, reps = _clusters(w, n, tau, -np.inf, "eigenvalue")
 
@@ -394,17 +401,18 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     p_inf = np.divide(c, gap, out=np.zeros_like(c), where=gap != 0)
 
     # U = (S + P conj(S) eps*j)* W with W block diagonal, one block per
-    # cluster; a 1x1 cluster's block is 1, so its columns need no product
+    # cluster; a 1x1 cluster's block is 1, so its columns need no product.
+    # conj(S) is v^T, and U_I = -(P v^T)^T is written C-ordered in one pass
     u_st = v.copy()
-    u_inf = -(p_inf @ np.conj(s_mat)).T
+    u_inf = np.negative((p_inf @ v.T).T, out=np.empty_like(u_st))
     blocks = tuple(SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
                    for lam, mu in _canonical_blocks(c, starts, sizes, reps, [(u_st, u_inf)], tol))
-    u = DCMatrix(u_st, u_inf)
+    u = DCMatrix._frozen(*_checked(u_st, u_inf))  # no copy
     resid, gate = _residual(a, u, blocks)
     # dropped by design: the spread of each cluster around the mean its
     # blocks carry, and the parts of A that are not Hermitian, at most
-    # resid_tol / 2 each once is_hermitian has passed.  The norms of w and c
-    # are those of A's Hermitian parts
+    # resid_tol / 2 each once the Hermitian check has passed.  The norms of
+    # w and c are those of A's Hermitian parts
     half = tol.resid_tol / 2
     check_residual(gate, n, (float(np.linalg.norm(w)), float(np.linalg.norm(c))),
                    2 * float(np.linalg.norm(u_inf)),
@@ -535,8 +543,8 @@ def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
     and the cut scales with the largest of them in magnitude.  The empty
     matrix has no eigenvalue, and inf stands for its minimum.
     """
-    _check_hermitian(a, tol, "definiteness applies to Hermitian matrices")
-    w = np.linalg.eigvalsh((a.standard + a.standard.conj().T) / 2)
+    a_st, _ = _check_hermitian(a, tol, "definiteness applies to Hermitian matrices")
+    w = np.linalg.eigvalsh(a_st)
     if not w.size:
         return math.inf, 0.0
     return float(w[0]), tol.resid_tol * max(-float(w[0]), float(w[-1]))

@@ -22,10 +22,12 @@ spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
    at zero keeps its infinitesimal part, whose complex SVD gives D; its
    standard part, at most the cutoff, is dropped.
 
-The residual pair is that of matrix.factor_residual, which verify_svd
-recomputes, so the residual an svd document stores is what `dctool verify`
-writes for it: the one-sided residual R = A V - U L, the two-sided
-residual's infinitesimal part and the unitarity defects of U and V.  A gate
+The four factor parts are frozen as computed, with no copy.  The residual
+pair is that of matrix.factor_residual, which verify_svd recomputes, so
+the residual an svd document stores is what `dctool verify` writes for
+it: the standard part of the one-sided residual R = A V - U L, the
+infinitesimal part of the two-sided T = U* A V - L, formed directly, and
+the unitarity defects of U and V, 9 complex products in all.  A gate
 above its bound raises AccuracyError, and so do entries too large for the
 arithmetic, before any of it, and an A_st so small against A_I that X and
 Y, which scale as A_I / sigma, leave that range.
@@ -39,7 +41,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import DCMatrix, _EPS, _check_range, _range_limit, check_residual, factor_residual
+from .matrix import (DCMatrix, _EPS, _check_range, _checked, _range_limit, check_residual,
+                     factor_residual)
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import _block_diagonal, _canonical_blocks, _clusters, _diagonals
 
@@ -113,7 +116,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     m, n = a.shape
     k, big = min(m, n), max(m, n)
     p_st, s, qh = np.linalg.svd(a.standard)
-    q_st = qh.conj().T
+    q_st = np.conj(qh.T, order="C")  # C-ordered, as DCMatrix holds it
     b = p_st.conj().T @ a.infinitesimal @ qh.T  # P* A_I conj(Q)
 
     smax = float(s[0]) if k else 0.0
@@ -175,7 +178,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
         v_inf[:, r:] = v_inf[:, r:] @ vgh.conj().T
     inf_vals = tuple(float(x) for x in d[:p])
 
-    u, v = DCMatrix(u_st, u_inf), DCMatrix(v_st, v_inf)
+    u, v = (DCMatrix._frozen(*_checked(*f)) for f in ((u_st, u_inf), (v_st, v_inf)))
     resid, gate = _residual(a, u, v, blocks, inf_vals)
     kept = np.zeros(k)
     kept[:r] = np.repeat(reps, sizes)

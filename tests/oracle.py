@@ -252,22 +252,22 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
 def residual_pair(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
     """The pair herm_spectral and dc_svd report, by dense numpy products.
 
-    With R = A V - U L and E = U* U - I on the assembled layout L, the pair
-    is (||R_st||, ||(U* R + E L)_I||), each against the larger unitarity
-    defect of U and V.  U* R + E L is U* A V - L.
+    With G = A V, R = A V - U L and E = U* U - I on the assembled layout L,
+    the pair is (||R_st||, ||T_I||), each against the larger unitarity
+    defect of U and V, where T_I = X* G_I - Y^T conj(G_st) - L_I is the
+    infinitesimal part of T = U* A V - L for U = X + Y eps*j.
     """
     l_st, l_inf = layout.standard, layout.infinitesimal
     x, y = u.standard, u.infinitesimal
-    r_st = a.standard @ v.standard - x @ l_st
-    r_inf = ((a.standard @ v.infinitesimal + a.infinitesimal @ np.conj(v.standard))
-             - (x @ l_inf + y @ np.conj(l_st)))
+    g_st = a.standard @ v.standard
+    g_inf = a.standard @ v.infinitesimal + a.infinitesimal @ np.conj(v.standard)
+    r_st = g_st - x @ l_st
     defects = []
     for f in (u, v):
         fh = f.standard.conj().T
         m = fh @ f.infinitesimal  # (U* U)_I = X* Y - Y^T conj(X) = M - M^T
         defects.append((fh @ f.standard - np.eye(f.cols), m - m.T))
-    e_st, e_inf = defects[0]
-    t_inf = x.conj().T @ r_inf - y.T @ np.conj(r_st) + (e_st @ l_inf + e_inf @ np.conj(l_st))
+    t_inf = x.conj().T @ g_inf - y.T @ np.conj(g_st) - l_inf
     norms = [(np.linalg.norm(r_st), np.linalg.norm(t_inf))]
     norms += [(np.linalg.norm(d_st), np.linalg.norm(d_inf)) for d_st, d_inf in defects]
     return tuple(float(max(part)) for part in zip(*norms))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dclinalg.eig as eig_mod
+import dclinalg.matrix as matrix_mod
 from conftest import cgauss, rand_dc, rand_dcmatrix
 from dclinalg import (
     DEFAULT_TOL,
@@ -609,8 +610,17 @@ def test_hermitian_pairs_come_from_one_spectral_decomposition(name, a, monkeypat
     eigen_levels = sorted({b.lam for b in herm_spectral(a).blocks if b.kind == "Eigen"},
                           reverse=True)
     calls = _count_linalg(monkeypatch, "eig", "cond", "eigh")
+    # the range and Hermitian checks run once, and herm_spectral takes the
+    # Hermitian parts that the check computed
+    checks = []
+    for name in ("_check_range", "_hermitian_parts"):
+        fn = getattr(matrix_mod, name)
+        for owner in (matrix_mod, eig_mod):
+            monkeypatch.setattr(owner, name,
+                                lambda *args, fn=fn, name=name: checks.append(name) or fn(*args))
     dual, cplx = right_eigs(a)
     assert calls == {"eig": 0, "cond": 0, "eigh": 1}
+    assert checks == ["_check_range", "_hermitian_parts"]
     assert [p.value for p in cplx] == [DualComplex(lam) for lam in eigen_levels]
     for p in cplx:
         assert p is next(q for q in dual if q.value == p.value)

@@ -9,6 +9,7 @@ the library's product rule.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,27 +194,86 @@ def test_mat_inv_through_phi(seed):
     assert_small(pinv @ ps - np.eye(12), 6, scale)
 
 
-@pytest.mark.parametrize("name", ["hermitian-0", "planted-sub-1"])
-def test_factor_residual_against_phi_on_a_perturbed_factor(name):
-    # a factor off by 1e-6 puts every quantity far above rounding error, so
-    # phi's plain products pin each one: the reported pair is
-    # (||R_st||, ||T_I||) against the defects, with R = A V - U L and
-    # T = U* A V - L, and the gate bounds ||T_st||
-    a = HERMITIAN[name]
-    dec = herm_spectral(a)
-    n = a.rows
-    rng = np.random.default_rng(96)
-    u = DCMatrix(dec.U.standard + 1e-6 * cgauss(rng, n, n),
-                 dec.U.infinitesimal + 1e-6 * cgauss(rng, n, n))
-    pairs = [(b.lam, b.mu) for b in dec.blocks]
-    pair, gate = factor_residual(a, u, u, *_diagonals(n, pairs))
-    pl = phi_layout(n, n, pairs)
-    two_sided, defect = phi_two_sided(a, u, u, pl)
-    r_st = phi_parts(phi(a) @ phi(u) - phi(u) @ pl, n, n)[0]
-    t_st, t_inf = phi_parts(two_sided, n, n)
-    e_st, e_inf = phi_parts(defect, n, n)
-    d_st, d_inf = np.linalg.norm(e_st), np.linalg.norm(e_inf)
+def assert_factor_residual_matches_phi(a, u, v, pairs, tail=()):
+    """factor_residual's pair and gate on the m x n layout against phi's plain products.
+
+    The reported pair is (||R_st||, ||T_I||) against the larger defect of U
+    and V, with R = A V - U L and T = U* A V - L, and the gate bounds
+    ||T_st||.
+    """
+    m, n = a.shape
+    pair, gate = factor_residual(a, u, v, *_diagonals(min(m, n), pairs, tail))
+    pl = phi_layout(m, n, pairs, tail)
+    two_sided, u_defect = phi_two_sided(a, u, v, pl)
+    v_defect = phi(conj_t(v)) @ phi(v) - np.eye(2 * n)
+    r_st = phi_parts(phi(a) @ phi(v) - phi(u) @ pl, m, n)[0]
+    t_st, t_inf = phi_parts(two_sided, m, n)
+    defects = [phi_parts(u_defect, m, m), phi_parts(v_defect, n, n)]
+    d_st, d_inf = (max(np.linalg.norm(d[i]) for d in defects) for i in (0, 1))
     np.testing.assert_allclose(pair, (max(np.linalg.norm(r_st), d_st),
                                       max(np.linalg.norm(t_inf), d_inf)), rtol=1e-8)
     assert np.linalg.norm(t_st) <= gate[0] and gate[1] == pair[1]
     assert gate[0] <= (1 + 1e-5) * max(np.linalg.norm(r_st), d_st) + d_st * np.linalg.norm(pl)
+
+
+def perturbed(f, rng):
+    """f with both parts moved by 1e-6 times a complex Gaussian."""
+    return DCMatrix(f.standard + 1e-6 * cgauss(rng, *f.shape),
+                    f.infinitesimal + 1e-6 * cgauss(rng, *f.shape))
+
+
+@pytest.mark.parametrize("name", ["hermitian-0", "planted-sub-1"])
+def test_factor_residual_against_phi_on_a_perturbed_factor(name):
+    # a factor off by 1e-6 puts every quantity far above rounding error, so
+    # phi's plain products pin each one
+    a = HERMITIAN[name]
+    dec = herm_spectral(a)
+    u = perturbed(dec.U, np.random.default_rng(96))
+    assert_factor_residual_matches_phi(a, u, u, [(b.lam, b.mu) for b in dec.blocks])
+
+
+def planted_svd(m, n, seed):
+    """U L V* for the layout of PLANTED_SVD and D = (.9, .6) with random dual unitaries."""
+    layout = assemble_layout(m, n, PLANTED_SVD, (.9, .6))
+    return mat_mul(mat_mul(gen_random("unitary", m, m, seed), layout),
+                   conj_t(gen_random("unitary", n, n, seed + 1)))
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (8, 9)], ids=["tall", "wide"])
+def test_factor_residual_against_phi_on_perturbed_svd_factors(shape):
+    # U and V apart, a (sigma, nu) block and a D tail off the square: the
+    # O(k) entries of L_I sit where the layout puts them
+    a = planted_svd(*shape, 97)
+    res = dc_svd(a)
+    assert any(b.nu is not None for b in res.standard_blocks) and res.infinitesimal_values
+    rng = np.random.default_rng(98)
+    assert_factor_residual_matches_phi(a, perturbed(res.U, rng), perturbed(res.V, rng),
+                                       [(b.sigma, b.nu) for b in res.standard_blocks],
+                                       res.infinitesimal_values)
+
+
+def test_verify_spectral_sees_a_moved_coupling():
+    a = HERMITIAN["planted-sub-0"]
+    dec = herm_spectral(a)
+    assert max(verify_spectral(a, dec)) <= 1e-12
+    k = next(k for k, b in enumerate(dec.blocks) if b.kind == "Sub")
+    blocks = list(dec.blocks)
+    blocks[k] = SpectralBlock("Sub", blocks[k].lam, blocks[k].mu + 1e-6)
+    assert verify_spectral(a, replace(dec, blocks=tuple(blocks)))[1] >= 1e-6
+
+
+@pytest.mark.parametrize("move", ["nu", "d"])
+def test_verify_svd_sees_a_moved_coupling_or_tail_value(move):
+    a = planted_svd(9, 8, 97)
+    res = dc_svd(a)
+    assert max(verify_svd(a, res)) <= 1e-12
+    if move == "nu":
+        k = next(k for k, b in enumerate(res.standard_blocks) if b.nu is not None)
+        blocks = list(res.standard_blocks)
+        blocks[k] = SingularBlock(blocks[k].sigma, blocks[k].nu + 1e-6)
+        moved = replace(res, standard_blocks=tuple(blocks))
+    else:
+        d = list(res.infinitesimal_values)
+        d[-1] += 1e-6
+        moved = replace(res, infinitesimal_values=tuple(d))
+    assert verify_svd(a, moved)[1] >= 1e-6
