@@ -17,8 +17,9 @@ Wire formats (all numbers finite doubles; rows, cols, r and p integers):
 Result documents embed the input matrix so that a verification pass needs
 no second file.  An eigenpair's residual holds the component norms of
 A x - x lam.  A spectral or svd residual is the pair of
-matrix.factor_residual, which verify_spectral and verify_svd, and so
-`dctool verify`, recompute bit for bit from the document.
+matrix.hermitian_residual or matrix.factor_residual, which
+verify_spectral and verify_svd, and so `dctool verify`, recompute bit for
+bit from the document.
 
 Each encoder has a private builder (_matrix_doc, _eig_doc, whose pairs
 _eigenpair_doc builds, _spectral_doc, _svd_doc) that holds each matrix

@@ -15,10 +15,11 @@ checked and frozen with no copy (_checked).
 
 Residuals take a block layout L given by its diagonal and the coupling
 next to it.  dual_residual takes the norms of the one-sided R = A X - X L
-for eigenpair and subeigenpair checks.  factor_residual forms the
-two-sided T = U* A V - L directly, 7 complex products for a similarity
-and 9 otherwise, for the pair that both decompositions gate and report
-and that verify recomputes.
+for eigenpair and subeigenpair checks.  The pair that both decompositions
+gate and report, and that verify recomputes, forms the two-sided
+T = U* A V - L directly: factor_residual for the SVD in 9 complex
+products, hermitian_residual for a Hermitian similarity in 4 beside
+K = X* H_I conj(X), which herm_spectral has formed already.
 """
 
 from __future__ import annotations
@@ -246,6 +247,23 @@ def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
     return tuple(float(np.linalg.norm(e)) for e in _defect(u, np.conj(u.standard)))
 
 
+def _minus_layout(t_inf: np.ndarray, diag_inf, coupling) -> None:
+    """Subtract L_I from t_inf in place, at its O(k) nonzeros."""
+    flat, step = t_inf.reshape(-1), t_inf.shape[1] + 1  # L_I's diagonals, as views
+    flat[::step][:len(diag_inf)] -= diag_inf
+    if coupling is not None:
+        flat[1::step][:coupling.size] -= coupling
+        flat[step - 1::step][:coupling.size] += coupling
+
+
+def _pair_and_gate(rs: float, ti: float, u: DCMatrix, xc: np.ndarray, floor, l_st):
+    """(pair, gate) from ||R_st|| and ||T_I||, each part at least U's defect and floor's."""
+    eu = tuple(float(np.linalg.norm(e)) for e in _defect(u, xc))
+    t_st = (1 + eu[0]) * rs + eu[0] * float(np.linalg.norm(l_st))
+    low = (max(eu[0], floor[0]), max(eu[1], floor[1]))
+    return (max(rs, low[0]), max(ti, low[1])), (max(t_st, low[0]), max(ti, low[1]))
+
+
 def factor_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, diag, coupling=None):
     """(pair, gate) of a factorization U* A V = L, L as in dual_residual.
 
@@ -258,48 +276,63 @@ def factor_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, diag, coupling=None):
     ||T_st|| <= (1 + ||E_st||) ||R_st|| + ||E_st|| ||L_st||.  The
     infinitesimal part has no such stand-in: U_I carries the standard
     residual, and with it whatever the decomposition dropped from A_st,
-    into T_I.  E takes two products per factor, so a similarity (V is U)
-    costs 7 complex products and any other factorization 9.  G_I
-    accumulates in place and then holds conj(G_st), and R_st is taken in
-    place on G_st's first k columns.  pair, what a
-    result reports and `verify` recomputes, is (||R_st||, ||T_I||) against
-    the unitarity defects of U and V, the larger per component; gate, what
+    into T_I.  E takes two products per factor, 9 complex products in all.
+    G_I accumulates in place and then holds conj(G_st), and R_st is taken
+    in place on G_st's first k columns.  pair, what a result reports and
+    `verify` recomputes, is (||R_st||, ||T_I||) against the unitarity
+    defects of U and V, the larger per component; gate, what
     check_residual judges, puts the bound on ||T_st|| in place of ||R_st||.
     """
     k = len(diag[0])
-    xc = np.conj(u.standard)  # conj(V_st) as well when V is U
+    xc = np.conj(u.standard)
     g_st, g_inf = a.standard @ v.standard, a.standard @ v.infinitesimal
-    g_inf += a.infinitesimal @ (xc if v is u else np.conj(v.standard))
+    g_inf += a.infinitesimal @ np.conj(v.standard)
     t_inf = xc.T @ g_inf
     t_inf -= u.infinitesimal.T @ np.conj(g_st, out=g_inf)
-    flat, step = t_inf.reshape(-1), t_inf.shape[1] + 1  # L_I's diagonals, as views
-    flat[::step][:k] -= diag[1]
-    if coupling is not None:
-        flat[1::step][:k - 1] -= coupling
-        flat[step - 1::step][:k - 1] += coupling
+    _minus_layout(t_inf, diag[1], coupling)
     g_st[:, :k] -= u.standard[:, :k] * diag[0]  # R_st
-    rs, ti = _norms(g_st, t_inf)
-    eu = tuple(float(np.linalg.norm(e)) for e in _defect(u, xc))
-    ev = eu if v is u else unitarity_defect(v)
-    t_st = (1 + eu[0]) * rs + eu[0] * float(np.linalg.norm(diag[0]))
-    return ((max(rs, eu[0], ev[0]), max(ti, eu[1], ev[1])),
-            (max(t_st, eu[0], ev[0]), max(ti, eu[1], ev[1])))
+    return _pair_and_gate(*_norms(g_st, t_inf), u, xc, unitarity_defect(v), diag[0])
+
+
+def _sandwich(h_inf: np.ndarray, x: np.ndarray):
+    """(conj(X), K = X* H_I conj(X)), H_I in the basis X: two complex products."""
+    xc = np.conj(x)
+    return xc, xc.T @ (h_inf @ xc)
+
+
+def hermitian_residual(h_st: np.ndarray, off, u: DCMatrix, xc: np.ndarray, k_mat: np.ndarray,
+                       diag, coupling=None):
+    """factor_residual's (pair, gate) for V = U and A with Hermitian halves H.
+
+    H and off come from _hermitian_halves, (xc, K) from _sandwich(H_I, X)
+    for U = X + Y eps*j.  As H_st is Hermitian, T_I = S - S^T + K - L_I
+    with S = (H_st X)* Y: 4 complex products with the defect.  Each part is
+    at least off's, so that A itself is judged, not only H.
+    """
+    g = h_st @ u.standard
+    t_inf = np.conj(g, out=g).T @ u.infinitesimal  # S
+    t_inf -= t_inf.T  # numpy buffers the overlapping operand
+    t_inf += k_mat
+    _minus_layout(t_inf, diag[1], coupling)
+    g -= xc * diag[0]  # conj(R_st), up to the signs of zeros
+    return _pair_and_gate(*_norms(g, t_inf), u, xc, off, diag[0])
 
 
 def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, float],
                    factors_inf: float, dropped: tuple[float, float], tol: Tolerances) -> None:
     """Raise AccuracyError unless a decomposition's residual is explained.
 
-    resid is the gate of factor_residual, which bounds the two-sided
-    residual U* A V - L and the unitarity defects of the factors.  They are
-    made of rounding error and of what the decomposition chose to drop
-    (cluster spreads, values below a cutoff), whose norms the caller passes
-    in `dropped`.  Rounding error is bounded by f (||A_st|| + sqrt(n)) on
-    the standard part and by f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||))
-    on the infinitesimal part, with f = max(resid_tol, 64 n eps), n the
-    larger dimension of A.  The caller passes a_norms = (||A_st||, ||A_I||)
-    and factors_inf = ||U_I|| + ||V_I||, from whatever unitarily equivalent
-    form of them it holds.  A non-finite residual always raises.
+    resid is the gate of factor_residual or hermitian_residual, which
+    bounds the two-sided residual U* A V - L and the unitarity defects of
+    the factors.  They are made of rounding error and of what the
+    decomposition chose to drop (cluster spreads, values below a cutoff),
+    whose norms the caller passes in `dropped`.  Rounding error is bounded
+    by f (||A_st|| + sqrt(n)) on the standard part and by
+    f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||)) on the infinitesimal
+    part, with f = max(resid_tol, 64 n eps), n the larger dimension of A.
+    The caller passes a_norms = (||A_st||, ||A_I||) and factors_inf =
+    ||U_I|| + ||V_I||, from whatever unitarily equivalent form of them it
+    holds.  A non-finite residual always raises.
     """
     f = max(tol.resid_tol, 64 * n * _EPS)
     bound = (f * (a_norms[0] + math.sqrt(n)) + dropped[0],
@@ -346,19 +379,23 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
     return DCMatrix(xinv, -xinv @ y @ np.conj(xinv))
 
 
-def _hermitian_parts(a: DCMatrix, tol: Tolerances):
-    """((A_st + A_st*) / 2, (A_I - A_I^T) / 2) when A is Hermitian, else None.
+def _hermitian_halves(a: DCMatrix, limit: float = math.inf):
+    """((A_st + A_st*) / 2, (A_I - A_I^T) / 2, off) of a square A, or None past limit.
 
-    A is Hermitian when it is square and A_st - A_st* and A_I + A_I^T have
-    norms at most resid_tol.  The check and the halves share one conjugate
-    copy of A_st, transposed, and a transposed view of A_I, which nothing
-    writes: A's own arrays are read-only.
+    off = (||A_st - H_st||, ||A_I - H_I||); None when a part of it exceeds
+    limit, and the second is not formed once the first does.  All share one
+    conjugate copy of A_st and a transposed view of A_I.
     """
     st_h, inf_t = a.standard.conj().T, a.infinitesimal.T
-    if (a.rows == a.cols and np.linalg.norm(a.standard - st_h) <= tol.resid_tol
-            and np.linalg.norm(a.infinitesimal + inf_t) <= tol.resid_tol):
-        return (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2
-    return None
+    off_st = float(np.linalg.norm(a.standard - st_h)) / 2
+    off_inf = float(np.linalg.norm(a.infinitesimal + inf_t)) / 2 if off_st <= limit else off_st
+    if max(off_st, off_inf) <= limit:
+        return (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2, (off_st, off_inf)
+
+
+def _hermitian_parts(a: DCMatrix, tol: Tolerances):
+    """_hermitian_halves(A) when A is square and each part of off is at most resid_tol / 2."""
+    return _hermitian_halves(a, tol.resid_tol / 2) if a.rows == a.cols else None
 
 
 def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -367,11 +404,7 @@ def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str):
-    """_check_range, then A's Hermitian parts (_hermitian_parts), or NotHermitian(message).
-
-    The parts are (A_st + A_st*) / 2 and (A_I - A_I^T) / 2, which differ
-    from A's own by at most resid_tol / 2 each.
-    """
+    """_check_range, then A's Hermitian parts (_hermitian_parts), or NotHermitian(message)."""
     _check_range(a)
     halves = _hermitian_parts(a, tol)
     if halves is None:

@@ -13,10 +13,9 @@ stages 1 and 3 are the helpers here that both call:
    when a cluster stands less than 10 tau above the next one, since stage 2
    divides by those gaps;
 2. a unitary correction removes all infinitesimal coupling between
-   clusters.  In herm_spectral its infinitesimal part is the rotated
-   infinitesimal part C divided entry by entry by the gap between the
-   representatives of the row's and the column's clusters, in one masked
-   divide that leaves the diagonal cluster blocks zero;
+   clusters.  Its infinitesimal part is the rotated infinitesimal part
+   divided entry by entry by the gap between the representatives of the
+   row's and the column's clusters, zero on the diagonal cluster blocks;
 3. _canonical_blocks puts each remaining diagonal cluster block, a value
    times I plus a skew-symmetric infinitesimal part, into canonical form by
    a complex unitary transpose-congruence (youla_skew), which rotates the
@@ -30,22 +29,26 @@ stages 1 and 3 are the helpers here that both call:
    is canonical already, since its infinitesimal part is zero: it becomes
    one 1x1 block with no congruence and no rotation of its column.
 
-herm_spectral takes A's Hermitian parts from the check that accepts A
-(matrix._check_hermitian), and right_eigs, which has run that check, hands
-them to _herm_spectral.  U's infinitesimal part is one product with the
-eigenvectors, and U's two parts are frozen as computed, with no copy.
+herm_spectral takes A's Hermitian parts H from the check that accepts A
+(matrix._check_hermitian); right_eigs, which has run that check, hands
+them to _herm_spectral.  Stage 3 runs first, on the cluster blocks
+V_k* H_I conj(V_k) of the eigenvectors V of H_st, and turns V into X.
+Stage 2 then solves the coupling in that basis, from K = X* H_I conj(X):
+the gap is constant on each pair of cluster blocks, so this gives the
+factor that solving first would.  U = X - X P eps*j is frozen as
+computed, with no copy.
 
 _diagonals describes the blocks of either decomposition as a diagonal and
-its coupling, and _block_diagonal assembles them.  Both decompositions
-report the residual pair of matrix.factor_residual: the standard part of
-the one-sided residual R = A U - U Sigma, the infinitesimal part of the
-two-sided T = U* A U - Sigma, formed directly, and U's unitarity defect,
-7 complex products with no dense Sigma built.  verify_spectral recomputes
-that pair, so the residual a spectral document stores is what `dctool
-verify` writes for it.  Its gate, which bounds the two-sided residual and
-includes the defect, is compared with a bound scaled by the norms of A and
-of U's infinitesimal part, and AccuracyError is raised above it.  Entries
-too large for that arithmetic raise AccuracyError before any of it.
+its coupling, and _block_diagonal assembles them.  herm_spectral reports
+the pair of matrix.hermitian_residual, whose gate reuses K: 7 complex
+products beside eigh, and one n x n_c product more for the n_c columns in
+clusters of more than one member.  verify_spectral forms K by the same
+expression, 6 products, so the residual a spectral document stores is
+what `dctool verify` writes for it.  The gate, which bounds the two-sided
+residual and includes the defect, is compared with a bound scaled by the
+norms of A and of U's infinitesimal part, and AccuracyError is raised
+above it.  Entries too large for that arithmetic raise AccuracyError
+before any of it.
 """
 
 from __future__ import annotations
@@ -71,10 +74,12 @@ from .matrix import (
     _EPS,
     _check_hermitian,
     _checked,
+    _hermitian_halves,
+    _sandwich,
     _times_layout,
     check_residual,
     dual_residual,
-    factor_residual,
+    hermitian_residual,
     inner,
 )
 from .scalar import DEFAULT_TOL, Tolerances
@@ -150,9 +155,10 @@ def _block_diagonal(m: int, n: int, blocks, tail=()) -> DCMatrix:
     return DCMatrix(*(np.pad(part, ((0, 0), (0, n - k))) for part in parts))
 
 
-def _residual(a: DCMatrix, u: DCMatrix, blocks):
-    """(pair, gate) of U* A U against the blocks (matrix.factor_residual)."""
-    return factor_residual(a, u, u, *_diagonals(a.rows, [(b.lam, b.mu) for b in blocks]))
+def _residual(h_st, off, u: DCMatrix, xc, k_mat, blocks):
+    """(pair, gate) of U* A U against the blocks (matrix.hermitian_residual)."""
+    return hermitian_residual(h_st, off, u, xc, k_mat,
+                              *_diagonals(u.rows, [(b.lam, b.mu) for b in blocks]))
 
 
 def _chain(vals, tau: float):
@@ -193,18 +199,20 @@ def _clusters(vals, count: int, tau: float, below: float, what: str):
     return starts, sizes, reps
 
 
-def _canonical_blocks(skew, starts, sizes, reps, factors, tol: Tolerances):
+def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances):
     """Canonical (value, coupling) blocks of each cluster, in order.
 
-    A cluster is reps[k] I plus the block B of the skew-symmetric `skew` on
-    its rows and columns.  The clusters of one size s > 1 go to canonical
-    form together: _youla_stack takes their K blocks as one (K, s, s) stack,
-    and each block becomes W* B conj(W) with W = conj(Q), its columns rolled
-    so that the null block comes first.  One gather, one stacked product and
-    one scatter rotate those clusters' columns of every (standard,
-    infinitesimal) pair in `factors` in place, by W and conj(W), which
-    leaves the standard block reps[k] I as it is.  A 1x1 cluster is
-    canonical already: its block is zero and its column stays as it is.
+    A cluster is reps[k] I plus a skew-symmetric block B, and
+    skew_blocks(cols) gives the (K, s, s) stack of the blocks of the
+    clusters on the K rows of cols.  The clusters of one size s > 1 go to
+    canonical form together: _youla_stack takes their stack, and each block
+    becomes W* B conj(W) with W = conj(Q), its columns rolled so that the
+    null block comes first.  One gather, one stacked product and one
+    scatter rotate those clusters' columns of every (standard,
+    infinitesimal) pair, or (standard,) alone, in `factors` in place, by W
+    and conj(W), which leaves the standard block reps[k] I as it is.  A 1x1
+    cluster is canonical already: its block is zero and its column stays as
+    it is.
     coupling is None for a 1x1 block and the pair value for a 2x2 one; 1x1
     blocks come first within a cluster.
     """
@@ -215,12 +223,12 @@ def _canonical_blocks(skew, starts, sizes, reps, factors, tol: Tolerances):
     for size in sorted(set(sizes[sizes > 1].tolist())):
         ks = np.flatnonzero(sizes == size)
         cols = starts[ks, None] + np.arange(size)
-        q, pairs, null_dims = _youla_stack(skew[cols[:, :, None], cols[:, None, :]], tol)
+        q, pairs, null_dims = _youla_stack(skew_blocks(cols), tol)
         roll = (np.arange(size) + (size - null_dims)[:, None]) % size
         q = np.take_along_axis(q, roll[:, None, :], axis=2)
         w = np.conj(q)
-        for f_st, f_inf in factors:
-            for f, rot in ((f_st, w), (f_inf, q)):
+        for pair in factors:
+            for f, rot in zip(pair, (w, q)):
                 f[:, cols] = (f[:, cols].transpose(1, 0, 2) @ rot).transpose(1, 0, 2)
         for k, p, null_dim in zip(ks.tolist(), pairs, null_dims.tolist()):
             blocks[k] = [(values[k], None)] * null_dim + [(values[k], s) for s in p]
@@ -368,6 +376,23 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     return q[0], pairs[0], int(null_dims[0])
 
 
+def _cluster_blocks(v, h_inf, sizes):
+    """skew_blocks of _canonical_blocks for V: the skew parts of V_k* H_I conj(V_k).
+
+    H_I conj(V_c), V_c the columns of the clusters of more than one
+    member, is one product, kept as long as the function.
+    """
+    multi = np.flatnonzero(np.repeat(sizes > 1, sizes))
+    vc = np.conj(v[:, multi])
+    hv = h_inf @ vc
+
+    def skew_blocks(cols):
+        at = np.searchsorted(multi, cols)  # their places among V_c's columns
+        c = vc[:, at].transpose(1, 2, 0) @ hv[:, at].transpose(1, 0, 2)
+        return (c - np.swapaxes(c, 1, 2)) / 2  # exact skew-symmetry for youla_skew
+    return skew_blocks
+
+
 def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """Block spectral decomposition U* A U = Sigma of a Hermitian dual complex matrix.
 
@@ -380,51 +405,54 @@ def herm_spectral(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecompo
     return _herm_spectral(a, *_check_hermitian(a, tol, "matrix is not Hermitian"), tol)
 
 
-def _herm_spectral(a: DCMatrix, a_st, a_inf, tol: Tolerances) -> SpectralDecomposition:
-    """herm_spectral of a checked A, given its Hermitian parts (matrix._hermitian_parts)."""
+def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDecomposition:
+    """herm_spectral of a checked A, given (H_st, H_I, off) of matrix._hermitian_parts."""
     n = a.rows
-    w, v = np.linalg.eigh(a_st)
+    w, v = np.linalg.eigh(h_st)
     w, v = w[::-1], v[:, ::-1]
     tau = _level_tol(w, tol)
     starts, sizes, reps = _clusters(w, n, tau, -np.inf, "eigenvalue")
 
-    s_mat = v.conj().T
-    c = s_mat @ a_inf @ s_mat.T
-    c = (c - c.T) / 2  # exact skew-symmetry for the block reductions
+    # stage 3 first, on the clusters' blocks of V; X is V with their columns
+    # turned
+    x = v.copy()
+    blocks = tuple(SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
+                   for lam, mu in _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts,
+                                                    sizes, reps, [(x,)], tol))
 
-    # the gap between the representatives of the clusters of i and j is zero
-    # exactly inside a diagonal cluster block and, past the gap check, nonzero
-    # everywhere else; c is exactly skew and the gap antisymmetric, so the
-    # lower blocks equal the transposed upper ones
+    # stage 2 in the turned basis: U = X (I - P eps*j), P the skew part of
+    # K = X* H_I conj(X) times 1 / gap, the gap between the representatives
+    # of the row's and the column's clusters: zero exactly inside a diagonal
+    # cluster block, where P is zero, and past the gap check nonzero
+    # elsewhere.  X = V W, W block diagonal on the clusters, and the gap is
+    # constant on each block pair, so -X P = -V (C / gap) conj(W) for
+    # C = V* H_I conj(V), as solving before the turn gives.  K - K^T is
+    # exactly skew and the gap antisymmetric, so P is exactly symmetric
+    xc, k_mat = _sandwich(h_inf, x)
     rep = np.repeat(reps, sizes)
     gap = rep[:, None] - rep[None, :]
-    p_inf = np.divide(c, gap, out=np.zeros_like(c), where=gap != 0)
-
-    # U = (S + P conj(S) eps*j)* W with W block diagonal, one block per
-    # cluster; a 1x1 cluster's block is 1, so its columns need no product.
-    # conj(S) is v^T, and U_I = -(P v^T)^T is written C-ordered in one pass
-    u_st = v.copy()
-    u_inf = np.negative((p_inf @ v.T).T, out=np.empty_like(u_st))
-    blocks = tuple(SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
-                   for lam, mu in _canonical_blocks(c, starts, sizes, reps, [(u_st, u_inf)], tol))
-    u = DCMatrix._frozen(*_checked(u_st, u_inf))  # no copy
-    resid, gate = _residual(a, u, blocks)
+    p = k_mat - k_mat.T
+    p *= np.divide(0.5, gap, out=gap, where=gap != 0)  # in place; zero stays zero
+    y = x @ p
+    u = DCMatrix._frozen(*_checked(x, np.negative(y, out=y)))  # no copy
+    resid, gate = _residual(h_st, off, u, xc, k_mat, blocks)
     # dropped by design: the spread of each cluster around the mean its
     # blocks carry, and the parts of A that are not Hermitian, at most
     # resid_tol / 2 each once the Hermitian check has passed.  The norms of
-    # w and c are those of A's Hermitian parts
+    # w and K are those of A's Hermitian parts
     half = tol.resid_tol / 2
-    check_residual(gate, n, (float(np.linalg.norm(w)), float(np.linalg.norm(c))),
-                   2 * float(np.linalg.norm(u_inf)),
+    check_residual(gate, n, (float(np.linalg.norm(w)), float(np.linalg.norm(k_mat))),
+                   2 * float(np.linalg.norm(y)),
                    (float(np.linalg.norm(w - rep)) + half, half), tol)
     return SpectralDecomposition(u, blocks, resid)
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:
-    """The residual pair herm_spectral reports, recomputed (matrix.factor_residual)."""
+    """The residual pair herm_spectral reports, recomputed (matrix.hermitian_residual)."""
     if a.shape != dec.U.shape or dec.n != a.rows:
         raise ShapeMismatch("decomposition does not match the matrix shape")
-    return _residual(a, dec.U, dec.blocks)[0]
+    h_st, h_inf, off = _hermitian_halves(a)
+    return _residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard), dec.blocks)[0]
 
 
 def subeigenpairs(dec: SpectralDecomposition):
@@ -543,7 +571,7 @@ def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
     and the cut scales with the largest of them in magnitude.  The empty
     matrix has no eigenvalue, and inf stands for its minimum.
     """
-    a_st, _ = _check_hermitian(a, tol, "definiteness applies to Hermitian matrices")
+    a_st = _check_hermitian(a, tol, "definiteness applies to Hermitian matrices")[0]
     w = np.linalg.eigvalsh(a_st)
     if not w.size:
         return math.inf, 0.0

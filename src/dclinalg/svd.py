@@ -160,7 +160,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
         raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 
     blocks = tuple(SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
-        skew, starts, sizes, reps, [(u_st, u_inf), (v_st, v_inf)], tol))
+        lambda cols: skew[cols[:, :, None], cols[:, None, :]], starts, sizes, reps,
+        [(u_st, u_inf), (v_st, v_inf)], tol))
 
     # the infinitesimal part of the corner at zero is B[r:, r:]; its standard
     # part, the values at or below the cutoff, is dropped.  The complex SVD

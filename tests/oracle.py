@@ -11,11 +11,12 @@ references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
 its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
 deflates each group of equal singular values with one SVD per pair,
 youla_skew_deflation, which also takes a stack of blocks in place of the
-library's stacked core.  residual_pair is the residual pair of herm_spectral
-and dc_svd by dense numpy products on the assembled layout.  phi is the
-block-triangular representation of a dual complex matrix as a complex one,
-for checks by plain numpy products, and sub_count reads the number of Sub
-blocks at a level off phi's kernel, with no clustering and no youla_skew.
+library's stacked core.  hermitian_residual_pair and residual_pair are the
+residual pairs of herm_spectral and of dc_svd by dense numpy products on
+the assembled layout.  phi is the block-triangular representation of a
+dual complex matrix as a complex one, for checks by plain numpy products,
+and sub_count reads the number of Sub blocks at a level off phi's kernel,
+with no clustering and no youla_skew.
 """
 
 import math
@@ -196,9 +197,11 @@ def youla_skew_deflation(c, tol: Tolerances = DEFAULT_TOL):
 def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDecomposition:
     """The loop-based form of herm_spectral, kept as a reference for the array form.
 
-    It couples clusters pair by pair, calls youla_skew on every cluster,
-    1x1 ones included, and assembles U from full dual complex products with
-    the block-diagonal W.
+    It calls youla_skew on every cluster's block V_k* H_I conj(V_k), 1x1
+    ones included, and turns each cluster's columns of V by their own
+    product into X.  It then couples clusters pair by pair through
+    K = X* H_I conj(X), and forms U = X (I - P eps*j) by a full dual
+    complex product.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("spectral decomposition needs a square matrix")
@@ -210,7 +213,7 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
 
     w, v = np.linalg.eigh(a_st)
     w = w[::-1]
-    v = v[:, ::-1]
+    v = v[:, ::-1].copy()  # C-ordered, as BLAS takes it
     wmax = float(np.abs(w).max()) if n else 0.0
     tau = tol.group_tol * (1.0 + wmax)
     slices = _cluster_descending(w, tau)
@@ -221,36 +224,65 @@ def herm_spectral_loop(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SpectralDe
                 f"distinct eigenvalue clusters separated by {gap:.3e} < {10 * tau:.3e}")
     reps = [float(np.mean(w[sl])) for sl in slices]
 
-    s_mat = v.conj().T
-    c = s_mat @ a_inf @ s_mat.T
-    c = (c - c.T) / 2
-
-    p_inf = np.zeros((n, n), dtype=complex)
-    for i in range(len(slices)):
-        for j in range(i + 1, len(slices)):
-            cij = c[slices[i], slices[j]]
-            gap = reps[i] - reps[j]
-            p_inf[slices[i], slices[j]] = cij / gap
-            p_inf[slices[j], slices[i]] = cij.T / gap
-
     blocks = []
-    w_diag = np.zeros((n, n), dtype=complex)
+    x = np.zeros((n, n), dtype=complex)
+    # H_I conj(V) on the columns of the clusters of more than one member, in
+    # one product as herm_spectral forms it: BLAS rounds a product's columns
+    # differently with its width, and youla_skew's null basis turns with any
+    # change in the last bit.  A 1x1 cluster's skew block is zero anyway
+    multi = [i for sl in slices if sl.stop - sl.start > 1 for i in range(sl.start, sl.stop)]
+    hv = np.zeros((n, n), dtype=complex)
+    hv[:, multi] = a_inf @ np.conj(v[:, multi])
     for sl, rep in zip(slices, reps):
-        q, pairs, null_dim = youla_skew(c[sl, sl], tol)
+        vk = v[:, sl]
+        ck = vk.conj().T @ hv[:, sl]
+        q, pairs, null_dim = youla_skew((ck - ck.T) / 2, tol)
         d = q.shape[0]
         perm = list(range(2 * len(pairs), d)) + list(range(2 * len(pairs)))
-        w_diag[sl, sl] = np.conj(q[:, perm])
+        x[:, sl] = vk @ np.conj(q[:, perm])
         blocks.extend(SpectralBlock("Eigen", rep) for _ in range(null_dim))
         blocks.extend(SpectralBlock("Sub", rep, s) for s in pairs)
 
-    ps = mat_mul(DCMatrix(np.eye(n), p_inf), DCMatrix(s_mat))
-    u = mat_mul(conj_transpose(ps), DCMatrix(w_diag))
+    k_mat = x.conj().T @ (a_inf @ np.conj(x))
+    p_inf = np.zeros((n, n), dtype=complex)
+    for i in range(len(slices)):
+        for j in range(i + 1, len(slices)):
+            si, sj = slices[i], slices[j]
+            pij = (k_mat[si, sj] - k_mat[sj, si].T) * (0.5 / (reps[i] - reps[j]))
+            p_inf[si, sj] = pij
+            p_inf[sj, si] = pij.T
 
-    return SpectralDecomposition(u, tuple(blocks), residual_pair(a, u, u, assemble_blocks(blocks)))
+    u = mat_mul(DCMatrix(x), DCMatrix(np.eye(n), -p_inf))
+    return SpectralDecomposition(u, tuple(blocks),
+                                 hermitian_residual_pair(a, u, assemble_blocks(blocks)))
+
+
+def hermitian_residual_pair(a: DCMatrix, u: DCMatrix, layout: DCMatrix):
+    """The pair herm_spectral reports, by dense numpy products on the assembled layout.
+
+    With H the Hermitian halves of A, G = H_st X, S = G* Y and
+    K = X* H_I conj(X) for U = X + Y eps*j, the pair is (||G - X L_st||,
+    ||S - S^T + K - L_I||), each against U's unitarity defect and against
+    ||A_st - H_st|| and ||A_I - H_I||, taken as half the norms of
+    A_st - A_st* and A_I + A_I^T.
+    """
+    st_h, inf_t = a.standard.conj().T, a.infinitesimal.T
+    h_st, h_inf = (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2
+    off = (np.linalg.norm(a.standard - st_h) / 2, np.linalg.norm(a.infinitesimal + inf_t) / 2)
+    x, y = u.standard, u.infinitesimal
+    g = h_st @ x
+    s = g.conj().T @ y
+    k_mat = x.conj().T @ (h_inf @ np.conj(x))
+    t_inf = s - s.T + k_mat - layout.infinitesimal
+    r_st = g - x @ layout.standard
+    m = x.conj().T @ y  # (U* U)_I = X* Y - Y^T conj(X) = M - M^T
+    norms = [(np.linalg.norm(r_st), np.linalg.norm(t_inf)),
+             (np.linalg.norm(x.conj().T @ x - np.eye(u.cols)), np.linalg.norm(m - m.T)), off]
+    return tuple(float(max(part)) for part in zip(*norms))
 
 
 def residual_pair(a: DCMatrix, u: DCMatrix, v: DCMatrix, layout: DCMatrix):
-    """The pair herm_spectral and dc_svd report, by dense numpy products.
+    """The pair dc_svd reports, by dense numpy products.
 
     With G = A V, R = A V - U L and E = U* U - I on the assembled layout L,
     the pair is (||R_st||, ||T_I||), each against the larger unitarity

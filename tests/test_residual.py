@@ -32,7 +32,7 @@ from dclinalg import (
     verify_svd,
 )
 from dclinalg.cli import main
-from dclinalg.matrix import factor_residual
+from dclinalg.matrix import _hermitian_halves, _sandwich, factor_residual, hermitian_residual
 from dclinalg.spectral import _diagonals
 from oracle import phi
 
@@ -194,15 +194,15 @@ def test_mat_inv_through_phi(seed):
     assert_small(pinv @ ps - np.eye(12), 6, scale)
 
 
-def assert_factor_residual_matches_phi(a, u, v, pairs, tail=()):
-    """factor_residual's pair and gate on the m x n layout against phi's plain products.
+def assert_matches_phi(pair, gate, a, u, v, pairs, tail=(), atol=0.0):
+    """A pair and gate on the m x n layout against phi's plain products.
 
     The reported pair is (||R_st||, ||T_I||) against the larger defect of U
     and V, with R = A V - U L and T = U* A V - L, and the gate bounds
-    ||T_st||.
+    ||T_st||.  The pair agrees to rtol 1e-8, or to atol where a part
+    vanishes identically and phi's products leave rounding error.
     """
     m, n = a.shape
-    pair, gate = factor_residual(a, u, v, *_diagonals(min(m, n), pairs, tail))
     pl = phi_layout(m, n, pairs, tail)
     two_sided, u_defect = phi_two_sided(a, u, v, pl)
     v_defect = phi(conj_t(v)) @ phi(v) - np.eye(2 * n)
@@ -211,9 +211,15 @@ def assert_factor_residual_matches_phi(a, u, v, pairs, tail=()):
     defects = [phi_parts(u_defect, m, m), phi_parts(v_defect, n, n)]
     d_st, d_inf = (max(np.linalg.norm(d[i]) for d in defects) for i in (0, 1))
     np.testing.assert_allclose(pair, (max(np.linalg.norm(r_st), d_st),
-                                      max(np.linalg.norm(t_inf), d_inf)), rtol=1e-8)
+                                      max(np.linalg.norm(t_inf), d_inf)), rtol=1e-8, atol=atol)
     assert np.linalg.norm(t_st) <= gate[0] and gate[1] == pair[1]
     assert gate[0] <= (1 + 1e-5) * max(np.linalg.norm(r_st), d_st) + d_st * np.linalg.norm(pl)
+
+
+def assert_factor_residual_matches_phi(a, u, v, pairs, tail=()):
+    """factor_residual's pair and gate against phi's plain products (assert_matches_phi)."""
+    pair, gate = factor_residual(a, u, v, *_diagonals(min(a.shape), pairs, tail))
+    assert_matches_phi(pair, gate, a, u, v, pairs, tail)
 
 
 def perturbed(f, rng):
@@ -230,6 +236,53 @@ def test_factor_residual_against_phi_on_a_perturbed_factor(name):
     dec = herm_spectral(a)
     u = perturbed(dec.U, np.random.default_rng(96))
     assert_factor_residual_matches_phi(a, u, u, [(b.lam, b.mu) for b in dec.blocks])
+
+
+HERMITIAN_LAYOUTS = {
+    "empty": (),
+    "eigen-1": (SpectralBlock("Eigen", 0.8),),
+    "eigen-6": tuple(SpectralBlock("Eigen", lam) for lam in (2.0, 1.1, 0.4, -0.3, -1.2, -2.5)),
+    "sub-6": (SpectralBlock("Sub", 1.5, 0.6 + 0.2j), SpectralBlock("Sub", 0.2, 1.1j),
+              SpectralBlock("Sub", -1.0, 0.9)),
+    "mixed-6": (SpectralBlock("Eigen", 2.0), SpectralBlock("Sub", 0.7, 0.8 - 0.5j),
+                SpectralBlock("Eigen", -0.4), SpectralBlock("Sub", -1.6, 1.2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN_LAYOUTS))
+def test_hermitian_residual_against_phi_on_a_perturbed_factor(name):
+    # the gate herm_spectral and verify_spectral share forms T_I as
+    # S - S^T + K - L_I from A's Hermitian halves; on an exactly Hermitian
+    # A those are A itself, and a factor off by 1e-6 lifts every quantity
+    # far above rounding error, so phi's plain products with A pin each one
+    blocks = HERMITIAN_LAYOUTS[name]
+    b = similar(blocks, 99)
+    a = DCMatrix((b.standard + b.standard.conj().T) / 2, (b.infinitesimal - b.infinitesimal.T) / 2)
+    dec = herm_spectral(a)
+    assert [blk.kind for blk in dec.blocks] == [blk.kind for blk in blocks]
+    u = perturbed(dec.U, np.random.default_rng(100))
+    h_st, h_inf, off = _hermitian_halves(a)
+    assert off == (0.0, 0.0)
+    pairs = [(blk.lam, blk.mu) for blk in dec.blocks]
+    pair, gate = hermitian_residual(h_st, off, u, *_sandwich(h_inf, u.standard),
+                                    *_diagonals(a.rows, pairs))
+    # T_I and the defect's infinitesimal part are skew, so zero at n = 1
+    assert_matches_phi(pair, gate, a, u, u, pairs, atol=1e-14)
+    assert pair == verify_spectral(a, replace(dec, U=u))
+
+
+@pytest.mark.parametrize("part, k", [("standard", 0), ("infinitesimal", 1)])
+def test_verify_spectral_judges_a_itself(part, k):
+    # an entry moved on one side only leaves A non-Hermitian by 1e-6, and the
+    # residual verify_spectral recomputes for the original decomposition
+    # must show it, not only the change to A's Hermitian part
+    a = HERMITIAN["planted-sub-0"]
+    dec = herm_spectral(a)
+    parts = {"standard": a.standard.copy(), "infinitesimal": a.infinitesimal.copy()}
+    parts[part][0, 1] += 1e-6
+    moved = DCMatrix(parts["standard"], parts["infinitesimal"])
+    assert max(verify_spectral(a, dec)) <= 1e-12
+    assert verify_spectral(moved, dec)[k] >= 4e-7
 
 
 def planted_svd(m, n, seed):
