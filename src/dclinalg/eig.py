@@ -11,20 +11,21 @@ complex pairs of complex_right_eigs (right_eigs returns the two, and
 Hermitian input takes the block spectral decomposition (herm_spectral),
 whose 1x1 blocks are exactly the right eigenpairs, all of them real: each
 is a dual pair, and the first of each level is also the complex pair.
-Other input takes one eigenvalue decomposition A_st = V D V^-1.  Every
-simple eigenvalue farther than kappa(V) times the rank cut from the others
-and from every conjugate takes its column of V, and all of them are solved
-in one array pass through V, in whose basis the system is diagonal; such a
-pair is the same in both lists.  Everywhere else (clusters, conjugate
-pairs, real or nearly defective standard parts) the route is decided once
-per cluster: the SVD of A_st - lam I gives a cluster's eigenspace unless
-its eigenvalue is separated, and the system is solved through V when the
-cluster is far from every conjugate, else by least squares against the
-unsolvable directions of an SVD.  The pairs are assembled as arrays:
-one index vector in cluster order gathers every kept column, value and
-lam_I at once, and every vector is a read-only view of one checked copy
-of that block (_pairs).  Entries too large for this arithmetic raise
-AccuracyError on entry.
+Other input takes one eigenvalue decomposition A_st = V D V^-1 and the
+inverse of V, whose norm bounds the condition number of V from above:
+kappa = ||V||_F ||V^-1||_F.  Every simple eigenvalue farther than kappa
+times the rank cut from the others and from every conjugate takes its
+column of V, and all of them are solved in one array pass through V, in
+whose basis the system is diagonal; such a pair is the same in both lists.
+Everywhere else (clusters, conjugate pairs, real or nearly defective
+standard parts) the route is decided once per cluster: the SVD of A_st -
+lam I gives a cluster's eigenspace unless its eigenvalue is separated, and
+the system is solved through V when the cluster is far from every
+conjugate, else by least squares against the unsolvable directions of an
+SVD.  The pairs are assembled as arrays: one index vector in cluster order
+gathers every kept column, value and lam_I at once, and every vector is a
+read-only view of one checked copy of that block (_pairs).  Entries too
+large for this arithmetic raise AccuracyError on entry.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def _lstsq_resid(m: np.ndarray, b: np.ndarray):
 
 
 def _eig_clusters(a: DCMatrix, tol: Tolerances):
-    """(dual pairs, complex pairs) of non-Hermitian A from one eig, one cond, at most one inv.
+    """(dual pairs, complex pairs) of non-Hermitian A from one eig and one inv.
 
     right_eigs sends Hermitian input, the empty matrix included, to
     _hermitian_pairs instead.  A pair is kept when its consistency residual
@@ -216,17 +217,18 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
 
     The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
     (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
-    kappa = cond(V), s_{n-1}(A_st - lam I) and s_min(M), M = conj(lam) I -
-    A_st, are at least the second smallest |vals - lam| and the smallest
-    |vals - conj(lam)|, divided by kappa.  An eigenvalue is separated when
-    the first distance exceeds kappa times the cut, and a cluster, at its
-    mean, far when the second one does: the SVDs would then find a
-    one-dimensional eigenspace and no unsolvable direction, and lstsq
-    would not truncate.  A one-member cluster that is both is alone; as the
-    reach is at least tau, every separated eigenvalue is a cluster of its
-    own.  The alone ones are solved together: X_st holds their
-    phase-normalized columns of V, and _solve_through_v solves M_k x_k =
-    A_I conj(x_k) for every column at once, with lam_I = 0.
+    kappa = ||V||_F ||V^-1||_F, at least cond(V) and inf for a singular V,
+    s_{n-1}(A_st - lam I) and s_min(M), M = conj(lam) I - A_st, are at least
+    the second smallest |vals - lam| and the smallest |vals - conj(lam)|,
+    divided by kappa.  An eigenvalue is separated when the first distance
+    exceeds kappa times the cut, and a cluster, at its mean, far when the
+    second one does: the SVDs would then find a one-dimensional eigenspace
+    and no unsolvable direction, and lstsq would not truncate.  A
+    one-member cluster that is both is alone; as the reach is at least tau,
+    every separated eigenvalue is a cluster of its own.  The alone ones are
+    solved together: X_st holds their phase-normalized columns of V, and
+    _solve_through_v solves M_k x_k = A_I conj(x_k) for every column at
+    once, with lam_I = 0.
 
     Every other cluster falls back, one at a time, to an eigenspace basis
     (its column of V when separated, else _eigenspace_basis) and, unless
@@ -245,7 +247,14 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
     vals, vecs = np.linalg.eig(a_st)
     tau = _level_tol(vals, tol)
-    kappa = float(np.linalg.cond(vecs))  # inf for a singular V
+    try:
+        inv_vecs = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:  # an exactly singular V: nothing is separated or far
+        inv_vecs, kappa = None, np.inf
+    else:
+        # ||V^-1||_F of a nearly singular V overflows to inf, which is the bound
+        with np.errstate(over="ignore"):
+            kappa = float(np.linalg.norm(vecs) * np.linalg.norm(inv_vecs))
     a_norm = float(np.linalg.norm(a_st))
 
     # the routes, decided once: an eigenvalue is separated, a cluster (at its
@@ -259,9 +268,6 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     far = (np.abs(np.conj(means)[:, None] - vals).min(axis=1)
            > kappa * _svd_cut(n, tau, a_norm + np.abs(means)))
     alone = [len(g) == 1 and separated[g[0]] and f for g, f in zip(groups, far.tolist())]
-    # a far cluster's kappa times the cut < |shift| <= 2 ||A_st||_F, so
-    # kappa < 1 / (32 n eps): V inverts
-    inv_vecs = np.linalg.inv(vecs) if far.any() else None
 
     # the array pass, in cluster order: its j-th column is the j-th alone cluster
     fast = [g[0] for g, one in zip(groups, alone) if one]

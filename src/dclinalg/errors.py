@@ -16,7 +16,7 @@ class ShapeMismatch(DCError):
 
 
 class NonFinite(DCError):
-    """A matrix entry is NaN or infinite."""
+    """A matrix entry is NaN or infinite, or a residual left double range."""
 
 
 class NotAppreciable(DCError):

@@ -202,12 +202,16 @@ def _times_layout(f, diag, coupling, k: int):
 def _norms(r_st: np.ndarray, r_inf: np.ndarray, axis=None):
     """Component norms of a residual; a NaN or infinite entry raises NonFinite.
 
-    A NaN norm would be dropped by the max() that collects residuals; finite
-    entries whose norm overflows give inf and pass.
+    With finite operands such an entry means that the arithmetic left
+    double range, and the message names the part where it did.  A NaN norm
+    would be dropped by the max() that collects residuals; finite entries
+    whose norm overflows give inf and pass.
     """
     rs, ri = np.linalg.norm(r_st, axis=axis), np.linalg.norm(r_inf, axis=axis)
     if not (np.isfinite(rs).all() and np.isfinite(ri).all()):
-        DCMatrix(r_st, r_inf)  # raises NonFinite on a NaN or infinite entry
+        for part, r in (("standard", r_st), ("infinitesimal", r_inf)):
+            if not np.isfinite(r).all():
+                raise NonFinite(f"the residual's {part} part left double range")
     return (float(rs), float(ri)) if axis is None else (rs, ri)
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -302,13 +303,15 @@ def test_verify_right_eigs_gives_back_the_stored_residuals():
 
 def test_verify_eigenpair_overflow_raises_nonfinite():
     # the DCMatrix form raises on the overflowed product; a NaN norm would
-    # be dropped by the max() that collects residuals
+    # be dropped by the max() that collects residuals.  The array form names
+    # the residual, not an input entry, as the part that left double range
     big = np.full((2, 2), 1e308)
     x = DCMatrix(np.ones((2, 1)))
     for a, part in ((DCMatrix(big), "standard"), (DCMatrix(np.eye(2), big), "infinitesimal")):
-        for check in (verify_eigenpair, verify_eigenpair_products):
+        for check, message in ((verify_eigenpair, f"residual's {part} part left double range"),
+                               (verify_eigenpair_products, part)):
             with np.errstate(over="ignore", invalid="ignore"), \
-                    pytest.raises(NonFinite, match=part):
+                    pytest.raises(NonFinite, match=message):
                 check(a, DualComplex(1), x)
     # finite entries whose norm overflows give inf in both forms
     with np.errstate(over="ignore"):
@@ -440,6 +443,41 @@ def test_right_eigs_match_svd_reference(name, a, routine, reference):
     accept = DEFAULT_TOL.resid_tol * (1 + np.linalg.norm(a.infinitesimal))
     for p in pairs:
         assert max(verify_eigenpair(a, p.value, p.vector)) <= accept
+
+
+def _defective_cases():
+    jordan = 2 * np.eye(3) + np.eye(3, k=1)
+    beside = np.diag([1.0, 1.0, 2.0])
+    beside[0, 1] = 1.0
+    # (name, A, dual pairs, complex pairs)
+    yield "nilpotent", DCMatrix(np.array([[0.0, 1.0], [0.0, 0.0]])), 1, 1
+    yield "jordan-3", DCMatrix(jordan), 1, 1
+    yield "jordan-2-coupled", DCMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                       np.array([[0.0, 0.0], [1.0, 0.0]])), 0, 0
+    yield "jordan-2-beside-2", DCMatrix(beside, 1j * np.eye(3)), 2, 1
+    # LAPACK returns equal eigenvectors: V is exactly singular
+    yield "nilpotent-3", DCMatrix(np.eye(3, k=1)), 1, 1
+
+
+DEFECTIVE_CASES = list(_defective_cases())
+
+
+@pytest.mark.parametrize("name,a,n_dual,n_complex", DEFECTIVE_CASES,
+                         ids=[c[0] for c in DEFECTIVE_CASES])
+def test_defective_standard_part_matches_svd_reference_without_warning(name, a, n_dual,
+                                                                       n_complex):
+    # V is singular or nearly so: kappa is huge, or inf where ||V^-1||_F
+    # overflows or V does not invert; every eigenvalue is real, so none
+    # takes the array pass, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dual, cplx = right_eigs(a)
+    for pairs, ref, count in ((dual, dual_right_eigs_svd(a), n_dual),
+                              (cplx, complex_right_eigs_svd(a), n_complex)):
+        assert len(pairs) == len(ref) == count, name
+        np.testing.assert_allclose([[p.value.standard, p.value.infinitesimal] for p in pairs],
+                                   [[q.value.standard, q.value.infinitesimal] for q in ref],
+                                   rtol=0, atol=1e-12)
 
 
 def _count_calls(monkeypatch):
@@ -636,9 +674,9 @@ def test_hermitian_pairs_come_from_one_spectral_decomposition(name, a, monkeypat
 def test_dctool_eig_decomposes_once(tmp_path, monkeypatch):
     src, out = tmp_path / "a.json", tmp_path / "eig.json"
     src.write_text(jsonio.dumps(jsonio.encode_matrix(gen_random("general", 12, 12, 5))))
-    calls = _count_linalg(monkeypatch, "eig", "cond")
+    calls = _count_linalg(monkeypatch, "eig", "cond", "inv")
     assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
-    assert calls == {"eig": 1, "cond": 1}
+    assert calls == {"eig": 1, "cond": 0, "inv": 1}
     doc = jsonio.decode_eig_result(json.loads(out.read_text()))
     assert len(doc[1]) == len(doc[2]) == 12
 
