@@ -370,16 +370,28 @@ def _check_range(a: DCMatrix) -> None:
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:
-    """Inverse (X + Y*eps*j)^-1 = X^-1 - X^-1 Y conj(X^-1) eps*j; the 0 x 0 matrix is its own."""
+    """Inverse (X + Y*eps*j)^-1 = X^-1 - X^-1 Y conj(X^-1) eps*j; the 0 x 0 matrix is its own.
+
+    X is inverted once, and the inverse bounds its condition number:
+    kappa_F = ||X||_F ||X^-1||_F is at least cond_2(X), and at most n times
+    it.  SingularStandardPart is raised when inv finds X singular, or when
+    kappa_F is not finite or kappa_F n eps >= 1.  Against the test
+    s_min <= n eps s_max of cond_2, this cut is up to n times stricter.
+    """
     if a.rows != a.cols:
         raise ShapeMismatch("only square matrices can be inverted")
     x, y = a.standard, a.infinitesimal
     if not a.rows:
         return DCMatrix(x, y)
-    svals = np.linalg.svd(x, compute_uv=False)
-    if svals[-1] <= a.rows * _EPS * svals[0]:
+    try:
+        xinv = np.linalg.inv(x)
+    except np.linalg.LinAlgError:
+        raise SingularStandardPart("standard part is numerically singular") from None
+    # ||X^-1||_F of a nearly singular X overflows to inf, which fails the cut
+    with np.errstate(over="ignore"):
+        kappa = float(np.linalg.norm(x) * np.linalg.norm(xinv))
+    if not kappa * a.rows * _EPS < 1:  # also when kappa is inf or NaN
         raise SingularStandardPart("standard part is numerically singular")
-    xinv = np.linalg.inv(x)
     return DCMatrix(xinv, -xinv @ y @ np.conj(xinv))
 
 
@@ -388,12 +400,23 @@ def _hermitian_halves(a: DCMatrix, limit: float = math.inf):
 
     off = (||A_st - H_st||, ||A_I - H_I||); None when a part of it exceeds
     limit, and the second is not formed once the first does.  All share one
-    conjugate copy of A_st and a transposed view of A_I.
+    conjugate copy of A_st and a transposed view of A_I.  An exactly
+    Hermitian A, whose differences A_st - A_st* and A_I + A_I^T are zero
+    entry by entry, is its own H: its read-only parts come back as they
+    are, and no halves are formed.  The entries are tested, not the norm,
+    which underflows to 0 for differences below about 1e-154.
     """
     st_h, inf_t = a.standard.conj().T, a.infinitesimal.T
-    off_st = float(np.linalg.norm(a.standard - st_h)) / 2
-    off_inf = float(np.linalg.norm(a.infinitesimal + inf_t)) / 2 if off_st <= limit else off_st
-    if max(off_st, off_inf) <= limit:
+    d_st = a.standard - st_h
+    exact = not d_st.any()
+    off_st = 0.0 if exact else float(np.linalg.norm(d_st)) / 2
+    if off_st > limit:
+        return None
+    d_inf = a.infinitesimal + inf_t
+    if exact and not d_inf.any():
+        return a.standard, a.infinitesimal, (0.0, 0.0)
+    off_inf = float(np.linalg.norm(d_inf)) / 2
+    if off_inf <= limit:
         return (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2, (off_st, off_inf)
 
 

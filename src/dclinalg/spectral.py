@@ -31,8 +31,10 @@ stages 1 and 3 are the helpers here that both call:
 
 herm_spectral takes A's Hermitian parts H from the check that accepts A
 (matrix._check_hermitian); right_eigs, which has run that check, hands
-them to _herm_spectral.  Stage 3 runs first, on the cluster blocks
-V_k* H_I conj(V_k) of the eigenvectors V of H_st, and turns V into X.
+them to _herm_spectral.  An exactly Hermitian A is its own H: the check
+hands back A's own read-only parts and forms no halves.  Stage 3 runs
+first, on the cluster blocks V_k* H_I conj(V_k) of the eigenvectors V of
+H_st, and turns V into X.
 Stage 2 then solves the coupling in that basis, from K = X* H_I conj(X):
 the gap is constant on each pair of cluster blocks, so this gives the
 factor that solving first would.  U = X - X P eps*j is frozen as
@@ -194,8 +196,10 @@ def _clusters(vals, count: int, tau: float, below: float, what: str):
         raise IllConditionedGap(
             f"distinct {what} clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
     reps = vals[starts]
-    for k in np.flatnonzero(sizes > 1):
-        reps[k] = np.mean(vals[starts[k]:ends[k]])
+    # one row mean per size: each row sums as np.mean sums its cluster alone
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        ks = np.flatnonzero(sizes == size)
+        reps[ks] = vals[starts[ks, None] + np.arange(size)].mean(axis=1)
     return starts, sizes, reps
 
 
@@ -244,7 +248,9 @@ def _youla_stack(c, tol: Tolerances):
     step is a per-block numpy call or a stacked one that hands BLAS and
     LAPACK each block as the 2-D call would, so a block's result does not
     depend on the stack it comes in.  Each block is checked against its own
-    bound, and any block that fails raises.
+    bound, and any block that fails raises.  The two final checks form the
+    congruence residual Q^T C Q - J and the defect Q* Q - I in place, at
+    the O(n) nonzeros of J and I.
     """
     n = c.shape[-1]
     bound = (tol.resid_tol * (1.0 + np.linalg.norm(c, axis=(-2, -1)))).reshape(-1)
@@ -320,15 +326,21 @@ def _youla_stack(c, tol: Tolerances):
                 rest = rest - np.conj(pair) @ (np.swapaxes(pair, 1, 2) @ rest)
                 sq = (rest.real ** 2 + rest.imag ** 2).sum(axis=1)
 
+    # J's entries (2i, 2i+1) and (2i+1, 2i) and I's diagonal, as strided
+    # views of each block's flat entries
+    step = 2 * (n + 1)
     jact = np.swapaxes(q, 1, 2) @ c @ q
-    ev = np.arange(0, n - 1, 2)
-    half = (jact[:, ev, ev + 1] - jact[:, ev + 1, ev]).real / 2
-    kept = np.where(ev < k[:, None], half, 0.0)
-    jideal = np.zeros_like(jact)
-    jideal[:, ev, ev + 1], jideal[:, ev + 1, ev] = kept, -kept
-    if np.any(np.linalg.norm(jact - jideal, axis=(1, 2)) > bound):
+    flat = jact.reshape(jact.shape[0], -1)
+    above, below = flat[:, 1::step], flat[:, n::step]
+    half = (above - below).real / 2
+    kept = np.where(np.arange(0, n - 1, 2) < k[:, None], half, 0.0)
+    above -= kept
+    below += kept
+    if np.any(np.linalg.norm(jact, axis=(1, 2)) > bound):
         raise AccuracyError("congruence residual exceeded tolerance")
-    if np.any(np.linalg.norm(np.swapaxes(np.conj(q), 1, 2) @ q - np.eye(n), axis=(1, 2)) > bound):
+    defect = np.swapaxes(np.conj(q), 1, 2) @ q
+    defect.reshape(defect.shape[0], -1)[:, ::n + 1] -= 1
+    if np.any(np.linalg.norm(defect, axis=(1, 2)) > bound):
         raise AccuracyError("computed congruence factor is not unitary")
     return q, [row[:m].tolist() for row, m in zip(half, (k // 2).tolist())], n - k
 
@@ -416,9 +428,13 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     # stage 3 first, on the clusters' blocks of V; X is V with their columns
     # turned
     x = v.copy()
-    blocks = tuple(SpectralBlock("Eigen", lam) if mu is None else SpectralBlock("Sub", lam, mu)
-                   for lam, mu in _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts,
-                                                    sizes, reps, [(x,)], tol))
+    blocks, last = [], None
+    for b in _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts, sizes, reps, [(x,)], tol):
+        if b != last:  # equal blocks, as a cluster's Eigen blocks are, come in runs and share one
+            last = b
+            block = SpectralBlock("Eigen", b[0]) if b[1] is None else SpectralBlock("Sub", *b)
+        blocks.append(block)
+    blocks = tuple(blocks)
 
     # stage 2 in the turned basis: U = X (I - P eps*j), P the skew part of
     # K = X* H_I conj(X) times 1 / gap, the gap between the representatives

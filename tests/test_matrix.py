@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,32 @@ def test_inv_singular_standard_part():
         mat_inv(a)
     with pytest.raises(ShapeMismatch):
         mat_inv(zeros(2, 3))
+
+
+def with_singular_values(svals, seed):
+    """W diag(svals) Z* for seeded unitaries W and Z, with a random infinitesimal part."""
+    n = len(svals)
+    w, z = (gen_random("unitary", n, n, seed + i).standard for i in (0, 1))
+    return DCMatrix(w @ np.diag(svals) @ z.conj().T, cgauss(np.random.default_rng(seed), n, n))
+
+
+@pytest.mark.parametrize("svals", [np.logspace(0, -17, 6), [1.0, 1e-300]],
+                         ids=["cond-1e17", "inverse-1e300"])
+def test_inv_nearly_singular_standard_part_raises_without_warnings(svals):
+    # cond 1e17 inverts, but kappa_F n eps >= 1; an inverse of size 1e300
+    # overflows its norm, and kappa_F reads inf
+    a = with_singular_values(svals, 11)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(SingularStandardPart, match="numerically singular"):
+            mat_inv(a)
+    assert not seen
+
+
+def test_inv_of_condition_1e8_inverts():
+    a = with_singular_values(np.logspace(0, -8, 6), 12)
+    # the infinitesimal part of A A^-1 - I carries cond^2 eps ||A_I||
+    assert component_norms(mat_mul(a, mat_inv(a)) - identity(6))[0] <= 1e-6
 
 
 def test_is_hermitian():

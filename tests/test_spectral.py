@@ -40,6 +40,7 @@ from dclinalg import (
     verify_subeigenpair,
     youla_skew,
 )
+from dclinalg.matrix import _hermitian_halves
 from oracle import dc_svd_gram, herm_spectral_loop, sub_count
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
@@ -348,6 +349,42 @@ def test_stack_with_one_group_span_running_out_raises_as_the_single_call(monkeyp
     assert str(stacked.value) == str(single.value) == "group span ran out before it paired off"
 
 
+def svd_with_u(change):
+    """np.linalg.svd with change applied to its U."""
+    svd = np.linalg.svd
+
+    def changed(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return change(u), s, vh
+    return changed
+
+
+def pair_blocks():
+    """Skew 5 x 5 blocks of two pairs and one null column: groups of two only."""
+    return [congruent_skew([2.0, 1.0], 5, 1310 + seed) for seed in range(2)]
+
+
+def test_youla_raises_when_u_is_not_the_singular_basis(monkeypatch):
+    # U turned by column phases is unitary, and each group's span is C's,
+    # so pairing goes through; but its y is J x up to a phase
+    phases = np.exp(2j * np.pi * np.random.default_rng(1320).uniform(size=5))
+    monkeypatch.setattr(np.linalg, "svd", svd_with_u(lambda u: u * phases))
+    blocks = pair_blocks()
+    for c in (blocks[0], np.stack(blocks)):
+        with pytest.raises(AccuracyError, match="^congruence residual exceeded tolerance$"):
+            spectral_mod._youla_stack(c, spectral_mod.DEFAULT_TOL)
+
+
+def test_youla_raises_when_its_factor_is_not_unitary(monkeypatch):
+    # U scaled by 1 + 1e-6 scales Q's x columns and null columns alike: the
+    # canonical values absorb the scale, and only unitarity fails
+    monkeypatch.setattr(np.linalg, "svd", svd_with_u(lambda u: u * (1 + 1e-6)))
+    blocks = pair_blocks()
+    for c in (blocks[0], np.stack(blocks)):
+        with pytest.raises(AccuracyError, match="^computed congruence factor is not unitary$"):
+            spectral_mod._youla_stack(c, spectral_mod.DEFAULT_TOL)
+
+
 # --------------------------------- a small pair beside a large one (graded)
 
 def assert_youla_checks(c, q, pairs):
@@ -460,6 +497,25 @@ def test_last_cluster_stands_clear_of_below_or_the_next_value():
     assert _clusters(np.array([1.0, 0.5, 1e-9]), 2, 0.01, 0.0, "singular value")[1].size == 2
     with pytest.raises(IllConditionedGap, match="separated by 5.000e-02"):
         _clusters(np.array([1.0, 0.5, 0.45]), 2, 0.01, 0.0, "singular value")
+
+
+@pytest.mark.parametrize("descending_view", [False, True])
+def test_cluster_means_per_size_equal_np_mean_per_cluster(descending_view):
+    # numpy's pairwise sum changes its order above 8 and above 128 terms;
+    # herm_spectral's values are eigh's, reversed as a view
+    rng = np.random.default_rng(1330)
+    sizes = [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 130] * 2
+    rng.shuffle(sizes)
+    tau = 1e-3
+    levels = np.linspace(60.0, -60.0, len(sizes))
+    vals = np.concatenate([lvl - np.cumsum(rng.uniform(0, tau, size)) for lvl, size
+                           in zip(levels, sizes)])
+    if descending_view:
+        vals = vals[::-1].copy()[::-1]
+    starts, got, reps = _clusters(vals, vals.size, tau, -np.inf, "eigenvalue")
+    assert got.tolist() == sizes
+    for start, size, rep in zip(starts.tolist(), sizes, reps.tolist()):
+        assert rep == np.mean(vals[start:start + size])
 
 
 def test_gap_messages_name_the_values_of_each_caller():
@@ -971,3 +1027,71 @@ def test_definiteness_cut_is_relative(scale):
         assert is_psd(twice) == is_pd(twice) == (sign > 0)
     assert is_pd(DCMatrix(scale * 1e-10 * np.eye(3)))
     assert not is_psd(DCMatrix(-scale * 1e-10 * np.eye(3)))
+
+
+# ----------------------------------- exactly Hermitian input, read in place
+
+def exactly_hermitian(a):
+    """A's Hermitian halves as a matrix: exactly Hermitian input."""
+    return DCMatrix((a.standard + a.standard.conj().T) / 2,
+                    (a.infinitesimal - a.infinitesimal.T) / 2)
+
+
+def negative_zero_diagonal():
+    """gen_random("hermitian") with -0.0 imaginary parts on A_st's diagonal."""
+    a = gen_random("hermitian", 6, 6, 1340)
+    st = a.standard.copy()
+    st.imag[np.diag_indices(6)] = -0.0
+    assert np.signbit(st.diagonal().imag).all()
+    return DCMatrix(st, a.infinitesimal)
+
+
+EXACTLY_HERMITIAN = {
+    "hermitian": lambda: gen_random("hermitian", 12, 12, 1341),
+    "clustered": lambda: exactly_hermitian(planted_levels("clustered", 32, 1342)[0]),
+    "ex2": lambda: EX2,
+    "zero": lambda: DCMatrix(np.zeros((4, 4))),
+    "negative-zero-diagonal": negative_zero_diagonal,
+}
+
+
+def spectral_bytes(dec):
+    """U's bytes, the blocks by repr (which keeps the sign of a zero) and the residual."""
+    return (dec.U.standard.tobytes(), dec.U.infinitesimal.tobytes(),
+            repr([(b.kind, b.lam, b.mu) for b in dec.blocks]), repr(dec.residual))
+
+
+@pytest.mark.parametrize("name", EXACTLY_HERMITIAN)
+def test_exactly_hermitian_input_is_read_in_place(name):
+    a = EXACTLY_HERMITIAN[name]()
+    h_st, h_inf, off = _hermitian_halves(a)
+    assert h_st is a.standard and h_inf is a.infinitesimal and off == (0.0, 0.0)
+    fresh = ((a.standard + a.standard.conj().T) / 2, (a.infinitesimal - a.infinitesimal.T) / 2)
+    tol = spectral_mod.DEFAULT_TOL
+    assert (spectral_bytes(spectral_mod._herm_spectral(a, h_st, h_inf, off, tol))
+            == spectral_bytes(spectral_mod._herm_spectral(a, *fresh, off, tol)))
+
+
+@pytest.mark.parametrize("part", ["standard", "infinitesimal"])
+def test_nearly_hermitian_input_forms_halves_and_reports_off(part):
+    a = gen_random("hermitian", 8, 8, 1350)
+    parts = {"standard": a.standard.copy(), "infinitesimal": a.infinitesimal.copy()}
+    parts[part][0, 1] += 1e-12
+    b = DCMatrix(parts["standard"], parts["infinitesimal"])
+    h_st, h_inf, off = _hermitian_halves(b)
+    assert not (np.shares_memory(h_st, b.standard) or np.shares_memory(h_inf, b.infinitesimal))
+    at = ("standard", "infinitesimal").index(part)
+    assert off[at] == pytest.approx(1e-12 / np.sqrt(2), rel=1e-3) and off[1 - at] == 0.0
+    assert herm_spectral(b).residual[at] >= off[at]
+
+
+def test_a_difference_whose_norm_underflows_still_forms_halves():
+    # ||A_st - A_st*|| of a 1e-200 difference underflows to 0; the entries
+    # are tested, so H_st is formed, and it is exactly Hermitian
+    a = gen_random("hermitian", 6, 6, 1360)
+    st = a.standard.copy()
+    st[0, 1], st[1, 0] = 1e-200, 0.0
+    b = DCMatrix(st, a.infinitesimal)
+    h_st, _, off = _hermitian_halves(b)
+    assert off == (0.0, 0.0) and not np.shares_memory(h_st, b.standard)
+    assert np.array_equal(h_st, h_st.conj().T)
