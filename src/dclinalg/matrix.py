@@ -235,20 +235,20 @@ def dual_residual(a: DCMatrix, x, diag, coupling=None, axis=None):
     return _norms(r_st, r_inf, axis)
 
 
-def _defect(u: DCMatrix, xc: np.ndarray):
-    """The arrays of U* U - I for U = X + Y eps*j, with xc = conj(X).
+def _defect(u: DCMatrix, xc: np.ndarray) -> tuple[float, float]:
+    """Component norms of U* U - I for U = X + Y eps*j, with xc = conj(X).
 
     The infinitesimal part of U* U is M - M^T with M = X* Y, so one
     product gives it where the general product rule takes two.
     """
     e_st, m = xc.T @ u.standard, xc.T @ u.infinitesimal
     e_st.reshape(-1)[::e_st.shape[1] + 1] -= 1  # the diagonal, in place
-    return e_st, m - m.T
+    return float(np.linalg.norm(e_st)), float(np.linalg.norm(m - m.T))
 
 
 def unitarity_defect(u: DCMatrix) -> tuple[float, float]:
     """Component norms of U* U - I."""
-    return tuple(float(np.linalg.norm(e)) for e in _defect(u, np.conj(u.standard)))
+    return _defect(u, np.conj(u.standard))
 
 
 def _minus_layout(t_inf: np.ndarray, diag_inf, coupling) -> None:
@@ -262,7 +262,7 @@ def _minus_layout(t_inf: np.ndarray, diag_inf, coupling) -> None:
 
 def _pair_and_gate(rs: float, ti: float, u: DCMatrix, xc: np.ndarray, floor, l_st):
     """(pair, gate) from ||R_st|| and ||T_I||, each part at least U's defect and floor's."""
-    eu = tuple(float(np.linalg.norm(e)) for e in _defect(u, xc))
+    eu = _defect(u, xc)
     t_st = (1 + eu[0]) * rs + eu[0] * float(np.linalg.norm(l_st))
     low = (max(eu[0], floor[0]), max(eu[1], floor[1]))
     return (max(rs, low[0]), max(ti, low[1])), (max(t_st, low[0]), max(ti, low[1]))
@@ -281,21 +281,22 @@ def factor_residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, diag, coupling=None):
     infinitesimal part has no such stand-in: U_I carries the standard
     residual, and with it whatever the decomposition dropped from A_st,
     into T_I.  E takes two products per factor, 9 complex products in all.
-    G_I accumulates in place and then holds conj(G_st), and R_st is taken
-    in place on G_st's first k columns.  pair, what a result reports and
+    G_I accumulates in place and then holds conj(G_st), R_st is taken in
+    place on G_st's first k columns, and V's defect reuses the conj(V_st)
+    that G_I's product took.  pair, what a result reports and
     `verify` recomputes, is (||R_st||, ||T_I||) against the unitarity
     defects of U and V, the larger per component; gate, what
     check_residual judges, puts the bound on ||T_st|| in place of ||R_st||.
     """
     k = len(diag[0])
-    xc = np.conj(u.standard)
+    xc, vc = np.conj(u.standard), np.conj(v.standard)
     g_st, g_inf = a.standard @ v.standard, a.standard @ v.infinitesimal
-    g_inf += a.infinitesimal @ np.conj(v.standard)
+    g_inf += a.infinitesimal @ vc
     t_inf = xc.T @ g_inf
     t_inf -= u.infinitesimal.T @ np.conj(g_st, out=g_inf)
     _minus_layout(t_inf, diag[1], coupling)
     g_st[:, :k] -= u.standard[:, :k] * diag[0]  # R_st
-    return _pair_and_gate(*_norms(g_st, t_inf), u, xc, unitarity_defect(v), diag[0])
+    return _pair_and_gate(*_norms(g_st, t_inf), u, xc, _defect(v, vc), diag[0])
 
 
 def _sandwich(h_inf: np.ndarray, x: np.ndarray):
@@ -377,9 +378,13 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
     it.  SingularStandardPart is raised when inv finds X singular, or when
     kappa_F is not finite or kappa_F n eps >= 1.  Against the test
     s_min <= n eps s_max of cond_2, this cut is up to n times stricter.
+    Entries too large for the arithmetic raise AccuracyError first
+    (_check_range), and so does an X so small against Y that the inverse
+    leaves double range.
     """
     if a.rows != a.cols:
         raise ShapeMismatch("only square matrices can be inverted")
+    _check_range(a)
     x, y = a.standard, a.infinitesimal
     if not a.rows:
         return DCMatrix(x, y)
@@ -387,12 +392,22 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
         xinv = np.linalg.inv(x)
     except np.linalg.LinAlgError:
         raise SingularStandardPart("standard part is numerically singular") from None
-    # ||X^-1||_F of a nearly singular X overflows to inf, which fails the cut
-    with np.errstate(over="ignore"):
-        kappa = float(np.linalg.norm(x) * np.linalg.norm(xinv))
+    # kappa_F does not change when X is scaled.  The power of 2 nearest
+    # 1 / max |X_ij|, at most 2^1023, scales both norms exactly and keeps
+    # them in range, where a tiny X would underflow ||X||_F and overflow
+    # ||X^-1||_F.  ||X^-1||_F of a nearly singular X still overflows to inf,
+    # and an X^-1 that inv overflowed makes it NaN; either fails the cut
+    c = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(x).max()))[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kappa = float(np.linalg.norm(x * c) * np.linalg.norm(xinv * (1 / c)))
     if not kappa * a.rows * _EPS < 1:  # also when kappa is inf or NaN
         raise SingularStandardPart("standard part is numerically singular")
-    return DCMatrix(xinv, -xinv @ y @ np.conj(xinv))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked as the result is built
+        y_inv = -xinv @ y @ np.conj(xinv)
+    try:
+        return DCMatrix(xinv, y_inv)
+    except NonFinite:  # A is finite, so the inverse overflowed
+        raise AccuracyError("X^-1 Y conj(X^-1) overflows: A_st is too small against A_I") from None
 
 
 def _hermitian_halves(a: DCMatrix, limit: float = math.inf):
@@ -426,7 +441,11 @@ def _hermitian_parts(a: DCMatrix, tol: Tolerances):
 
 
 def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when the standard part is Hermitian and the infinitesimal part skew-symmetric."""
+    """True when the standard part is Hermitian and the infinitesimal part skew-symmetric.
+
+    Entries too large for the arithmetic raise AccuracyError (_check_range).
+    """
+    _check_range(a)
     return _hermitian_parts(a, tol) is not None
 
 
@@ -440,7 +459,11 @@ def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str):
 
 
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric."""
+    """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric.
+
+    Entries too large for the arithmetic raise AccuracyError (_check_range).
+    """
+    _check_range(a)
     return a.rows == a.cols and max(unitarity_defect(a)) <= tol.resid_tol
 
 

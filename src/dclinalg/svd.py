@@ -12,11 +12,13 @@ spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
    rest form one more cluster, at zero, which the last positive one must
    stand 10 tau clear of;
 2. U = P (I + X eps*j) and V = Q (I + Y eps*j), with X and Y complex
-   symmetric, turn the infinitesimal part of U* A V into B + S Y - X S.
-   One masked array solve of the 2x2 systems of the entry pairs (i, j),
-   (j, i), whose determinant is sigma_i^2 - sigma_j^2, zeroes it between
-   clusters and against the extra rows or columns of a tall or wide input;
-   inside a positive cluster it removes the symmetric part of B's block;
+   symmetric, turn the infinitesimal part of U* A V into B + S Y - X S
+   (_solve_xy).  One array solve of the 2x2 systems of the entry pairs
+   (i, j), (j, i) of B's k x k block, whose determinant is sigma_i^2 -
+   sigma_j^2, zeroes it between clusters; inside a positive cluster it
+   removes the symmetric part of B's block.  Against the extra rows of a
+   tall input X is B_ij / sigma_j, against the extra columns of a wide one
+   Y is -B_ji / sigma_j;
 3. each positive cluster's remaining skew block goes to canonical form
    (_canonical_blocks), rotating the columns of U and V alike.  The corner
    at zero keeps its infinitesimal part, whose complex SVD gives D; its
@@ -83,7 +85,12 @@ def _rank_cutoff(smax: float, dim: int, tol: Tolerances) -> float:
 
 
 def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Number of positive standard singular values; the numerical rank of A_st."""
+    """Number of positive standard singular values; the numerical rank of A_st.
+
+    Entries too large for the arithmetic raise AccuracyError (_check_range),
+    as in dc_svd, rather than a rank of 0 from an infinite sigma_1.
+    """
+    _check_range(a)
     svals = np.linalg.svd(a.standard, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
@@ -103,6 +110,75 @@ def verify_svd(a: DCMatrix, res: SvdResult):
     if res.standard_rank + res.infinitesimal_rank > min(a.shape):
         raise ShapeMismatch("layout is wider than the matrix: r + p exceeds min(m, n)")
     return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
+
+
+_NEG_ZERO = np.uint64(1 << 63)  # the bits of -0.0
+# a component at least this large halves exactly, and so does its product with 1/sigma
+_TINY = 2.0 ** -1020
+
+
+def _half(z: np.ndarray) -> np.ndarray:
+    """z / 2, bit for bit, by one real product unless a component is -0.0.
+
+    numpy divides a complex number a + bi by a real d as by d + 0j, by
+    Smith's rule: ((a + b rat) scl, (b - a rat) scl) with rat = 0 / d and
+    scl = 1 / d.  The zero terms b rat and a rat change a component only
+    where it is -0.0, so elsewhere the quotient is a and b times 1/d.
+    """
+    if (z.view(np.uint64) == _NEG_ZERO).any():
+        return z / 2
+    return (z.view(float) * 0.5).view(complex)
+
+
+def _solve_xy(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
+    """Stage 2: (X, Y, skew) for U = P (I + X eps*j), V = Q (I + Y eps*j).
+
+    X (m x m) and Y (n x n) are complex symmetric and turn the
+    infinitesimal part of U* A V into B + S Y - X S.  Padded to big x big,
+    with S zero past k, the pair (i, j), (j, i) of it vanishes for
+      X_ij = sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
+      Y_ij = -sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
+    sym and skew the parts of B.  Inside a positive cluster only the sym
+    term is taken, which leaves the skew part for youla_skew and zeroes the
+    diagonal of a 1x1 cluster; in the corner at zero neither is.  The
+    padded form is not built: the k x k block is solved on B[:k, :k], its
+    masks slices, and the strip of a tall X or a wide Y is B_ij / s_j, or
+    -B_ji / s_j, at each positive j and masked elsewhere.  Each entry is
+    the padded form's to the bit, signed zeros included: +0.0 where X is
+    masked, -0.0 - 0.0j where Y is.  The strip takes the padded form's own
+    steps only where B or the quotient has a component that is zero or
+    below _TINY, where halving rounds.  skew is B's k x k skew part, all
+    that _canonical_blocks reads of it.
+    """
+    m, n = b.shape
+    k = min(m, n)
+    bk, bt = b[:k, :k], b[:k, :k].T.copy()
+    skew = _half(bk - bt)
+    # masked entries divide by zero; the rest, which overflows where A_st is
+    # tiny against A_I, is range-checked in dc_svd
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_sym = _half(bk + bt) / (s[:, None] + s[None, :])
+        t_skew = skew / (s[:, None] - s[None, :])
+        e, sd = (b[k:, :r], s[:r]) if m > n else (b[:r, k:], -s[:r, None])
+        nat = trans = e * (1 / sd)
+        if not all((np.abs(v.view(float)) >= _TINY).all() for v in (e, nat)):
+            base = (e + 0) / 2 / np.abs(sd)
+            base = base if m > n else -base
+            nat, trans = base - e / 2 / -sd, base - (0 - e) / 2 / sd
+        t_sym[r:, r:] = 0
+        t_skew[r:, r:] = 0
+        t_skew.reshape(-1)[::k + 1][:r] = 0
+        for i in np.flatnonzero(sizes > 1).tolist():
+            c = slice(starts[i], starts[i] + sizes[i])
+            t_skew[c, c] = 0
+        x = np.zeros((m, m), dtype=complex)
+        y = np.full((n, n), complex(-0.0, -0.0))
+        np.subtract(t_sym, t_skew, out=x[:k, :k])
+        # negated as floats, which numpy does faster than complex negation
+        np.subtract((-t_sym.view(float)).view(complex), t_skew, out=y[:k, :k])
+        z = x if m > n else y
+        z[k:, :r], z[:r, k:] = (nat, trans.T) if m > n else (trans.T, nat)
+    return x, y, skew
 
 
 def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
@@ -128,30 +204,10 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     # cluster at zero can fail the last gap
     starts, sizes, reps = _clusters(s, r, tau, 0.0, "singular value")
 
-    # U = P (I + X eps*j) and V = Q (I + Y eps*j) with X, Y complex symmetric
-    # turn the infinitesimal part of U* A V into B + S Y - X S.  Padded to
-    # big x big, with S zero past k, the pair (i, j), (j, i) of it vanishes for
-    #   X_ij = sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
-    #   Y_ij = -sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j),
-    # sym and skew the parts of B.  Inside a positive cluster only the sym
-    # term is taken, which leaves the skew part for youla_skew and zeroes the
-    # diagonal of a 1x1 cluster; the corner at zero is left alone.
-    label = np.full(big, -1)
-    label[:r] = np.repeat(np.arange(starts.size), sizes)
-    sig = np.zeros(big)
-    sig[:k] = s
-    bp = np.zeros((big, big), dtype=complex)
-    bp[:m, :n] = b
-    sym = (bp + bp.T) / 2
-    skew = (bp - bp.T) / 2
-    zero = label < 0
+    x, y, skew = _solve_xy(s, b, r, starts, sizes)
     with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
-        t_sym = np.divide(sym, sig[:, None] + sig[None, :], out=np.zeros_like(sym),
-                          where=~(zero[:, None] & zero[None, :]))
-        t_skew = np.divide(skew, sig[:, None] - sig[None, :], out=np.zeros_like(skew),
-                           where=label[:, None] != label[None, :])
-        u_st, u_inf = p_st, p_st @ (t_sym - t_skew)[:m, :m]
-        v_st, v_inf = q_st, q_st @ (-t_sym - t_skew)[:n, :n]
+        u_st, u_inf = p_st, p_st @ x
+        v_st, v_inf = q_st, q_st @ y
     # X and Y scale as A_I / sigma, so an A_st tiny against A_I can take U_I
     # and V_I past double range, or past the range _check_range keeps A's
     # entries in so that the sums and norms of the final residual stay finite

@@ -8,7 +8,8 @@ independent of the packed complex representation used by the library.  The
 Hermitian spectral decomposition has a loop-based reference,
 herm_spectral_loop, the right eigenpair routines have their SVD-per-cluster
 references, complex_right_eigs_svd and dual_right_eigs_svd, the SVD has
-its Gram-matrix form, dc_svd_gram, and youla_skew has its form that
+its Gram-matrix form, dc_svd_gram, and its stage 2 its padded form,
+solve_xy_padded, and youla_skew has its form that
 deflates each group of equal singular values with one SVD per pair,
 youla_skew_deflation, which also takes a stack of blocks in place of the
 library's stacked core.  hermitian_residual_pair and residual_pair are the
@@ -534,3 +535,31 @@ def dc_svd_gram(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     layout = assemble_layout(m, n, sig_blocks, inf_vals)
     resid = residual_pair(a, u, v, layout)
     return SvdResult(u, v, tuple(sig_blocks), inf_vals, r, p, resid)
+
+
+def solve_xy_padded(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
+    """svd._solve_xy in its padded form: (X, Y, skew), skew big x big.
+
+    B is padded to big x big = max(m, n)^2 with S zero past k, and two
+    masked divisions solve every entry pair (i, j), (j, i) at once: X_ij =
+    sym_ij / (s_i + s_j) - skew_ij / (s_i - s_j) and Y_ij = -sym_ij / (s_i +
+    s_j) - skew_ij / (s_i - s_j), the sym term masked in the corner at zero,
+    the skew term inside each cluster and in that corner.
+    """
+    m, n = b.shape
+    k, big = min(m, n), max(m, n)
+    label = np.full(big, -1)
+    label[:r] = np.repeat(np.arange(starts.size), sizes)
+    sig = np.zeros(big)
+    sig[:k] = s
+    bp = np.zeros((big, big), dtype=complex)
+    bp[:m, :n] = b
+    sym = (bp + bp.T) / 2
+    skew = (bp - bp.T) / 2
+    zero = label < 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_sym = np.divide(sym, sig[:, None] + sig[None, :], out=np.zeros_like(sym),
+                          where=~(zero[:, None] & zero[None, :]))
+        t_skew = np.divide(skew, sig[:, None] - sig[None, :], out=np.zeros_like(skew),
+                           where=label[:, None] != label[None, :])
+        return (t_sym - t_skew)[:m, :m], (-t_sym - t_skew)[:n, :n], skew

@@ -17,8 +17,14 @@ from dclinalg import (
     dual_right_eigs,
     gen_random,
     herm_spectral,
+    is_hermitian,
+    is_pd,
+    is_psd,
+    is_unitary,
     jsonio,
+    mat_inv,
     simple_eig_lift,
+    standard_rank,
 )
 from dclinalg.cli import main
 
@@ -85,6 +91,12 @@ def test_cli_maps_non_finite_to_validation_exit(tmp_path, monkeypatch, capsys):
 
 NEAR_OVERFLOW = {"herm_spectral": (herm_spectral, AccuracyError),
                  "dc_svd": (dc_svd, AccuracyError),
+                 "standard_rank": (standard_rank, AccuracyError),
+                 "mat_inv": (mat_inv, AccuracyError),
+                 "is_unitary": (is_unitary, AccuracyError),
+                 "is_hermitian": (is_hermitian, AccuracyError),
+                 "is_psd": (is_psd, AccuracyError),
+                 "is_pd": (is_pd, AccuracyError),
                  "dual_right_eigs": (dual_right_eigs, AccuracyError),
                  "complex_right_eigs": (complex_right_eigs, AccuracyError),
                  # once A_st is scaled to nothing, e_1 and e_2 are eigenvectors for 0
@@ -143,6 +155,11 @@ def test_tiny_standard_part_emits_no_warning(routine, scale):
     if routine == "dc_svd":
         with pytest.raises(AccuracyError, match="too small against A_I"):
             dc_svd(a)
+    elif routine == "mat_inv":
+        # the infinitesimal part of the inverse, of the size of A_I / A_st^2,
+        # leaves double range
+        with pytest.raises(AccuracyError, match="overflows: A_st is too small against A_I"):
+            mat_inv(a)
     elif routine == "simple_eig_lift" and scale[1] > 1e308 * scale[0]:
         # x_I, of the size of A_I / A_st, leaves double range
         with pytest.raises(Inconsistent, match="no solution .* x_I overflows, A_st is too small"):
@@ -153,6 +170,17 @@ def test_tiny_standard_part_emits_no_warning(routine, scale):
             NEAR_OVERFLOW[routine][0](a)
     else:
         NEAR_OVERFLOW[routine][0](a)
+
+
+@pytest.mark.parametrize("scale", TINY_STANDARD, ids=str)
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)], ids=str)
+def test_svd_of_tiny_general_standard_part_raises_without_warning(shape, scale):
+    # on general input both of stage 2's terms overflow, tall, wide or
+    # square, and their difference inf - inf must not warn
+    rng = np.random.default_rng(5)
+    a = DCMatrix(scale[0] * rng.standard_normal(shape), scale[1] * rng.standard_normal(shape))
+    with pytest.raises(AccuracyError, match="too small against A_I"):
+        dc_svd(a)
 
 
 @pytest.mark.parametrize("scale", TINY_STANDARD, ids=str)

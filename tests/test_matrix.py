@@ -181,11 +181,12 @@ def with_singular_values(svals, seed):
     return DCMatrix(w @ np.diag(svals) @ z.conj().T, cgauss(np.random.default_rng(seed), n, n))
 
 
-@pytest.mark.parametrize("svals", [np.logspace(0, -17, 6), [1.0, 1e-300]],
-                         ids=["cond-1e17", "inverse-1e300"])
+@pytest.mark.parametrize("svals", [np.logspace(0, -17, 6), [1.0, 1e-300], [1e-310, 1e-310]],
+                         ids=["cond-1e17", "inverse-1e300", "subnormal"])
 def test_inv_nearly_singular_standard_part_raises_without_warnings(svals):
     # cond 1e17 inverts, but kappa_F n eps >= 1; an inverse of size 1e300
-    # overflows its norm, and kappa_F reads inf
+    # overflows its norm, and kappa_F reads inf; the inverse of a subnormal
+    # X overflows in inv, and kappa_F reads NaN
     a = with_singular_values(svals, 11)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")

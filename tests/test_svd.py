@@ -28,7 +28,7 @@ from dclinalg import (
     zeros,
 )
 from dclinalg.matrix import unitarity_defect
-from oracle import dc_svd_gram
+from oracle import dc_svd_gram, solve_xy_padded
 
 EPS = np.finfo(float).eps
 
@@ -352,3 +352,95 @@ def test_corrupted_svd_raises_accuracy_error(monkeypatch):
     monkeypatch.setattr(svd_mod.np.linalg, "svd", corrupted)
     with pytest.raises(AccuracyError):
         dc_svd(a)
+
+
+# ------------------------------------------ stage 2 against its padded form
+
+def planted(m, n, sigmas, seed):
+    """A_st = W diag(sigmas) Z* with seeded unitaries, and a random A_I."""
+    rng = np.random.default_rng(seed)
+    w, z = haar(rng, m)[:, :len(sigmas)], haar(rng, n)[:, :len(sigmas)]
+    return DCMatrix((w * sigmas) @ z.conj().T, cgauss(rng, m, n))
+
+
+def signed_zeros(m, n, seed):
+    """A diagonal real A_st and an A_I whose real parts are -0.0, some imaginary ones too.
+
+    B = P* A_I conj(Q) keeps some of those -0.0 components when the input is
+    square or wide.
+    """
+    rng = np.random.default_rng(seed)
+    a_st = np.zeros((m, n))
+    a_st[range(min(m, n)), range(min(m, n))] = np.arange(min(m, n), 0, -1)
+    a_i = np.empty((m, n), dtype=complex)
+    a_i.real, a_i.imag = -0.0, rng.standard_normal((m, n))
+    a_i[rng.random((m, n)) < 0.3] = complex(-0.0, -0.0)
+    return DCMatrix(a_st, a_i)
+
+
+# (input, its standard rank r)
+STAGE_TWO_INPUTS = {
+    "tall-full-rank": (lambda: rand_dcmatrix(np.random.default_rng(1), 7, 4), 4),
+    "wide-full-rank": (lambda: rand_dcmatrix(np.random.default_rng(2), 4, 7), 4),
+    "square-full-rank": (lambda: rand_dcmatrix(np.random.default_rng(3), 5, 5), 5),
+    "tall-rank-2": (lambda: planted(7, 4, [2.0, 1.0], 4), 2),
+    "wide-rank-2": (lambda: planted(4, 7, [2.0, 1.0], 5), 2),
+    "square-rank-3": (lambda: planted(5, 5, [3.0, 2.0, 1.0], 6), 3),
+    "tall-zero-standard": (lambda: DCMatrix(np.zeros((5, 3)), cgauss(np.random.default_rng(7), 5, 3)), 0),
+    "wide-zero-standard": (lambda: DCMatrix(np.zeros((3, 5)), cgauss(np.random.default_rng(8), 3, 5)), 0),
+    "empty-0x3": (lambda: zeros(0, 3), 0),
+    "empty-3x0": (lambda: zeros(3, 0), 0),
+    "row-1x5": (lambda: rand_dcmatrix(np.random.default_rng(9), 1, 5), 1),
+    "column-5x1": (lambda: rand_dcmatrix(np.random.default_rng(10), 5, 1), 1),
+    "clusters-2-3-tall": (lambda: planted(8, 6, [3.0, 3.0, 1.0, 1.0, 1.0], 11), 5),
+    "clusters-2-3-wide": (lambda: planted(6, 8, [3.0, 3.0, 1.0, 1.0, 1.0], 12), 5),
+    "kron-ex2-real": (lambda: from_scalars([[1, EPS_J, 0, 0], [-EPS_J, 1, 0, 0],
+                                            [0, 0, 1, EPS_J], [0, 0, -EPS_J, 1]]), 4),
+    # B / sigma below 2^-1022, where halving rounds: the strip takes the padded form's steps
+    "tall-subnormal-quotients": (lambda: DCMatrix(1e150 * cgauss(np.random.default_rng(18), 5, 3),
+                                                  1e-160 * cgauss(np.random.default_rng(21), 5, 3)), 3),
+    "wide-subnormal-infinitesimal": (
+        lambda: DCMatrix(cgauss(np.random.default_rng(19), 3, 5), 1e-310 * cgauss(np.random.default_rng(20), 3, 5)), 3),
+    "signed-zeros-wide": (lambda: signed_zeros(4, 6, 14), 4),
+    "signed-zeros-square": (lambda: signed_zeros(5, 5, 15), 5),
+}
+# A_I = +-0: B's zeros take their signs from P and Q, and about half of these
+# A_st lead a sign through to U_I
+for _seed in range(4):
+    for _name, _zero in (("zero", 0.0), ("negative-zero", complex(-0.0, -0.0))):
+        STAGE_TWO_INPUTS[f"tall-{_name}-infinitesimal-{_seed}"] = (
+            lambda seed=_seed, zero=_zero: DCMatrix(cgauss(np.random.default_rng(seed), 5, 3),
+                                                    np.full((5, 3), zero)), 3)
+
+
+def result_bytes(res):
+    """Every byte of a result: the factors' arrays and the reprs of the rest, signed zeros included."""
+    return ([part.tobytes() for f in (res.U, res.V) for part in (f.standard, f.infinitesimal)],
+            repr((res.standard_blocks, res.infinitesimal_values, res.standard_rank,
+                  res.infinitesimal_rank, res.residual)))
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_TWO_INPUTS))
+def test_stage_two_is_bit_identical_to_the_padded_form(monkeypatch, name):
+    make, rank = STAGE_TWO_INPUTS[name]
+    a = make()
+    res = dc_svd(a)
+    assert res.standard_rank == rank
+    if name.startswith("signed-zeros"):
+        p, _, qh = np.linalg.svd(a.standard)
+        b = (p.conj().T @ a.infinitesimal @ qh.T).view(float)
+        assert np.any((b == 0) & np.signbit(b))  # B holds -0.0 entries
+    solve, same = svd_mod._solve_xy, []
+
+    def padded(*args):
+        # X, Y and the k x k skew part, whose signed zeros U_I and V_I's
+        # products may not carry through, match to the bit as well
+        x, y, skew = solve_xy_padded(*args)
+        k = min(args[1].shape)
+        same.append([z.tobytes() for z in solve(*args)] == [z.tobytes() for z in (x, y, skew[:k, :k])])
+        return x, y, skew
+
+    monkeypatch.setattr(svd_mod, "_solve_xy", padded)
+    assert result_bytes(dc_svd(a)) == result_bytes(res)
+    assert same == [True]
+
