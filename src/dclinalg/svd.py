@@ -112,24 +112,6 @@ def verify_svd(a: DCMatrix, res: SvdResult):
     return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
 
 
-_NEG_ZERO = np.uint64(1 << 63)  # the bits of -0.0
-# a component at least this large halves exactly, and so does its product with 1/sigma
-_TINY = 2.0 ** -1020
-
-
-def _half(z: np.ndarray) -> np.ndarray:
-    """z / 2, bit for bit, by one real product unless a component is -0.0.
-
-    numpy divides a complex number a + bi by a real d as by d + 0j, by
-    Smith's rule: ((a + b rat) scl, (b - a rat) scl) with rat = 0 / d and
-    scl = 1 / d.  The zero terms b rat and a rat change a component only
-    where it is -0.0, so elsewhere the quotient is a and b times 1/d.
-    """
-    if (z.view(np.uint64) == _NEG_ZERO).any():
-        return z / 2
-    return (z.view(float) * 0.5).view(complex)
-
-
 def _solve_xy(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
     """Stage 2: (X, Y, skew) for U = P (I + X eps*j), V = Q (I + Y eps*j).
 
@@ -143,28 +125,27 @@ def _solve_xy(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
     diagonal of a 1x1 cluster; in the corner at zero neither is.  The
     padded form is not built: the k x k block is solved on B[:k, :k], its
     masks slices, and the strip of a tall X or a wide Y is B_ij / s_j, or
-    -B_ji / s_j, at each positive j and masked elsewhere.  Each entry is
-    the padded form's to the bit, signed zeros included: +0.0 where X is
-    masked, -0.0 - 0.0j where Y is.  The strip takes the padded form's own
-    steps only where B or the quotient has a component that is zero or
-    below _TINY, where halving rounds.  skew is B's k x k skew part, all
-    that _canonical_blocks reads of it.
+    -B_ji / s_j, at each positive j and masked elsewhere.  Each entry takes
+    the padded form's own steps, so it is that form's to the bit, signed
+    zeros included: +0.0 where X is masked, -0.0 - 0.0j where Y is.  skew
+    is B's k x k skew part, all that _canonical_blocks reads of it.
     """
     m, n = b.shape
     k = min(m, n)
     bk, bt = b[:k, :k], b[:k, :k].T.copy()
-    skew = _half(bk - bt)
+    skew = (bk - bt) / 2
     # masked entries divide by zero; the rest, which overflows where A_st is
     # tiny against A_I, is range-checked in dc_svd
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_sym = _half(bk + bt) / (s[:, None] + s[None, :])
+        t_sym = (bk + bt) / 2 / (s[:, None] + s[None, :])
         t_skew = skew / (s[:, None] - s[None, :])
+        # the strip at positive j: nat where e sits in B, trans at its mirror,
+        # which the padded form fills with +0.  base is the sym term of X or
+        # Y there, and the skew term divides by -sd at e and by sd at its mirror
         e, sd = (b[k:, :r], s[:r]) if m > n else (b[:r, k:], -s[:r, None])
-        nat = trans = e * (1 / sd)
-        if not all((np.abs(v.view(float)) >= _TINY).all() for v in (e, nat)):
-            base = (e + 0) / 2 / np.abs(sd)
-            base = base if m > n else -base
-            nat, trans = base - e / 2 / -sd, base - (0 - e) / 2 / sd
+        base = (e + 0) / 2 / np.abs(sd)
+        base = base if m > n else -base
+        nat, trans = base - e / 2 / -sd, base - (0 - e) / 2 / sd
         t_sym[r:, r:] = 0
         t_skew[r:, r:] = 0
         t_skew.reshape(-1)[::k + 1][:r] = 0
@@ -174,8 +155,7 @@ def _solve_xy(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
         x = np.zeros((m, m), dtype=complex)
         y = np.full((n, n), complex(-0.0, -0.0))
         np.subtract(t_sym, t_skew, out=x[:k, :k])
-        # negated as floats, which numpy does faster than complex negation
-        np.subtract((-t_sym.view(float)).view(complex), t_skew, out=y[:k, :k])
+        np.subtract(-t_sym, t_skew, out=y[:k, :k])
         z = x if m > n else y
         z[k:, :r], z[:r, k:] = (nat, trans.T) if m > n else (trans.T, nat)
     return x, y, skew

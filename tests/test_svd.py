@@ -396,7 +396,7 @@ STAGE_TWO_INPUTS = {
     "clusters-2-3-wide": (lambda: planted(6, 8, [3.0, 3.0, 1.0, 1.0, 1.0], 12), 5),
     "kron-ex2-real": (lambda: from_scalars([[1, EPS_J, 0, 0], [-EPS_J, 1, 0, 0],
                                             [0, 0, 1, EPS_J], [0, 0, -EPS_J, 1]]), 4),
-    # B / sigma below 2^-1022, where halving rounds: the strip takes the padded form's steps
+    # B / sigma below 2^-1022, where halving rounds
     "tall-subnormal-quotients": (lambda: DCMatrix(1e150 * cgauss(np.random.default_rng(18), 5, 3),
                                                   1e-160 * cgauss(np.random.default_rng(21), 5, 3)), 3),
     "wide-subnormal-infinitesimal": (
@@ -444,3 +444,29 @@ def test_stage_two_is_bit_identical_to_the_padded_form(monkeypatch, name):
     assert result_bytes(dc_svd(a)) == result_bytes(res)
     assert same == [True]
 
+
+# components of B: signed zeros, subnormals, normal values small and large
+B_COMPONENTS = [0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.2e-308, 1e-300, 1.5, -1.5, -3e-7, 7e150]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stage_two_solve_equals_the_padded_form_entry_for_entry(seed):
+    # B straight from its components, which P* A_I conj(Q) rarely leaves
+    # -0.0 or subnormal: the strip's +0 padding and the halving of
+    # signed zeros show here, with every shape up to 8 x 8 and every rank
+    rng = np.random.default_rng(seed)
+    for _ in range(250):
+        m, n = rng.integers(0, 9, 2)
+        k = min(m, n)
+        r = int(rng.integers(0, k + 1))
+        s = np.concatenate([np.sort(rng.choice([3.0, 2.0, 2.0, 2.0, 1.0, 1e-150], r))[::-1],
+                            rng.choice([1e-160, 3e-300, 0.0], k - r)])
+        s[r:] = np.sort(s[r:])[::-1]
+        starts = np.flatnonzero(np.diff(s[:r], prepend=np.inf) != 0)
+        sizes = np.diff(np.append(starts, r))
+        b = np.empty((m, n), dtype=complex)
+        b.real = rng.choice(B_COMPONENTS, (m, n)) * rng.choice([1.0, 3.7], (m, n))
+        b.imag = rng.choice(B_COMPONENTS, (m, n))
+        x, y, skew = solve_xy_padded(s, b, r, starts, sizes)
+        assert ([z.tobytes() for z in svd_mod._solve_xy(s, b, r, starts, sizes)]
+                == [x.tobytes(), y.tobytes(), skew[:k, :k].tobytes()])
