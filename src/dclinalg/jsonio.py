@@ -22,20 +22,20 @@ verify_spectral and verify_svd, and so `dctool verify`, recompute bit for
 bit from the document.
 
 Each encoder has a private builder (_matrix_doc, _eig_doc, whose pairs
-_eigenpair_doc builds, _spectral_doc, _svd_doc) that holds each matrix
-part as its complex array; the public encode_* functions are the
-builder's document with every array turned into the nested [re, im]
-lists above.  dctool writes the array documents.  One walker, _walk,
-serves both: it visits a document's dicts in sorted key order and hands
-each array part to a leaf function, which gives the lists here and a
-hole in the writer's skeleton.
+_eigenpair_doc builds, _spectral_doc, _svd_doc) that puts leaf(part) in
+place of each matrix part.  dctool writes the builder's document with the
+default leaf, which keeps each part as its complex array; each public
+encode_* function is its builder with the leaf _encode_part, which gives
+the nested [re, im] lists above.
 
 `dumps` writes a document, with list or array parts, as the text `dctool`
 stores, byte for byte `json.dumps(doc, sort_keys=True, indent=2)` or the
 compact form (separators (",", ":")), plus a newline; `_write` hands the
 same text to a write callable piece by piece, so no whole-document string
 is made, in either form.  The stdlib writes the document with each array
-part left out, and so the whole of a list document.  Each array part is
+part left out, and so the whole of a list document: its one pass over the
+document hands each array part, in the order of the text, to the
+default= hook, which leaves a hole for it.  Each array part is
 written as the repr of the floats of part.view(float).ravel().tolist()
 joined by three fixed separators (re to im, entry to entry, row to row),
 which differ between the two forms only in the line breaks and indents they
@@ -87,6 +87,13 @@ def _field(doc, key: str, where: str):
     return doc[key]
 
 
+def _list(doc, key: str, where: str) -> list:
+    value = _field(doc, key, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}: {key} must be a list")
+    return value
+
+
 def encode_scalar(q: DualComplex) -> list:
     return [[q.standard.real, q.standard.imag],
             [q.infinitesimal.real, q.infinitesimal.imag]]
@@ -103,18 +110,8 @@ def _encode_part(part: np.ndarray) -> list:
     return np.ascontiguousarray(part).view(float).reshape(m, n, 2).tolist()
 
 
-def _walk(obj, leaf):
-    """obj with leaf(part) in place of each array part: dicts rebuilt in
-    sorted key order, the order json.dumps(sort_keys=True) writes them, so
-    leaf sees the parts in the order of the text, and lists and tuples as
-    lists."""
-    if isinstance(obj, np.ndarray):
-        return leaf(obj)
-    if isinstance(obj, dict):
-        return {key: _walk(obj[key], leaf) for key in sorted(obj)}
-    if isinstance(obj, (list, tuple)):
-        return [_walk(value, leaf) for value in obj]
-    return obj
+def _same(part: np.ndarray) -> np.ndarray:
+    return part
 
 
 def _flat_grid(obj):
@@ -154,13 +151,13 @@ def _decode_part(obj, m: int, n: int, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _matrix_doc(a: DCMatrix) -> dict:
+def _matrix_doc(a: DCMatrix, leaf=_same) -> dict:
     return {"rows": a.rows, "cols": a.cols,
-            "standard": a.standard, "infinitesimal": a.infinitesimal}
+            "standard": leaf(a.standard), "infinitesimal": leaf(a.infinitesimal)}
 
 
 def encode_matrix(a: DCMatrix) -> dict:
-    return _walk(_matrix_doc(a), _encode_part)
+    return _matrix_doc(a, _encode_part)
 
 
 def decode_matrix(obj) -> DCMatrix:
@@ -184,8 +181,8 @@ def _decode_residual(obj, where: str) -> tuple[float, float]:
     return (_num(obj[0], where), _num(obj[1], where))
 
 
-def _eigenpair_doc(pair: RightEigenPair) -> dict:
-    doc = {"value": encode_scalar(pair.value), "vector": _matrix_doc(pair.vector),
+def _eigenpair_doc(pair: RightEigenPair, leaf=_same) -> dict:
+    doc = {"value": encode_scalar(pair.value), "vector": _matrix_doc(pair.vector, leaf),
            "residual": _encode_residual(pair.residual)}
     if pair.warning:
         doc["warning"] = pair.warning
@@ -202,20 +199,20 @@ def decode_eigenpair(obj) -> RightEigenPair:
     return RightEigenPair(value, vector, residual, warning)
 
 
-def _eig_doc(a: DCMatrix, pairs, complex_pairs) -> dict:
+def _eig_doc(a: DCMatrix, pairs, complex_pairs, leaf=_same) -> dict:
     return {
         "type": "eig",
-        "matrix": _matrix_doc(a),
-        "pairs": [_eigenpair_doc(p) for p in pairs],
-        "complex_pairs": [_eigenpair_doc(p) for p in complex_pairs],
+        "matrix": _matrix_doc(a, leaf),
+        "pairs": [_eigenpair_doc(p, leaf) for p in pairs],
+        "complex_pairs": [_eigenpair_doc(p, leaf) for p in complex_pairs],
     }
 
 
 def encode_eig_result(a: DCMatrix, pairs, complex_pairs) -> dict:
-    return _walk(_eig_doc(a, pairs, complex_pairs), _encode_part)
+    return _eig_doc(a, pairs, complex_pairs, _encode_part)
 
 
-def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition) -> dict:
+def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition, leaf=_same) -> dict:
     blocks = []
     for b in dec.blocks:
         entry = {"kind": b.kind, "lambda": b.lam}
@@ -225,25 +222,22 @@ def _spectral_doc(a: DCMatrix, dec: SpectralDecomposition) -> dict:
         blocks.append(entry)
     return {
         "type": "spectral",
-        "matrix": _matrix_doc(a),
-        "U": _matrix_doc(dec.U),
+        "matrix": _matrix_doc(a, leaf),
+        "U": _matrix_doc(dec.U, leaf),
         "blocks": blocks,
         "residual": _encode_residual(dec.residual),
     }
 
 
 def encode_spectral(a: DCMatrix, dec: SpectralDecomposition) -> dict:
-    return _walk(_spectral_doc(a, dec), _encode_part)
+    return _spectral_doc(a, dec, _encode_part)
 
 
 def decode_spectral(doc) -> tuple[DCMatrix, SpectralDecomposition]:
     a = decode_matrix(_field(doc, "matrix", "spectral"))
     u = decode_matrix(_field(doc, "U", "spectral"))
-    raw = _field(doc, "blocks", "spectral")
-    if not isinstance(raw, list):
-        raise SchemaError("spectral: blocks must be a list")
     blocks = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_list(doc, "blocks", "spectral")):
         kind = _field(entry, "kind", f"blocks[{i}]")
         lam = _num(_field(entry, "lambda", f"blocks[{i}]"), f"blocks[{i}].lambda")
         if kind == "Eigen":
@@ -257,7 +251,7 @@ def decode_spectral(doc) -> tuple[DCMatrix, SpectralDecomposition]:
     return a, SpectralDecomposition(u, tuple(blocks), residual)
 
 
-def _svd_doc(a: DCMatrix, res: SvdResult) -> dict:
+def _svd_doc(a: DCMatrix, res: SvdResult, leaf=_same) -> dict:
     blocks = []
     for b in res.standard_blocks:
         entry = {"sigma": b.sigma}
@@ -266,9 +260,9 @@ def _svd_doc(a: DCMatrix, res: SvdResult) -> dict:
         blocks.append(entry)
     return {
         "type": "svd",
-        "matrix": _matrix_doc(a),
-        "U": _matrix_doc(res.U),
-        "V": _matrix_doc(res.V),
+        "matrix": _matrix_doc(a, leaf),
+        "U": _matrix_doc(res.U, leaf),
+        "V": _matrix_doc(res.V, leaf),
         "standard_blocks": blocks,
         "infinitesimal_values": list(res.infinitesimal_values),
         "r": res.standard_rank,
@@ -278,27 +272,22 @@ def _svd_doc(a: DCMatrix, res: SvdResult) -> dict:
 
 
 def encode_svd(a: DCMatrix, res: SvdResult) -> dict:
-    return _walk(_svd_doc(a, res), _encode_part)
+    return _svd_doc(a, res, _encode_part)
 
 
 def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
     a = decode_matrix(_field(doc, "matrix", "svd"))
     u = decode_matrix(_field(doc, "U", "svd"))
     v = decode_matrix(_field(doc, "V", "svd"))
-    raw = _field(doc, "standard_blocks", "svd")
-    if not isinstance(raw, list):
-        raise SchemaError("svd: standard_blocks must be a list")
     blocks = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_list(doc, "standard_blocks", "svd")):
         sigma = _num(_field(entry, "sigma", f"standard_blocks[{i}]"),
                      f"standard_blocks[{i}].sigma")
         nu = None
-        if isinstance(entry, dict) and "nu" in entry:
+        if "nu" in entry:
             nu = _pair(entry["nu"], f"standard_blocks[{i}].nu")
         blocks.append(SingularBlock(sigma, nu))
-    raw_vals = _field(doc, "infinitesimal_values", "svd")
-    if not isinstance(raw_vals, list):
-        raise SchemaError("svd: infinitesimal_values must be a list")
+    raw_vals = _list(doc, "infinitesimal_values", "svd")
     inf_vals = tuple(_num(x, f"infinitesimal_values[{i}]") for i, x in enumerate(raw_vals))
     r = _field(doc, "r", "svd")
     p = _field(doc, "p", "svd")
@@ -313,10 +302,7 @@ def decode_svd(doc) -> tuple[DCMatrix, SvdResult]:
 
 def decode_eig_result(doc) -> tuple[DCMatrix, list, list]:
     a = decode_matrix(_field(doc, "matrix", "eig"))
-    raw = _field(doc, "pairs", "eig")
-    raw_c = _field(doc, "complex_pairs", "eig")
-    if not isinstance(raw, list) or not isinstance(raw_c, list):
-        raise SchemaError("eig: pairs and complex_pairs must be lists")
+    raw, raw_c = _list(doc, "pairs", "eig"), _list(doc, "complex_pairs", "eig")
     return a, [decode_eigenpair(p) for p in raw], [decode_eigenpair(p) for p in raw_c]
 
 
@@ -344,22 +330,33 @@ def _write(doc, write, compact: bool = False) -> None:
     The text is a json.dumps skeleton of the document, each array part a
     hole in it (an array of size 0, m x 0, stays as its list form, which
     holds no entry), with each part written by _grid_text between the
-    skeleton's pieces; a list document is its skeleton alone.  Whether the
-    document goes to the stdlib instead (a string of it reads "\x00", or an
-    array part holds inf or nan, which json writes as Infinity or NaN) is
-    settled before the first write.  Array parts come from DCMatrix, complex
-    and C-contiguous.
+    skeleton's pieces; a list document is its skeleton alone.  The encoder
+    hands each array part to the default hook, hole, in the order of the
+    text, so the k-th part fills the k-th hole.  Whether the document goes
+    to the stdlib instead (a string of it reads "\x00", or an array part
+    holds inf or nan, which json writes as Infinity or NaN) is settled
+    before the first write.  Array parts come from DCMatrix, complex and
+    C-contiguous.
     """
     form = {"separators": (",", ":")} if compact else {"indent": 2}
-    parts = []
+    found = []
 
     def hole(part):
+        if not isinstance(part, np.ndarray):
+            raise TypeError(f"Object of type {type(part).__name__} is not JSON serializable")
         if not part.size:
             return _encode_part(part)
-        parts.append(part)
+        found.append(part)
         return _HOLE
 
-    pieces = json.dumps(_walk(doc, hole), sort_keys=True, **form).split(_HOLE_TEXT)
+    # the indented form's encoder is a cycle of closures that keeps hole
+    # until the cyclic collector runs, which dctool pauses, so hole's list
+    # is emptied: the arrays must not outlive the document
+    try:
+        pieces = json.dumps(doc, sort_keys=True, default=hole, **form).split(_HOLE_TEXT)
+        parts = found.copy()
+    finally:
+        found.clear()
     if len(pieces) != len(parts) + 1 or not all(np.isfinite(part).all() for part in parts):
         write(json.dumps(doc, sort_keys=True, default=_encode_part, **form) + "\n")
         return

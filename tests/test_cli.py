@@ -315,6 +315,24 @@ def test_outputs_take_the_umask_like_open(tmp_path):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
 
+def test_a_failed_write_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    # the write fails after its first piece: the output keeps its old bytes,
+    # and the temporary file is gone
+    out = tmp_path / "g.json"
+    out.write_bytes(b"old bytes")
+
+    def broken(doc, write, compact=False):
+        write("{")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(jsonio, "_write", broken)
+    assert main(["gen", "--kind", "general", "--m", "2", "--seed", "1",
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "dctool: no space left on device\n"
+    assert out.read_bytes() == b"old bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
 def test_output_name_may_fill_the_file_system_limit(tmp_path):
     # the temporary's name does not grow with the output's: a 250-byte name
     # (of the usual 255) is written, and nothing is left beside it
@@ -337,6 +355,18 @@ def test_input_and_input_dir_are_exclusive(tmp_path, capsys):
               "--output", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_decomposition_without_an_input_exits_malformed(capsys):
+    assert main(["svd"]) == 1
+    assert capsys.readouterr().err == "dctool: --input (or --input-dir) is required\n"
+
+
+def test_input_dir_without_json_files_exits_malformed(tmp_path, capsys):
+    (tmp_path / "a.txt").write_text((FIXTURES / "example1.json").read_text())
+    assert main(["svd", "--input-dir", str(tmp_path), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"dctool: no *.json files in {tmp_path}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -482,6 +512,31 @@ def test_verify_of_an_svd_document_checks_its_layout(tmp_path, capsys, shape, mu
     assert main(["verify", "--input", str(out), "--output", str(ver)]) == code
     err = capsys.readouterr().err
     assert err.startswith("dctool: ") and err.count("\n") == 1 and error in err
+    assert not ver.exists()
+
+
+def test_verify_of_an_unknown_document_type_exits_malformed(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"type": "nope"}))
+    assert main(["verify", "--input", str(doc)]) == 1
+    assert capsys.readouterr().err == "dctool: cannot verify a document of type 'nope'\n"
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("spectral", "blocks", {}), ("svd", "standard_blocks", 1),
+    ("svd", "infinitesimal_values", "0.5"), ("eig", "pairs", None),
+    ("eig", "complex_pairs", {"value": [[1, 0], [0, 0]]}),
+], ids=["spectral_blocks", "svd_standard_blocks", "svd_infinitesimal_values", "eig_pairs",
+        "eig_complex_pairs"])
+def test_verify_of_a_document_whose_list_is_not_a_list(tmp_path, capsys, command, key, value):
+    fixture = "example2.json" if command == "spectral" else "example1.json"
+    out, ver = tmp_path / "out.json", tmp_path / "verify.json"
+    assert main([command, "--input", str(FIXTURES / fixture), "--output", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc[key] = value
+    out.write_text(json.dumps(doc))
+    assert main(["verify", "--input", str(out), "--output", str(ver)]) == 1
+    assert capsys.readouterr().err == f"dctool: {command}: {key} must be a list\n"
     assert not ver.exists()
 
 

@@ -1,4 +1,5 @@
-"""Inputs at the edges of the domain: the empty matrix and non-finite entries."""
+"""Inputs at the edges of the domain: the empty matrix, non-finite entries,
+and the shape and basis checks each routine makes on entry."""
 
 import json
 import warnings
@@ -8,9 +9,14 @@ import pytest
 
 from dclinalg import (
     AccuracyError,
+    BadEigenspace,
     DCMatrix,
+    DualComplex,
     Inconsistent,
     NonFinite,
+    NotSkewSymmetric,
+    RightEigenPair,
+    ShapeMismatch,
     complex_right_eigs,
     dc_svd,
     double_eig_classify,
@@ -25,6 +31,9 @@ from dclinalg import (
     mat_inv,
     simple_eig_lift,
     standard_rank,
+    verify_eigenpair,
+    verify_right_eigs,
+    youla_skew,
 )
 from dclinalg.cli import main
 
@@ -191,3 +200,51 @@ def test_cli_svd_of_tiny_standard_part_exits_numerical(tmp_path, capsys, scale):
     err = capsys.readouterr().err
     assert err.startswith("dctool: AccuracyError: U_I or V_I exceeds")
     assert err.count("\n") == 1
+
+
+# ------------------------------------------------------------ entry checks
+
+@pytest.mark.parametrize("command", ["spectral", "eig"])
+def test_cli_of_a_non_square_input_exits_validation_and_writes_nothing(tmp_path, capsys,
+                                                                        command):
+    src, out = tmp_path / "a.json", tmp_path / "out.json"
+    src.write_text(jsonio.dumps(jsonio.encode_matrix(gen_random("general", 2, 3, 1))))
+    assert main([command, "--input", str(src), "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("dctool: ShapeMismatch: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json"]
+
+
+@pytest.mark.parametrize("check", [is_psd, is_pd])
+def test_empty_matrix_is_definite(check):
+    # no eigenvalue, so none lies at or below the cut
+    assert check(DCMatrix(np.zeros((0, 0)))) is True
+
+
+def test_youla_skew_of_an_empty_matrix():
+    q, pairs, null_dim = youla_skew(np.zeros((0, 0)))
+    assert q.shape == (0, 0) and pairs == [] and null_dim == 0
+
+
+def test_youla_skew_rejects_a_non_square_matrix():
+    with pytest.raises(NotSkewSymmetric, match=r"square matrix, got shape \(2, 3\)"):
+        youla_skew(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1, 0, 0], [1, 0, 0], "vectors are not orthonormal"),
+    ([1, 0, 0], [0, 1, 0], "vectors do not span a common eigenspace"),
+], ids=["not_orthonormal", "two_eigenspaces"])
+def test_double_eig_classify_rejects_a_bad_basis(x, y, message):
+    a = DCMatrix(np.diag([1.0, 2.0, 3.0]), np.zeros((3, 3)))
+    with pytest.raises(BadEigenspace, match=message):
+        double_eig_classify(a, np.array(x, dtype=complex), np.array(y, dtype=complex))
+
+
+@pytest.mark.parametrize("a, n", [(DCMatrix(np.ones((2, 3))), 2), (DCMatrix(np.eye(2)), 3)],
+                         ids=["non_square", "wrong_length"])
+def test_eigenpair_checks_reject_a_bad_shape(a, n):
+    x = DCMatrix(np.eye(n, 1))
+    with pytest.raises(ShapeMismatch):
+        verify_eigenpair(a, DualComplex(1), x)
+    with pytest.raises(ShapeMismatch):
+        verify_right_eigs(a, [RightEigenPair(DualComplex(1), x, (0.0, 0.0))], [])

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,55 @@ def test_dumps_matches_the_stdlib_byte_for_byte(tmp_path, capsys):
             capsys.readouterr()
             cli._emit(doc, None, compact)
             assert capsys.readouterr().out == expected, name
+
+
+def test_dumps_matches_the_stdlib_through_the_python_encoder(monkeypatch):
+    # without the C encoder the compact form goes through the Python one
+    # too, which hands the array parts to the hook in the same text order
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    for name, (arrays, lists) in _array_documents().items():
+        for form in ({"indent": 2}, {"separators": (",", ":")}):
+            expected = json.dumps(lists, sort_keys=True, **form) + "\n"
+            assert jsonio.dumps(arrays, "separators" in form) == expected, name
+
+
+@pytest.mark.parametrize("value", [object(), {1.0}, np.int64(1)],
+                         ids=["object", "set", "numpy_int"])
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+def test_dumps_rejects_what_the_stdlib_rejects(value, compact):
+    # only array parts become holes; anything else json cannot write raises
+    # the stdlib's own TypeError, and nothing is written
+    out = []
+    with pytest.raises(TypeError, match=f"^Object of type {type(value).__name__} is not JSON "):
+        jsonio._write({"a": np.ones((1, 1), complex), "b": [value]}, out.append, compact)
+    assert out == []
+
+
+def _full_disk(text):
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("write", [[].append, _full_disk], ids=["written", "write_fails"])
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+def test_write_keeps_no_array_alive(compact, write):
+    # dctool pauses the cyclic collector, and the stdlib's indented encoder
+    # is a cycle that holds its default hook: the arrays the hook saw are
+    # freed with the document all the same, also when the write fails
+    part = np.ones((2, 3), complex)
+    ref = weakref.ref(part)
+    doc = {"a": part, "b": 1}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            jsonio._write(doc, write, compact)
+        except OSError:
+            assert write is _full_disk
+        del doc, part
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_spectral_document_round_trip():

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import FIXTURES, cgauss
 from dclinalg import (
+    AccuracyError,
     DCMatrix,
     SingularBlock,
     SpectralBlock,
@@ -119,6 +120,58 @@ def test_dctool_verify_writes_the_stored_residual(tmp_path, command, kind, shape
     assert main([command, "--input", str(src), "--output", str(out)]) == 0
     assert main(["verify", "--input", str(out), "--output", str(check)]) == 0
     assert json.loads(check.read_text())["residual"] == json.loads(out.read_text())["residual"]
+
+
+# ------------------------------------------------------------ the gate raises
+
+def _turned(u, theta=1e-6):
+    """u with its first two columns turned by a plane rotation through theta."""
+    g = np.eye(u.shape[-1])
+    g[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return u @ g
+
+
+def _turn_eigh(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def turned_eigh(a):
+        w, v = eigh(a)
+        return w, _turned(v)
+
+    monkeypatch.setattr(np.linalg, "eigh", turned_eigh)
+
+
+def test_spectral_gate_raises_on_a_turned_eigenbasis(monkeypatch):
+    # eigh's eigenvectors off by 1e-6 leave a residual of about 2e-6 on a
+    # bound of about 7e-9: a wrong factor raises, it is not returned
+    _turn_eigh(monkeypatch)
+    with pytest.raises(AccuracyError, match="exceeds its bound"):
+        herm_spectral(gen_random("hermitian", 6, 6, 1))
+
+
+def test_svd_gate_raises_on_turned_left_factors(monkeypatch):
+    svd, calls = np.linalg.svd, []
+
+    def turned_svd(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        calls.append(a.shape)
+        return (_turned(u) if len(calls) == 1 else u), s, vh
+
+    monkeypatch.setattr(np.linalg, "svd", turned_svd)
+    with pytest.raises(AccuracyError, match="exceeds its bound"):
+        dc_svd(gen_random("general", 5, 4, 2))
+    assert calls[0] == (5, 4)  # the SVD of A_st is the one turned
+
+
+def test_dctool_spectral_of_a_failed_gate_exits_numerical_and_writes_nothing(
+        tmp_path, monkeypatch, capsys):
+    src, out = tmp_path / "a.json", tmp_path / "out" / "spectral.json"
+    src.write_text(jsonio.dumps(jsonio.encode_matrix(gen_random("hermitian", 6, 6, 1))))
+    _turn_eigh(monkeypatch)
+    assert main(["spectral", "--input", str(src), "--output", str(out)]) == 3
+    assert "AccuracyError" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("tmp*.tmp"))
 
 
 # ------------------------------------------------------------- through phi
