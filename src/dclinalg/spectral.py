@@ -20,14 +20,18 @@ stages 1 and 3 are the helpers here that both call:
    times I plus a skew-symmetric infinitesimal part, into canonical form by
    a complex unitary transpose-congruence (youla_skew), which rotates the
    cluster's columns of the factors.  It runs once per distinct cluster
-   size: the skew blocks of all clusters of that size go through one
-   stacked SVD and then one pairing loop per width of a group of equal
-   singular values, stacked over every group of that width in every block
-   (_youla_stack), and their columns of the factors turn in one stacked
-   product.  A block's result does not depend on the stack it is in: it is
-   what youla_skew gives on that block alone, bit for bit.  A 1x1 cluster
-   is canonical already, since its infinitesimal part is zero: it becomes
-   one 1x1 block with no congruence and no rotation of its column.
+   size: the skew blocks of all clusters of that size go through
+   _youla_stack, which takes one stacked SVD, finds the groups of equal
+   singular values from one mask of group starts and one of group ends,
+   and runs one pairing loop per group width, stacked over every group of
+   that width in every block; a group's first pair starts from its first
+   singular vector as it is.  One gather then rolls each block's columns
+   so that its null block comes first, and the clusters' columns of the
+   factors turn in one stacked product.  A block's result does not depend
+   on the stack it is in: it is what youla_skew gives on that block alone,
+   bit for bit.  A 1x1 cluster is canonical already, since its
+   infinitesimal part is zero: it becomes one 1x1 block with no congruence
+   and no rotation of its column.
 
 herm_spectral takes A's Hermitian parts H from the check that accepts A
 (matrix._check_hermitian); right_eigs, which has run that check, hands
@@ -41,7 +45,9 @@ factor that solving first would.  U = X - X P eps*j is frozen as
 computed, with no copy.
 
 _diagonals describes the blocks of either decomposition as a diagonal and
-its coupling, and _block_diagonal assembles them.  herm_spectral reports
+its coupling, and _block_diagonal assembles them; herm_spectral hands it
+stage 3's (value, coupling) list as _canonical_blocks returns it, and
+verify_spectral reads the same pairs off the blocks.  herm_spectral reports
 the pair of matrix.hermitian_residual, whose gate reuses K: 7 complex
 products beside eigh, and one n x n_c product more for the n_c columns in
 clusters of more than one member.  verify_spectral forms K by the same
@@ -157,21 +163,20 @@ def _block_diagonal(m: int, n: int, blocks, tail=()) -> DCMatrix:
     return DCMatrix(*(np.pad(part, ((0, 0), (0, n - k))) for part in parts))
 
 
-def _residual(h_st, off, u: DCMatrix, xc, k_mat, blocks):
-    """(pair, gate) of U* A U against the blocks (matrix.hermitian_residual)."""
-    return hermitian_residual(h_st, off, u, xc, k_mat,
-                              *_diagonals(u.rows, [(b.lam, b.mu) for b in blocks]))
-
-
 def _chain(vals, tau: float):
     """Starts and ends of the single-linkage chains of the descending vals.
 
     A new chain starts wherever the next value drops by more than tau.
     """
-    # np.diff with prepend and append costs about three times this on short
-    # arrays
-    starts = np.flatnonzero(np.concatenate(([np.inf], vals[:-1])) - vals > tau)
-    return starts, np.append(starts[1:], len(vals))[:starts.size]  # none if no vals
+    # the drops written into one preallocated array, inf - vals[0] first:
+    # np.concatenate and np.append cost about twice this on short arrays
+    drop = np.empty(len(vals))
+    drop[:1], drop[1:] = np.inf, vals[:-1]
+    drop -= vals
+    starts = (drop > tau).nonzero()[0]
+    ends = np.empty_like(starts)  # each start's successor, then len(vals); none if no vals
+    ends[:-1], ends[-1:] = starts[1:], len(vals)
+    return starts, ends
 
 
 def _level_tol(vals, tol: Tolerances) -> float:
@@ -190,16 +195,19 @@ def _clusters(vals, count: int, tau: float, below: float, what: str):
     """
     starts, ends = _chain(vals[:count], tau)
     sizes = ends - starts
-    gaps = vals[ends - 1] - np.append(vals, below)[ends]
-    bad = np.flatnonzero(gaps < 10 * tau)
+    after = np.empty(len(vals) + 1)  # the value after each one, `below` after the last
+    after[:-1], after[-1] = vals, below
+    gaps = vals[ends - 1] - after[ends]
+    bad = (gaps < 10 * tau).nonzero()[0]
     if bad.size:
         raise IllConditionedGap(
             f"distinct {what} clusters separated by {gaps[bad[0]]:.3e} < {10 * tau:.3e}")
     reps = vals[starts]
-    # one row mean per size: each row sums as np.mean sums its cluster alone
+    # one row mean per size: each row sums as np.mean sums its cluster alone,
+    # and np.mean divides that sum by the count
     for size in sorted(set(sizes[sizes > 1].tolist())):
-        ks = np.flatnonzero(sizes == size)
-        reps[ks] = vals[starts[ks, None] + np.arange(size)].mean(axis=1)
+        ks = (sizes == size).nonzero()[0]
+        reps[ks] = vals[starts[ks, None] + np.arange(size)].sum(axis=1) / size
     return starts, sizes, reps
 
 
@@ -225,11 +233,13 @@ def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances
     # sorted(set()) rather than np.unique, whose first call pages in about
     # 0.6 MB of numpy's sort code
     for size in sorted(set(sizes[sizes > 1].tolist())):
-        ks = np.flatnonzero(sizes == size)
+        ks = (sizes == size).nonzero()[0]
         cols = starts[ks, None] + np.arange(size)
         q, pairs, null_dims = _youla_stack(skew_blocks(cols), tol)
+        # column j of a rolled block is Q's column (j + s - null_dim) mod s:
+        # one gather, the same for every stack
         roll = (np.arange(size) + (size - null_dims)[:, None]) % size
-        q = np.take_along_axis(q, roll[:, None, :], axis=2)
+        q = q[np.arange(len(ks))[:, None], :, roll].transpose(0, 2, 1)
         w = np.conj(q)
         for pair in factors:
             for f, rot in zip(pair, (w, q)):
@@ -237,6 +247,12 @@ def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances
         for k, p, null_dim in zip(ks.tolist(), pairs, null_dims.tolist()):
             blocks[k] = [(values[k], None)] * null_dim + [(values[k], s) for s in p]
     return [b for cluster in blocks for b in cluster]
+
+
+def _sq_norms(x):
+    """Squared Frobenius norms of the square complex blocks of x, one BLAS dot each."""
+    r = np.ascontiguousarray(x).reshape(-1, 1, x.shape[-1] ** 2).view(float)
+    return (r @ np.swapaxes(r, 1, 2)).reshape(-1)
 
 
 def _youla_stack(c, tol: Tolerances):
@@ -248,13 +264,13 @@ def _youla_stack(c, tol: Tolerances):
     step is a per-block numpy call or a stacked one that hands BLAS and
     LAPACK each block as the 2-D call would, so a block's result does not
     depend on the stack it comes in.  Each block is checked against its own
-    bound, and any block that fails raises.  The two final checks form the
-    congruence residual Q^T C Q - J and the defect Q* Q - I in place, at
-    the O(n) nonzeros of J and I.
+    bound, and any block that fails raises; the checks compare squared
+    norms.  The two final checks form the congruence residual Q^T C Q - J
+    and the defect Q* Q - I in place, at the O(n) nonzeros of J and I.
     """
     n = c.shape[-1]
-    bound = (tol.resid_tol * (1.0 + np.linalg.norm(c, axis=(-2, -1)))).reshape(-1)
-    if np.any(np.linalg.norm(c + np.swapaxes(c, -1, -2), axis=(-2, -1)).reshape(-1) > bound):
+    bound = (tol.resid_tol * (1.0 + np.sqrt(_sq_norms(c)))) ** 2
+    if (_sq_norms(c + np.swapaxes(c, -1, -2)) > bound).any():
         raise NotSkewSymmetric("matrix is not skew-symmetric")
 
     u, s, vh = np.linalg.svd(c)
@@ -263,41 +279,50 @@ def _youla_stack(c, tol: Tolerances):
     scale = np.maximum(1.0, s[:, 0])
     null_cut = max(tol.zero_tol, 64 * n * _EPS) * scale
     # pairs are kept or dropped whole, by the mean of their two values
-    k = 2 * np.count_nonzero((s[:, :n - 1:2] + s[:, 1::2]) / 2 > null_cut[:, None], axis=1)
+    k = 2 * ((s[:, :n - 1:2] + s[:, 1::2]) / 2 > null_cut[:, None]).sum(axis=1)
 
-    # groups of equal values in s[:k], chained as _chain chains them, as
-    # (block, start, end) triples.  The pairing map x -> U_g V_g* conj(x)
-    # preserves its own group's span, so vectors pair off within their group
-    head = np.ones(s.shape, dtype=bool)
-    head[:, 1:] = s[:, :-1] - s[:, 1:] > (64 * n * _EPS * scale)[:, None]
-    blk, g0 = np.nonzero(head & (np.arange(n) < k[:, None]))
-    g1 = np.where(np.append(blk[1:] != blk[:-1], True), k[blk], np.append(g0[1:], 0))
-    width = g1 - g0
-    if np.any(width % 2):
+    # groups of equal values in s[:k], chained as _chain chains them: a
+    # group starts at 0 and wherever the next value drops by more than the
+    # tie cut, and ends before the next start or at k.  The pairing map
+    # x -> U_g V_g* conj(x) preserves its own group's span, so vectors pair
+    # off within their group
+    split = ((s[:, :-1] - s[:, 1:] > (64 * n * _EPS * scale)[:, None])
+             & (np.arange(1, n) < k[:, None]))
+    head, last = np.empty(s.shape, dtype=bool), np.zeros(s.shape, dtype=bool)
+    head[:, 0], head[:, 1:], last[:, :-1] = k > 0, split, split
+    last[np.arange(len(s)), k - 1] = k > 0  # k - 1 = -1 leaves a k = 0 row empty
+    blk, g0 = head.nonzero()
+    width = last.nonzero()[1] + 1 - g0
+    widths = sorted(set(width.tolist()))
+    if any(g % 2 for g in widths):
         raise AccuracyError("odd singular value group; equal values were split")
 
     # every group pairs off by symplectic Gram-Schmidt, one stacked pass per
-    # group width.  rest holds the group's columns of U less their parts on
-    # the pairs found so far, and sq their squared norms, ones while nothing
-    # is projected out.  After i pairs they sum to g - 2i over g - i columns
-    # that still count, so in exact arithmetic the largest is at least
-    # 4 / (g + 2).  x is that column normalized (the first column as it is),
-    # y = U_g (V_g* conj(x)), and pair holds (conj(y), conj(x)), the pair's
-    # two columns of Q.  The columns of conj(U) past the kept pairs stay:
-    # null(C) = conj(null(C*)), and U's last n - k columns span null(C*)
+    # group width.  Its first pair starts from the group's first column of
+    # U as it is.  For a later pair, rest holds the group's columns of U
+    # less their parts on the pairs found so far, and sq their squared
+    # norms: after i pairs they sum to g - 2i over g - i columns that still
+    # count, so in exact arithmetic the largest is at least 4 / (g + 2), and
+    # x is that column normalized.  y = U_g (V_g* conj(x)), and pair holds
+    # (conj(y), conj(x)), the pair's two columns of Q.  The columns of
+    # conj(U) past the kept pairs stay: null(C) = conj(null(C*)), and U's
+    # last n - k columns span null(C*)
     q = np.conj(u)
-    for g in sorted(set(width.tolist())):
-        sel = np.flatnonzero(width == g)
+    for g in widths:
+        sel = (width == g).nonzero()[0]
         b, cols, at = blk[sel], g0[sel, None] + np.arange(g), np.arange(sel.size)
         u_g = u[b[:, None, None], np.arange(n)[:, None], cols[:, None, :]]
         vh_g = vh[b[:, None], cols]
-        rest, sq = u_g, np.ones((sel.size, g))
         pair = np.empty((sel.size, n, 2), dtype=complex)
+        rest, x = u_g, u_g[:, :, 0]
         for i in range(0, g, 2):
-            j = sq.argmax(axis=1)
-            if np.any(sq[at, j] < 1 / g):
-                raise AccuracyError("group span ran out before it paired off")
-            x = rest[at, :, j] / np.sqrt(sq[at, j])[:, None]
+            if i:
+                rest = rest - np.conj(pair) @ (np.swapaxes(pair, 1, 2) @ rest)
+                sq = (rest.real ** 2 + rest.imag ** 2).sum(axis=1)
+                j = sq.argmax(axis=1)
+                if (sq[at, j] < 1 / g).any():
+                    raise AccuracyError("group span ran out before it paired off")
+                x = rest[at, :, j] / np.sqrt(sq[at, j])[:, None]
             pair[:, :, 1] = x_conj = np.conj(x)
             y = (u_g @ (vh_g @ x_conj[:, :, None]))[:, :, 0]
             # bit identity with the deflation form (oracle.youla_skew_deflation)
@@ -318,31 +343,28 @@ def _youla_stack(c, tol: Tolerances):
             y_real, y_imag = y.real[:, None], y.imag[:, None]
             y_norm = np.sqrt((y_real @ np.swapaxes(y_real, 1, 2)
                               + y_imag @ np.swapaxes(y_imag, 1, 2)).reshape(-1))
-            if np.any(y_norm < 0.5):
+            if (y_norm < 0.5).any():
                 raise AccuracyError("group span ran out before it paired off")
-            pair[:, :, 0] = np.conj(y / y_norm[:, None])
-            q[b, :, cols[:, i]], q[b, :, cols[:, i + 1]] = pair[:, :, 0], pair[:, :, 1]
-            if i + 2 < g:
-                rest = rest - np.conj(pair) @ (np.swapaxes(pair, 1, 2) @ rest)
-                sq = (rest.real ** 2 + rest.imag ** 2).sum(axis=1)
+            np.conjugate(y / y_norm[:, None], out=pair[:, :, 0])
+            q[b[:, None], :, cols[:, i:i + 2]] = np.swapaxes(pair, 1, 2)
 
     # J's entries (2i, 2i+1) and (2i+1, 2i) and I's diagonal, as strided
     # views of each block's flat entries
     step = 2 * (n + 1)
     jact = np.swapaxes(q, 1, 2) @ c @ q
-    flat = jact.reshape(jact.shape[0], -1)
+    flat = jact.reshape(len(q), -1)
     above, below = flat[:, 1::step], flat[:, n::step]
     half = (above - below).real / 2
     kept = np.where(np.arange(0, n - 1, 2) < k[:, None], half, 0.0)
     above -= kept
     below += kept
-    if np.any(np.linalg.norm(jact, axis=(1, 2)) > bound):
+    if (_sq_norms(jact) > bound).any():
         raise AccuracyError("congruence residual exceeded tolerance")
     defect = np.swapaxes(np.conj(q), 1, 2) @ q
-    defect.reshape(defect.shape[0], -1)[:, ::n + 1] -= 1
-    if np.any(np.linalg.norm(defect, axis=(1, 2)) > bound):
+    defect.reshape(len(q), -1)[:, ::n + 1] -= 1
+    if (_sq_norms(defect) > bound).any():
         raise AccuracyError("computed congruence factor is not unitary")
-    return q, [row[:m].tolist() for row, m in zip(half, (k // 2).tolist())], n - k
+    return q, [row[:m] for row, m in zip(half.tolist(), (k // 2).tolist())], n - k
 
 
 def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
@@ -428,8 +450,9 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     # stage 3 first, on the clusters' blocks of V; X is V with their columns
     # turned
     x = v.copy()
+    pairs = _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts, sizes, reps, [(x,)], tol)
     blocks, last = [], None
-    for b in _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts, sizes, reps, [(x,)], tol):
+    for b in pairs:
         if b != last:  # equal blocks, as a cluster's Eigen blocks are, come in runs and share one
             last = b
             block = SpectralBlock("Eigen", b[0]) if b[1] is None else SpectralBlock("Sub", *b)
@@ -451,7 +474,7 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     p *= np.divide(0.5, gap, out=gap, where=gap != 0)  # in place; zero stays zero
     y = x @ p
     u = DCMatrix._frozen(*_checked(x, np.negative(y, out=y)))  # no copy
-    resid, gate = _residual(h_st, off, u, xc, k_mat, blocks)
+    resid, gate = hermitian_residual(h_st, off, u, xc, k_mat, *_diagonals(n, pairs))
     # dropped by design: the spread of each cluster around the mean its
     # blocks carry, and the parts of A that are not Hermitian, at most
     # resid_tol / 2 each once the Hermitian check has passed.  The norms of
@@ -468,7 +491,8 @@ def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, flo
     if a.shape != dec.U.shape or dec.n != a.rows:
         raise ShapeMismatch("decomposition does not match the matrix shape")
     h_st, h_inf, off = _hermitian_halves(a)
-    return _residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard), dec.blocks)[0]
+    return hermitian_residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard),
+                              *_diagonals(a.rows, [(b.lam, b.mu) for b in dec.blocks]))[0]
 
 
 def subeigenpairs(dec: SpectralDecomposition):

@@ -165,6 +165,15 @@ def test_youla_groups_of_two_are_bit_identical_to_deflation():
         ref_q, ref_pairs, ref_null = oracle.youla_skew_deflation(c)
         assert q.tobytes() == ref_q.tobytes()
         assert pairs == ref_pairs and null_dim == ref_null
+    # sixteen 8 x 8 blocks of one pair each, the stack of a clustered
+    # n = 128 herm_spectral call with levels of eight
+    c = np.stack([congruent_skew([rng.uniform(0.5, 1.5)], 8, 921 + i) for i in range(16)])
+    q, pairs, null_dims = spectral_mod._youla_stack(c, spectral_mod.DEFAULT_TOL)
+    ref_q, ref_pairs, ref_null = oracle.youla_skew_deflation(c)
+    assert null_dims.tolist() == ref_null.tolist() == [6] * 16
+    for j in range(16):
+        assert q[j].tobytes() == ref_q[j].tobytes()
+        assert pairs[j] == ref_pairs[j] and len(pairs[j]) == 1
 
 
 def kron_ex2(m, seed):
@@ -704,6 +713,33 @@ def test_array_form_matches_loop_form_on_one_cluster():
     a, _ = planted_levels("one-cluster", 12, 790)
     dec = herm_spectral(a)
     assert len({b.lam for b in dec.blocks}) == 1 and len(dec.blocks) == 11
+    assert_matches_loop_form(dec, herm_spectral_loop(a))
+
+
+@pytest.mark.parametrize("seed", [730, 731, 732])
+def test_one_stack_with_three_null_dimensions_matches_loop_form(monkeypatch, seed):
+    # three levels of six carrying 0, 1 and 2 Sub blocks: one stack of
+    # three 6 x 6 blocks with null dimensions 6, 4 and 2, whose columns
+    # _canonical_blocks rolls by 0, 2 and 4
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for lam, subs in ((2.0, 0), (0.0, 1), (-2.0, 2)):
+        mus = sorted(rng.uniform(0.5, 1.5, subs), reverse=True)
+        blocks += [SpectralBlock("Sub", lam, mu * np.exp(2j * np.pi * rng.uniform())) for mu in mus]
+        blocks += [SpectralBlock("Eigen", lam)] * (6 - 2 * subs)
+    a = planted(tuple(blocks), seed)
+    seen = []
+    youla_stack = spectral_mod._youla_stack
+
+    def recording(c, tol):
+        out = youla_stack(c, tol)
+        seen.append((c.shape, out[2].tolist()))
+        return out
+
+    monkeypatch.setattr(spectral_mod, "_youla_stack", recording)
+    dec = herm_spectral(a)
+    assert seen == [((3, 6, 6), [6, 4, 2])]
+    assert [b.kind for b in dec.blocks].count("Sub") == 3 and len(dec.blocks) == 15
     assert_matches_loop_form(dec, herm_spectral_loop(a))
 
 
