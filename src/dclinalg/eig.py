@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Inconsistent, NotAppreciable, ShapeMismatch
+from .errors import Inconsistent, NonFinite, NotAppreciable, ShapeMismatch
 from .matrix import DCMatrix, _EPS, _check_hermitian, _check_range, _hermitian_parts, dual_residual
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 from .spectral import _herm_spectral, _level_tol
@@ -415,12 +415,15 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
     residual signals invalid input and raises Inconsistent.  So does a
     solution that leaves double range, as it does when A_st is tiny against
     A_I, with a message that says so.  Entries too large for this
-    arithmetic raise AccuracyError.
+    arithmetic raise AccuracyError, and a NaN or infinite entry of x_st,
+    or such a lam, NonFinite.
     """
     _check_hermitian(a, tol, "the lift applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)
     if x.size != a.rows:
         raise ShapeMismatch("eigenvector length must match the matrix")
+    if not (np.isfinite(x).all() and np.isfinite(lam)):
+        raise NonFinite("x_st or lam has a NaN or infinite entry")
     a_st, a_inf = a.standard, a.infinitesimal
     xnorm = float(np.linalg.norm(x))
     if xnorm <= tol.zero_tol:

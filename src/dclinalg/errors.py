@@ -16,7 +16,12 @@ class ShapeMismatch(DCError):
 
 
 class NonFinite(DCError):
-    """A matrix entry is NaN or infinite, or a residual left double range."""
+    """An entry is NaN or infinite, or a residual left double range.
+
+    The entry is a matrix's, or one of a vector, scalar or skew-block
+    argument: youla_skew's C, simple_eig_lift's x_st and lam,
+    double_eig_classify's x_st and y_st, and dc_similar's p and q.
+    """
 
 
 class NotAppreciable(DCError):

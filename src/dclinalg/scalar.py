@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NotAppreciable
+from .errors import NonFinite, NotAppreciable
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,11 @@ def dc_similar(p: DualComplex, q: DualComplex, tol: float = 1e-10) -> Optional[D
     The condition p*u - u*q = 0 is linear in the four real coordinates of u,
     so the witnesses form the null space of a 4x4 real matrix.  Among
     null-space elements with unit-magnitude standard part the one of
-    smallest norm is returned, sign-fixed on its largest coordinate.
+    smallest norm is returned, sign-fixed on its largest coordinate.  A NaN
+    or infinite component of p or q raises NonFinite.
     """
+    if not np.isfinite(p.reals() + q.reals()).all():
+        raise NonFinite("p or q has a NaN or infinite component")
     cols = []
     for e in _BASIS:
         r = dc_mul(p, e) - dc_mul(e, q)

@@ -71,6 +71,7 @@ from .errors import (
     AccuracyError,
     BadEigenspace,
     IllConditionedGap,
+    NonFinite,
     NotOrthogonal,
     NotAppreciable,
     NotSkewSymmetric,
@@ -81,6 +82,7 @@ from .matrix import (
     DCMatrix,
     _EPS,
     _check_hermitian,
+    _check_range,
     _checked,
     _hermitian_halves,
     _sandwich,
@@ -393,7 +395,9 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     exactly the 2x2 canonical blocks, and the columns of conj(U) past the
     kept pairs fill the zero block, since null(C) = conj(null(C*)).  The
     resulting congruence is re-verified and AccuracyError is raised rather
-    than returning a bad factor.
+    than returning a bad factor.  C is checked on entry as a DCMatrix is: a
+    NaN or infinite entry raises NonFinite, and an entry too large for this
+    arithmetic AccuracyError.
 
     youla_skew is the one-block case of _youla_stack, which herm_spectral
     and dc_svd run on the blocks of all their clusters of one size at once:
@@ -406,6 +410,7 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
         raise NotSkewSymmetric(f"expected a square matrix, got shape {c.shape}")
     if c.shape[0] == 0:
         return np.zeros((0, 0), dtype=complex), [], 0
+    _check_range(DCMatrix(c))
     q, pairs, null_dims = _youla_stack(c, tol)
     return q[0], pairs[0], int(null_dims[0])
 
@@ -553,13 +558,16 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
     The verdict and |mu| do not depend on which orthonormal basis of the
     eigenspace is supplied; the phase of mu does.  Entries too large for
     this arithmetic raise AccuracyError, as does an A_st so small against
-    A_I that the least-squares x_inf or y_inf overflows.
+    A_I that the least-squares x_inf or y_inf overflows.  A NaN or infinite
+    entry of x_st or y_st raises NonFinite.
     """
     _check_hermitian(a, tol, "classification applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)
     y = np.asarray(y_st, dtype=complex).reshape(-1)
     if x.size != a.rows or y.size != a.rows:
         raise ShapeMismatch("basis vectors must have length n")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFinite("x_st or y_st has a NaN or infinite entry")
     ortho = 100 * tol.group_tol
     if (abs(np.vdot(x, x) - 1) > ortho or abs(np.vdot(y, y) - 1) > ortho
             or abs(np.vdot(x, y)) > ortho):

@@ -461,18 +461,24 @@ def test_batch_runs_its_inputs_in_sorted_order(tmp_path, capsys):
     assert lines[1].startswith(f"dctool: {in_dir / 'not_hermitian.json'}: NotHermitian: ")
 
 
-def test_verify_of_an_eig_document_writes_the_stored_residual(tmp_path):
+def test_verify_of_an_eig_document_writes_the_stored_residual(tmp_path, capsys):
     # each list of pairs is checked as one stack, as eig computed the
     # residuals it stores, so verify gives back their maximum bit for bit
-    for kind, n, seed in (("general", 32, 21), ("hermitian", 12, 3), ("general", 9, 5)):
-        src, out, ver = (tmp_path / f"{kind}{n}.{ext}.json" for ext in ("in", "eig", "verify"))
-        src.write_text(json.dumps(jsonio.encode_matrix(gen_random(kind, n, n, seed))))
+    inputs = {f"{kind}{n}": gen_random(kind, n, n, seed)
+              for kind, n, seed in (("general", 32, 21), ("hermitian", 12, 3), ("general", 9, 5))}
+    # a 3x3 Jordan block at 2, which gen cannot make: V is all but singular,
+    # so every eigenvalue takes the SVD path
+    inputs["jordan3"] = DCMatrix(2 * np.eye(3) + np.eye(3, k=1))
+    for name, a in inputs.items():
+        src, out, ver = (tmp_path / f"{name}.{ext}.json" for ext in ("in", "eig", "verify"))
+        src.write_text(json.dumps(jsonio.encode_matrix(a)))
         assert main(["eig", "--input", str(src), "--output", str(out)]) == 0
         assert main(["verify", "--input", str(out), "--output", str(ver)]) == 0
         doc = json.loads(out.read_text())
         stored = [max(p["residual"][i] for p in doc["pairs"] + doc["complex_pairs"])
                   for i in (0, 1)]
-        assert json.loads(ver.read_text())["residual"] == stored, (kind, n)
+        assert json.loads(ver.read_text())["residual"] == stored, name
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("mutate, error", [

@@ -12,15 +12,18 @@ from dclinalg import (
     BadEigenspace,
     DCMatrix,
     DualComplex,
+    EPS_J,
     Inconsistent,
     NonFinite,
     NotSkewSymmetric,
     RightEigenPair,
     ShapeMismatch,
     complex_right_eigs,
+    dc_similar,
     dc_svd,
     double_eig_classify,
     dual_right_eigs,
+    from_scalars,
     gen_random,
     herm_spectral,
     is_hermitian,
@@ -248,3 +251,57 @@ def test_eigenpair_checks_reject_a_bad_shape(a, n):
         verify_eigenpair(a, DualComplex(1), x)
     with pytest.raises(ShapeMismatch):
         verify_right_eigs(a, [RightEigenPair(DualComplex(1), x, (0.0, 0.0))], [])
+
+
+# ------------------------------------------- non-finite and huge arguments
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf),
+              complex(0, -np.inf)]
+
+
+def raises_quietly(capfd, error, fn, *args):
+    """fn(*args) raises error, with no numpy warning and nothing on stderr.
+
+    capfd sees what LAPACK prints to the file descriptor itself, such as
+    its "illegal value" lines for a NaN argument.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            fn(*args)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value, error", [(v, NonFinite) for v in NON_FINITE]
+                         + [(1e200, AccuracyError), (1e200j, AccuracyError)],
+                         ids=[str(v) for v in NON_FINITE] + ["1e200", "1e200j"])
+def test_youla_skew_rejects_an_out_of_range_entry(capfd, value, error):
+    raises_quietly(capfd, error, youla_skew, np.array([[0, value], [-value, 0]]))
+
+
+def hermitian_eigenvector_with(value):
+    """(A, lam, x_st) of a simple eigenpair of a 4x4 Hermitian A, x_st[2] set to value."""
+    a = gen_random("hermitian", 4, 4, 1)
+    w, v = np.linalg.eigh(a.standard)
+    x = v[:, 0].copy()
+    x[2] = value
+    return a, w[0], x
+
+
+COUPLED = from_scalars([[DualComplex(1), EPS_J], [-EPS_J, DualComplex(1)]])
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("case", ["lift_x", "lift_hermitian_x", "lift_lam", "classify_x",
+                                  "classify_y", "similar_p", "similar_q"])
+def test_non_finite_vector_or_scalar_argument_is_rejected(capfd, case, value):
+    fn, args = {
+        "lift_x": (simple_eig_lift, (DCMatrix(np.eye(2)), 1.0, [value, 0])),
+        "lift_hermitian_x": (simple_eig_lift, hermitian_eigenvector_with(value)),
+        "lift_lam": (simple_eig_lift, (DCMatrix(np.eye(2)), value, [1, 0])),
+        "classify_x": (double_eig_classify, (COUPLED, [value, 0], [0, 1])),
+        "classify_y": (double_eig_classify, (COUPLED, [1, 0], [0, value])),
+        "similar_p": (dc_similar, (DualComplex(value), DualComplex(1))),
+        "similar_q": (dc_similar, (DualComplex(1), DualComplex(1, value))),
+    }[case]
+    raises_quietly(capfd, NonFinite, fn, *args)

@@ -87,6 +87,8 @@ def svd_cases():
     cases["planted-coupled"] = mat_mul(mat_mul(gen_random("unitary", 8, 8, 92), layout),
                                        conj_t(gen_random("unitary", 7, 7, 93)))
     cases.update({f"planted-sub-{seed}": similar(PLANTED_SUB, 94 + seed) for seed in range(2)})
+    # A_st = 0, wide: stage 2 writes -0.0 into the masked entries of Y
+    cases["wide-zero-standard"] = DCMatrix(np.zeros((3, 5)), cgauss(rng, 3, 5))
     return cases
 
 
