@@ -28,7 +28,11 @@ callers alike; argument errors raise argparse's SystemExit(2).
 
 Default tolerances can be overridden by --group-tol/--resid-tol/--zero-tol
 or the DCTOOL_TOL environment variable ("group=1e-7,resid=1e-8,zero=1e-11",
-or a single number for resid).
+or a single number for resid).  Each is relative (matrix._cluster_tol,
+_null_cut, _resid_bound): `verify` judges a residual by the bound the
+decomposition was held to, resid_tol times the norms of A and of the
+factors' infinitesimal parts plus the scale sqrt(n) of their unitarity
+defects (matrix._residual_scale), with no floor for rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from . import jsonio
 from .eig import right_eigs, verify_right_eigs
 from .errors import AccuracyError, DCError, NonFinite
-from .matrix import gen_random
+from .matrix import _resid_bound, _residual_scale, component_norms, gen_random
 from .scalar import Tolerances
 from .spectral import herm_spectral, verify_spectral
 from .svd import dc_svd, verify_svd
@@ -99,14 +103,24 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
         raise
 
 
-def _verify_doc(doc, tol: Tolerances) -> dict:
+def _verify_doc(doc, tol: Tolerances):
+    """(verify document, bound) of a result document.
+
+    The residual is judged by check_residual's bound with resid_tol and no
+    floor for rounding: _resid_bound of _residual_scale, with the norms of
+    A and, for factors_inf, of U_I twice, of U_I and V_I, or the largest
+    ||x_I|| of the eigenvectors.
+    """
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "spectral":
         check, args = verify_spectral, jsonio.decode_spectral(doc)
+        reduce, factors = sum, [args[1].U] * 2
     elif kind == "svd":
         check, args = verify_svd, jsonio.decode_svd(doc)
+        reduce, factors = sum, [args[1].U, args[1].V]
     elif kind == "eig":
-        check, args = verify_right_eigs, (*jsonio.decode_eig_result(doc), tol)
+        check, args = verify_right_eigs, jsonio.decode_eig_result(doc)
+        reduce, factors = max, [p.vector for p in args[1] + args[2]]
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
     # the decoders take finite numbers only, so a residual that is inf, or
@@ -120,8 +134,13 @@ def _verify_doc(doc, tol: Tolerances) -> dict:
     if not np.isfinite(residual).all():
         raise AccuracyError(f"the {kind} residual leaves double range: the document's "
                             "values are too large for this arithmetic")
-    ok = residual[0] <= tol.resid_tol and residual[1] <= tol.resid_tol
-    return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}
+    # the check has range-checked A and the factors, so their norms are finite
+    factors_inf = reduce([float(np.linalg.norm(f.infinitesimal)) for f in factors] or [0.0])
+    a = args[0]
+    bound = [_resid_bound(tol, scale)
+             for scale in _residual_scale(max(a.shape), component_norms(a), factors_inf)]
+    ok = residual[0] <= bound[0] and residual[1] <= bound[1]
+    return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}, bound
 
 
 def _run_one(args, tol: Tolerances, input_path: Optional[Path],
@@ -139,7 +158,7 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
         with open(input_path, "r") as handle:
             doc = json.load(handle)
         if args.command == "verify":
-            out = _verify_doc(doc, tol)
+            out, bound = _verify_doc(doc, tol)
         else:
             # the parsed input's lists go before the decomposition runs
             a, doc = jsonio.decode_matrix(doc), None
@@ -151,8 +170,8 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
                 out = jsonio._eig_doc(a, *right_eigs(a, tol))
         _emit(out, output_path, args.json_compact)
         if args.command == "verify" and not out["ok"]:
-            print(f"dctool: {where}residual {tuple(out['residual'])} exceeds resid_tol "
-                  f"{tol.resid_tol}", file=sys.stderr)
+            print(f"dctool: {where}residual {tuple(out['residual'])} exceeds its bound "
+                  f"{tuple(bound)}", file=sys.stderr)
             return 3
         return 0
     except json.JSONDecodeError as exc:
@@ -186,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input-dir", type=Path,
                         help="process every *.json file in this directory")
     common.add_argument("--group-tol", dest="group_tol", type=float,
-                        help="eigenvalue clustering tolerance (default 1e-8)")
+                        help="clustering tolerance, times the largest value (default 1e-8)")
     common.add_argument("--resid-tol", dest="resid_tol", type=float,
-                        help="consistency and residual tolerance (default 1e-9)")
+                        help="residual and consistency bound, times their norms (default 1e-9)")
     common.add_argument("--zero-tol", dest="zero_tol", type=float,
-                        help="rank / appreciability cutoff (default 1e-12)")
+                        help="rank and null cutoff, times the norm judged (default 1e-12)")
 
     parser = argparse.ArgumentParser(
         prog="dctool",

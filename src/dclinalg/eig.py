@@ -37,9 +37,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import Inconsistent, NonFinite, NotAppreciable, ShapeMismatch
-from .matrix import DCMatrix, _EPS, _check_hermitian, _check_range, _hermitian_parts, dual_residual
+from .matrix import (DCMatrix, _EPS, _check_hermitian, _check_range, _check_values, _cluster_tol,
+                     _hermitian_parts, _null_cut, _resid_bound, dual_residual)
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
-from .spectral import _herm_spectral, _level_tol
+from .spectral import _herm_spectral
 
 _CLUSTER_WARNING = ("clustered eigenvalue of the standard part; returned pairs "
                     "may be incomplete")
@@ -57,12 +58,21 @@ class RightEigenPair:
 
 def verify_eigenpair(a: DCMatrix, value: DualComplex, x: DCMatrix,
                      tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
-    """Componentwise norms of A x - x value; judgment is left to the caller."""
+    """Componentwise norms of A x - x value; judgment is left to the caller.
+
+    A NaN or infinite value raises NonFinite.  Finite entries whose
+    products leave double range give a NaN residual entry, which raises
+    NonFinite naming the residual's part, or an infinite norm.  x must be
+    appreciable: its standard part has a nonzero entry, a test that needs
+    no tolerance.  tol is kept for the signature.
+    """
     if a.rows != a.cols:
         raise ShapeMismatch("eigenpair check needs a square matrix")
     if x.shape != (a.rows, 1):
         raise ShapeMismatch(f"eigenvector must be {a.rows}x1, got {x.shape}")
-    if np.linalg.norm(x.standard) <= tol.zero_tol:
+    if not np.isfinite([value.standard, value.infinitesimal]).all():
+        raise NonFinite(f"the eigenvalue {value} has a NaN or infinite component")
+    if not x.standard.any():
         raise NotAppreciable("an eigenvector must be appreciable")
     return dual_residual(a, (x.standard, x.infinitesimal), (value.standard, value.infinitesimal))
 
@@ -74,20 +84,24 @@ def verify_right_eigs(a: DCMatrix, pairs, complex_pairs,
     checks for each pair, and each non-empty list's norms from one dual
     product as in _pairs, so the lists that _pairs built give back the
     largest residuals they store bit for bit (a product of both lists would
-    round differently)."""
+    round differently).  A, the vectors and the values are range-checked
+    on entry."""
     if a.rows != a.cols:
         raise ShapeMismatch("eigenpair check needs a square matrix")
+    _check_range(a)
     norms = []
     for group in filter(None, (pairs, complex_pairs)):
         shapes = [p.vector.shape for p in group if p.vector.shape != (a.rows, 1)]
         if shapes:
             raise ShapeMismatch(f"eigenvector must be {a.rows}x1, got {shapes[0]}")
         x_st = np.hstack([p.vector.standard for p in group])
-        if (np.linalg.norm(x_st, axis=0) <= tol.zero_tol).any():
-            raise NotAppreciable("an eigenvector must be appreciable")
         x_inf = np.hstack([p.vector.infinitesimal for p in group])
         lam = np.array([p.value.standard for p in group])
         lam_inf = np.array([p.value.infinitesimal for p in group])
+        _check_range(DCMatrix._frozen(x_st, x_inf), "an eigenvector's ")
+        _check_values("an eigenvalue", [lam, lam_inf], a.rows)
+        if not x_st.any(axis=0).all():
+            raise NotAppreciable("an eigenvector must be appreciable")
         norms.append(dual_residual(a, (x_st, x_inf), (lam, lam_inf), axis=0))
     return tuple(max((float(n[i].max()) for n in norms), default=0.0) for i in (0, 1))
 
@@ -149,30 +163,22 @@ def _cluster_complex(vals: np.ndarray, tau: float):
     return groups
 
 
-def _svd_cut(n: int, tau: float, scale):
-    """Rank cut of an n x n SVD whose largest singular value is at most scale.
-
-    scale may be an array; the cut is then taken elementwise.
-    """
-    return np.maximum(tau, 64 * n * _EPS * np.maximum(1.0, scale))
-
-
-def _eigenspace_basis(a_st: np.ndarray, lam: complex, tau: float) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of (A_st - lam I)."""
+def _eigenspace_basis(a_st: np.ndarray, lam: complex, cut: float) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of (A_st - lam I): singular values <= cut."""
     n = a_st.shape[0]
     m = a_st - lam * np.eye(n)
     _, s, vh = np.linalg.svd(m)
-    dim = int(np.sum(s <= _svd_cut(n, tau, float(s[0]))))
+    dim = int(np.sum(s <= cut))
     if dim == 0:
         dim = 1  # lam is an eigenvalue, so the smallest direction is the eigenvector
     return vh[n - dim:, :].conj().T
 
 
-def _left_null_basis(m: np.ndarray, tau: float) -> np.ndarray:
-    """Orthonormal basis of null(M*); least-squares residuals live in its span."""
+def _left_null_basis(m: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal basis of null(M*), singular values <= cut; least-squares residuals live in it."""
     u, s, _ = np.linalg.svd(m)
     n = m.shape[0]
-    dim = int(np.sum(s <= _svd_cut(n, tau, float(s[0]))))
+    dim = int(np.sum(s <= cut))
     return u[:, n - dim:] if dim else u[:, :0]
 
 
@@ -207,7 +213,7 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
 
     right_eigs sends Hermitian input, the empty matrix included, to
     _hermitian_pairs instead.  A pair is kept when its consistency residual
-    is at most resid_tol (1 + ||A_I||).  Each cluster's route is decided
+    is at most _resid_bound(tol, ||A_I||).  Each cluster's route is decided
     once, before the loop, and the loop walks the clusters in order
     (_cluster_complex), appending each kept pair as one entry (column,
     flagged, in the dual list, in the complex list); the entries are the
@@ -215,8 +221,9 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     pair is one entry in both lists, so it is one object in both; the
     residuals of all pairs come from one dual product (_pairs).
 
-    The SVD helpers cut singular values at max(tau, 64 n eps max(1, s_1))
-    (_svd_cut), and s_1 <= ||A_st||_F + |lam|.  With A_st = V D V^-1 and
+    tau is _cluster_tol of the largest |eigenvalue|, and a cluster's SVD
+    helpers cut singular values at the larger of tau and the null cut of
+    ||A_st||_F + |lam|, a bound on s_1.  With A_st = V D V^-1 and
     kappa = ||V||_F ||V^-1||_F, at least cond(V) and inf for a singular V,
     s_{n-1}(A_st - lam I) and s_min(M), M = conj(lam) I - A_st, are at least
     the second smallest |vals - lam| and the smallest |vals - conj(lam)|,
@@ -234,7 +241,10 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
     (its column of V when separated, else _eigenspace_basis) and, unless
     far, to the unsolvable directions null(M*) (_left_null_basis) and
     lstsq.  Its dual pairs lift each basis column, with lam_I fixed first
-    from the unsolvable-direction projection, one per similarity class.
+    from the unsolvable-direction projection, one per similarity class: a
+    lam whose imaginary part exceeds tau has one, and on the real axis the
+    classes are the values of |lam_I| more than _cluster_tol(tol, ||A_I||)
+    apart.
     Its complex pair is x_st = basis c, which solves the system iff conj(c)
     lies in the null space of K = null(M*)* A_I conj(basis); conj(c) is
     the smallest right singular vector of K, so c is the last row of K's
@@ -244,9 +254,10 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
         raise ShapeMismatch("eigenvalues need a square matrix")
     n = a.rows
     a_st, a_inf = a.standard, a.infinitesimal
-    accept = tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf)))
+    inf_norm = float(np.linalg.norm(a_inf))
+    accept, class_tol = _resid_bound(tol, inf_norm), _cluster_tol(tol, inf_norm)
     vals, vecs = np.linalg.eig(a_st)
-    tau = _level_tol(vals, tol)
+    tau = _cluster_tol(tol, float(np.abs(vals).max(initial=0.0)))
     try:
         inv_vecs = np.linalg.inv(vecs)
     except np.linalg.LinAlgError:  # an exactly singular V: nothing is separated or far
@@ -264,9 +275,9 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
                      dtype=complex)
     dist = np.abs(vals[:, None] - vals)
     np.fill_diagonal(dist, np.inf)
-    separated = dist.min(axis=1) > kappa * _svd_cut(n, tau, a_norm + np.abs(vals))
-    far = (np.abs(np.conj(means)[:, None] - vals).min(axis=1)
-           > kappa * _svd_cut(n, tau, a_norm + np.abs(means)))
+    separated = dist.min(axis=1) > kappa * np.maximum(tau, _null_cut(tol, n, a_norm + np.abs(vals)))
+    cuts = np.maximum(tau, _null_cut(tol, n, a_norm + np.abs(means)))
+    far = np.abs(np.conj(means)[:, None] - vals).min(axis=1) > kappa * cuts
     alone = [len(g) == 1 and separated[g[0]] and f for g, f in zip(groups, far.tolist())]
 
     # the array pass, in cluster order: its j-th column is the j-th alone cluster
@@ -292,13 +303,13 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
             j += 1
             continue
         basis = (vecs[:, group] if len(group) == 1 and separated[group[0]]
-                 else _eigenspace_basis(a_st, lam, tau))
+                 else _eigenspace_basis(a_st, lam, cuts[k]))
         cols = basis.shape[1]
         x_st = _normalize_phase(basis)
         rhs = a_inf @ np.conj(x_st)
         lam_inf = np.zeros(cols, dtype=complex)
         m = None if far[k] else np.conj(lam) * np.eye(n) - a_st  # far: no SVD, no lstsq
-        nleft = basis[:, :0] if m is None else _left_null_basis(m, tau)
+        nleft = basis[:, :0] if m is None else _left_null_basis(m, cuts[k])
         if nleft.shape[1]:
             tn = nleft.conj().T @ x_st
             tb = nleft.conj().T @ rhs
@@ -315,10 +326,9 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
                         else _lstsq_resid(m, rhs))
         parts.append((x_st, x_inf, np.full(x_st.shape[1], lam), lam_inf))
 
-        class_tol = 1e-8 * (1.0 + abs(lam))
         kept_class: list[float] = []
         for col in np.flatnonzero(resid[:cols] <= accept):
-            if abs(lam.imag) > class_tol:
+            if abs(lam.imag) > tau:
                 if kept_class:  # non-real standard part: one similarity class only
                     continue
                 kept_class.append(0.0)
@@ -411,9 +421,11 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
     """Infinitesimal eigenvector part for a simple eigenvalue of a Hermitian matrix.
 
     Solves (lam I - A_st) x_I = A_I conj(x_st) by minimum-norm least squares;
-    the system is guaranteed consistent when lam is simple, so a large
-    residual signals invalid input and raises Inconsistent.  So does a
-    solution that leaves double range, as it does when A_st is tiny against
+    the system is guaranteed consistent when lam is simple, so a residual
+    above _resid_bound(tol, ||A_I|| ||x_st||) signals invalid input and
+    raises Inconsistent, as does an x_st that is zero or whose residual
+    ||A_st x_st - lam x_st|| exceeds _resid_bound(tol, ||A_st|| ||x_st||).
+    So does a solution that leaves double range, as it does when A_st is tiny against
     A_I, with a message that says so.  Entries too large for this
     arithmetic raise AccuracyError, and a NaN or infinite entry of x_st,
     or such a lam, NonFinite.
@@ -425,17 +437,16 @@ def simple_eig_lift(a: DCMatrix, lam: float, x_st, tol: Tolerances = DEFAULT_TOL
     if not (np.isfinite(x).all() and np.isfinite(lam)):
         raise NonFinite("x_st or lam has a NaN or infinite entry")
     a_st, a_inf = a.standard, a.infinitesimal
-    xnorm = float(np.linalg.norm(x))
-    if xnorm <= tol.zero_tol:
+    if not x.any():
         raise NotAppreciable("eigenvector must be nonzero")
-    eig_scale = tol.resid_tol * (1.0 + float(np.linalg.norm(a_st))) * xnorm
-    if np.linalg.norm(a_st @ x - lam * x) > max(eig_scale, 1e3 * _EPS * xnorm):
+    xnorm = float(np.linalg.norm(x))
+    if np.linalg.norm(a_st @ x - lam * x) > _resid_bound(tol, float(np.linalg.norm(a_st)) * xnorm):
         raise Inconsistent("x_st is not an eigenvector of the standard part for lam")
     m = lam * np.eye(a.rows) - a_st
     x_inf, resid = _lstsq_resid(m, a_inf @ np.conj(x))
     if not np.isfinite(x_inf).all():
         raise Inconsistent("consistency system has no solution in double range: "
                            "x_I overflows, A_st is too small against A_I")
-    if resid > tol.resid_tol * (1.0 + float(np.linalg.norm(a_inf))) * max(1.0, xnorm):
+    if resid > _resid_bound(tol, float(np.linalg.norm(a_inf)) * xnorm):
         raise Inconsistent("consistency system has no solution; lam is not simple")
     return x_inf

@@ -323,6 +323,38 @@ def hermitian_residual(h_st: np.ndarray, off, u: DCMatrix, xc: np.ndarray, k_mat
     return _pair_and_gate(*_norms(g, t_inf), u, xc, off, diag[0])
 
 
+def _cluster_tol(tol: Tolerances, scale: float) -> float:
+    """group_tol * scale: values within it of a neighbour are one level."""
+    return tol.group_tol * scale
+
+
+def _null_cut(tol: Tolerances, n: int, scale):
+    """max(zero_tol, 64 n eps) * scale: a value of an n-wide problem at or below it is zero."""
+    return max(tol.zero_tol, 64 * n * _EPS) * scale
+
+
+def _resid_bound(tol: Tolerances, scale, n: int = 0):
+    """max(resid_tol, 64 n eps) * scale: the most a residual or a consistency test may leave.
+
+    With n = 0 it is resid_tol * scale, with no floor for rounding.
+    """
+    return max(tol.resid_tol, 64 * n * _EPS) * scale
+
+
+def _unit(norm: float) -> float:
+    """The power of two above norm, or 1 for 0: dividing by it is exact."""
+    return math.ldexp(1.0, math.frexp(norm)[1])
+
+
+def _residual_scale(n: int, a_norms, factors_inf: float) -> tuple[float, float]:
+    """(||A_st|| + sqrt(n), ||A_I|| + (||A_st|| + 1) factors_inf), check_residual's scales.
+
+    The sqrt(n) and + 1 terms are the scales of the unitarity defects of
+    the factors, which the residual includes.
+    """
+    return a_norms[0] + math.sqrt(n), a_norms[1] + (a_norms[0] + 1.0) * factors_inf
+
+
 def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, float],
                    factors_inf: float, dropped: tuple[float, float], tol: Tolerances) -> None:
     """Raise AccuracyError unless a decomposition's residual is explained.
@@ -330,18 +362,16 @@ def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, flo
     resid is the gate of factor_residual or hermitian_residual, which
     bounds the two-sided residual U* A V - L and the unitarity defects of
     the factors.  They are made of rounding error and of what the
-    decomposition chose to drop (cluster spreads, values below a cutoff),
-    whose norms the caller passes in `dropped`.  Rounding error is bounded
-    by f (||A_st|| + sqrt(n)) on the standard part and by
-    f (||A_I|| + (||A_st|| + 1) (||U_I|| + ||V_I||)) on the infinitesimal
-    part, with f = max(resid_tol, 64 n eps), n the larger dimension of A.
+    decomposition chose to drop (cluster spreads, values below a cutoff,
+    the parts of A that are not Hermitian), whose norms the caller passes
+    in `dropped`.  Rounding error is bounded by _resid_bound(tol, scale, n)
+    of each of _residual_scale's two scales, n the larger dimension of A.
     The caller passes a_norms = (||A_st||, ||A_I||) and factors_inf =
     ||U_I|| + ||V_I||, from whatever unitarily equivalent form of them it
     holds.  A non-finite residual always raises.
     """
-    f = max(tol.resid_tol, 64 * n * _EPS)
-    bound = (f * (a_norms[0] + math.sqrt(n)) + dropped[0],
-             f * (a_norms[1] + (a_norms[0] + 1.0) * factors_inf) + dropped[1])
+    bound = [_resid_bound(tol, scale, n) + d
+             for scale, d in zip(_residual_scale(n, a_norms, factors_inf), dropped)]
     if not (math.isfinite(resid[0]) and math.isfinite(resid[1])
             and resid[0] <= bound[0] and resid[1] <= bound[1]):
         raise AccuracyError(f"residual ({resid[0]:.3e}, {resid[1]:.3e}) exceeds "
@@ -353,21 +383,30 @@ def _range_limit(n: int) -> float:
     return _SQRT_MAX / (4 * max(1, n))
 
 
-def _check_range(a: DCMatrix) -> None:
-    """Raise AccuracyError when A's entries are too large for the routines' arithmetic.
+def _check_values(name: str, values, n: int) -> None:
+    """Raise NonFinite for a NaN or infinite entry of values, AccuracyError past _range_limit(n).
 
     A Frobenius norm squares the entries it sums, so it overflows once they
     pass sqrt(max double) / n.  With every real and imaginary part at most
-    sqrt(max double) / (4n), n the larger dimension, the norms of A, of
-    A_st - A_st* and of A's products with unitary factors stay finite.
+    sqrt(max double) / (4n), the norms of a matrix whose larger dimension
+    is n, of A_st - A_st* and of A's products with unitary factors stay
+    finite.
     """
-    limit = _range_limit(max(a.shape))
-    for name, part in (("standard", a.standard), ("infinitesimal", a.infinitesimal)):
-        v = part.view(float)  # max and min allocate nothing, unlike np.abs
-        big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
-        if big > limit:
-            raise AccuracyError(f"{name} part has an entry of size {big:.3e}, above "
-                                f"{limit:.3e}, where sums and norms overflow")
+    v = np.ascontiguousarray(values, dtype=complex).view(float)  # max and min allocate nothing
+    # both carry a NaN, and one of them an infinity, into big
+    big = max(float(v.max(initial=0.0)), -float(v.min(initial=0.0)))
+    if not math.isfinite(big):
+        raise NonFinite(f"{name} has a NaN or infinite entry")
+    limit = _range_limit(n)
+    if big > limit:
+        raise AccuracyError(f"{name} has an entry of size {big:.3e}, above "
+                            f"{limit:.3e}, where sums and norms overflow")
+
+
+def _check_range(a: DCMatrix, name: str = "") -> None:
+    """_check_values of A's two parts, n the larger dimension of A; name prefixes the message."""
+    for part, x in (("standard", a.standard), ("infinitesimal", a.infinitesimal)):
+        _check_values(f"{name}{part} part", x, max(a.shape))
 
 
 def mat_inv(a: DCMatrix) -> DCMatrix:
@@ -410,39 +449,45 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
         raise AccuracyError("X^-1 Y conj(X^-1) overflows: A_st is too small against A_I") from None
 
 
-def _hermitian_halves(a: DCMatrix, limit: float = math.inf):
-    """((A_st + A_st*) / 2, (A_I - A_I^T) / 2, off) of a square A, or None past limit.
+def _hermitian_halves(a: DCMatrix, tol: Tolerances = None):
+    """((A_st + A_st*) / 2, (A_I - A_I^T) / 2, off) of a square A, or None past tol.
 
-    off = (||A_st - H_st||, ||A_I - H_I||); None when a part of it exceeds
-    limit, and the second is not formed once the first does.  All share one
-    conjugate copy of A_st and a transposed view of A_I.  An exactly
-    Hermitian A, whose differences A_st - A_st* and A_I + A_I^T are zero
-    entry by entry, is its own H: its read-only parts come back as they
-    are, and no halves are formed.  The entries are tested, not the norm,
+    off = (||A_st - H_st||, ||A_I - H_I||).  Given tol, the result is None
+    when a part of off exceeds _resid_bound(tol, ||A's part||), and the
+    second is not formed once the first does.  The second part is also
+    allowed the rounding that products with A_st leave in A_I, 64 n eps
+    ||A_st||: an A_I made of that rounding alone, as a 1 x 1 W L W* has,
+    is no larger than the defect it carries.  All share one conjugate copy
+    of A_st and a transposed view of A_I.  An exactly Hermitian A, whose
+    differences A_st - A_st* and A_I + A_I^T are zero entry by entry, is
+    its own H: its read-only parts come back as they are, no halves are
+    formed and no norm is taken.  The entries are tested, not the norm,
     which underflows to 0 for differences below about 1e-154.
     """
     st_h, inf_t = a.standard.conj().T, a.infinitesimal.T
     d_st = a.standard - st_h
     exact = not d_st.any()
     off_st = 0.0 if exact else float(np.linalg.norm(d_st)) / 2
-    if off_st > limit:
+    if tol is not None and off_st > _resid_bound(tol, float(np.linalg.norm(a.standard))):
         return None
     d_inf = a.infinitesimal + inf_t
     if exact and not d_inf.any():
         return a.standard, a.infinitesimal, (0.0, 0.0)
     off_inf = float(np.linalg.norm(d_inf)) / 2
-    if off_inf <= limit:
+    if tol is None or off_inf <= max(_resid_bound(tol, float(np.linalg.norm(a.infinitesimal))),
+                                     64 * a.rows * _EPS * float(np.linalg.norm(a.standard))):
         return (a.standard + st_h) / 2, (a.infinitesimal - inf_t) / 2, (off_st, off_inf)
 
 
 def _hermitian_parts(a: DCMatrix, tol: Tolerances):
-    """_hermitian_halves(A) when A is square and each part of off is at most resid_tol / 2."""
-    return _hermitian_halves(a, tol.resid_tol / 2) if a.rows == a.cols else None
+    """_hermitian_halves(A, tol) of a square A, None for any other."""
+    return _hermitian_halves(a, tol) if a.rows == a.cols else None
 
 
 def is_hermitian(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when the standard part is Hermitian and the infinitesimal part skew-symmetric.
 
+    Each is judged against the norm of its part (_hermitian_halves).
     Entries too large for the arithmetic raise AccuracyError (_check_range).
     """
     _check_range(a)
@@ -461,10 +506,14 @@ def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str):
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric.
 
-    Entries too large for the arithmetic raise AccuracyError (_check_range).
+    The two parts of U* U - I are judged by _resid_bound against sqrt(n)
+    and ||U_I||, their scales in check_residual.  Entries too large for the
+    arithmetic raise AccuracyError (_check_range).
     """
     _check_range(a)
-    return a.rows == a.cols and max(unitarity_defect(a)) <= tol.resid_tol
+    scales = _residual_scale(a.rows, (0.0, 0.0), float(np.linalg.norm(a.infinitesimal)))
+    return a.rows == a.cols and all(
+        d <= _resid_bound(tol, scale) for d, scale in zip(unitarity_defect(a), scales))
 
 
 def inner(x: DCMatrix, y: DCMatrix) -> DualComplex:

@@ -25,11 +25,16 @@ from .errors import NonFinite, NotAppreciable
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used throughout the package.
+    """Numerical thresholds used throughout the package, each relative.
 
-    group_tol clusters nearby eigenvalues, resid_tol bounds linear-system
-    consistency and decomposition residuals, zero_tol is the rank /
-    appreciability cutoff.
+    Every cutoff is one of these factors times the norm of the part it
+    judges, through one of three helpers in matrix.py: group_tol clusters
+    values within group_tol times the largest of them (_cluster_tol),
+    zero_tol counts a value as zero at or below zero_tol times the norm it
+    is measured against, ||A_st|| or sigma_1 for the standard part, ||A_I||
+    for the infinitesimal one (_null_cut), and resid_tol bounds residuals
+    and consistency tests by resid_tol times their scale (_resid_bound).
+    So scaling A by c and eps by t changes no decision.
     """
 
     group_tol: float = 1e-8
@@ -163,26 +168,33 @@ def dc_inv(q: DualComplex, zero_tol: float = 0.0) -> DualComplex:
 def dc_similar(p: DualComplex, q: DualComplex, tol: float = 1e-10) -> Optional[DualComplex]:
     """Find an appreciable u with p*u = u*q, or None if the numbers are not similar.
 
-    The condition p*u - u*q = 0 is linear in the four real coordinates of u,
-    so the witnesses form the null space of a 4x4 real matrix.  Among
-    null-space elements with unit-magnitude standard part the one of
-    smallest norm is returned, sign-fixed on its largest coordinate.  A NaN
-    or infinite component of p or q raises NonFinite.
+    The answer does not change when p and q are scaled by a real c > 0 or
+    eps by t > 0, which maps the witnesses u to u_st + t u_I eps*j.  So p
+    and q are first brought to unit size, their standard parts divided by
+    the larger standard magnitude c and their infinitesimal parts by c t,
+    the larger infinitesimal magnitude, or by c alone when either is zero.
+    The condition p*u - u*q = 0 is then linear in the four real
+    coordinates of u, and the witnesses form the null space of a 4x4 real
+    matrix, its singular values at most tol s_1.  Among null-space
+    elements with unit-magnitude standard part the one of smallest norm is
+    taken, sign-fixed on its largest coordinate, checked to solve the
+    scaled equation to 100 tol, and mapped back.  A NaN or infinite
+    component of p or q raises NonFinite.
     """
     if not np.isfinite(p.reals() + q.reals()).all():
         raise NonFinite("p or q has a NaN or infinite component")
-    cols = []
-    for e in _BASIS:
-        r = dc_mul(p, e) - dc_mul(e, q)
-        cols.append(r.reals())
-    m = np.array(cols, dtype=float).T  # maps coords(u) to coords(p*u - u*q)
+    c = max(abs(p.standard), abs(q.standard))
+    ct = max(abs(p.infinitesimal), abs(q.infinitesimal))
+    c, t = (c, ct / c) if c and ct else (c or ct or 1.0, 1.0)
+    p, q = (DualComplex(x.standard / c, x.infinitesimal / (c * t)) for x in (p, q))
+    # m maps coords(u) to coords(p*u - u*q)
+    m = np.array([(dc_mul(p, e) - dc_mul(e, q)).reals() for e in _BASIS]).T
     _, s, vt = np.linalg.svd(m)
-    null_rows = s <= tol * max(1.0, s[0])
+    null_rows = s <= tol * s[0]
     if not null_rows.any():
         return None
     basis = vt[null_rows].T  # orthonormal columns spanning the witness space
-    to_standard = basis[:2, :]
-    _, ts, tvt = np.linalg.svd(to_standard)
+    _, ts, tvt = np.linalg.svd(basis[:2, :])
     if ts[0] <= tol:
         return None  # every witness is infinitesimal, hence not invertible
     u = basis @ tvt[0]
@@ -191,6 +203,6 @@ def dc_similar(p: DualComplex, q: DualComplex, tol: float = 1e-10) -> Optional[D
         u = -u
     witness = DualComplex.from_reals(*u)
     check = dc_mul(p, witness) - dc_mul(witness, q)
-    if max(abs(check.standard), abs(check.infinitesimal)) > 100 * tol * (1 + abs(p) + abs(q)):
+    if max(abs(check.standard), abs(check.infinitesimal)) > 100 * tol:
         return None
-    return witness
+    return DualComplex(witness.standard, witness.infinitesimal * t)

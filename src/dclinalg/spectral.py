@@ -83,10 +83,16 @@ from .matrix import (
     _EPS,
     _check_hermitian,
     _check_range,
+    _check_values,
     _checked,
+    _cluster_tol,
     _hermitian_halves,
+    _null_cut,
+    _range_limit,
+    _resid_bound,
     _sandwich,
     _times_layout,
+    _unit,
     check_residual,
     dual_residual,
     hermitian_residual,
@@ -181,9 +187,17 @@ def _chain(vals, tau: float):
     return starts, ends
 
 
-def _level_tol(vals, tol: Tolerances) -> float:
-    """The clustering tolerance tau = group_tol (1 + max |vals|) of a set of levels."""
-    return tol.group_tol * (1.0 + float(np.abs(vals).max(initial=0.0)))
+def _level_tol(w, inf_norm: float, tol: Tolerances) -> float:
+    """herm_spectral's clustering tolerance for the eigenvalues w of H_st, ||H_I|| = inf_norm.
+
+    It is _cluster_tol of the largest |w|.  Stage 2 divides H_I by the gaps
+    between levels, so a gap below inf_norm / _range_limit(n) would take U_I
+    past the range _check_range keeps A in; such levels are one level.  At
+    any scale where the separate levels can be represented, that term is
+    far below the first.
+    """
+    return max(_cluster_tol(tol, float(np.abs(w).max(initial=0.0))),
+               inf_norm / _range_limit(len(w)))
 
 
 def _clusters(vals, count: int, tau: float, below: float, what: str):
@@ -213,15 +227,18 @@ def _clusters(vals, count: int, tau: float, below: float, what: str):
     return starts, sizes, reps
 
 
-def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances):
+def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances, unit: float):
     """Canonical (value, coupling) blocks of each cluster, in order.
 
     A cluster is reps[k] I plus a skew-symmetric block B, and
-    skew_blocks(cols) gives the (K, s, s) stack of the blocks of the
-    clusters on the K rows of cols.  The clusters of one size s > 1 go to
-    canonical form together: _youla_stack takes their stack, and each block
-    becomes W* B conj(W) with W = conj(Q), its columns rolled so that the
-    null block comes first.  One gather, one stacked product and one
+    skew_blocks(cols) gives the (K, s, s) stack of the blocks B / unit of
+    the clusters on the K rows of cols: unit is _unit of the norm of the
+    matrix's infinitesimal part, so that _youla_stack judges every block
+    against that norm, and its pair values, times unit, come back exactly.
+    The clusters of one size s > 1 go to canonical form together:
+    _youla_stack takes their stack, and each block becomes W* B conj(W)
+    with W = conj(Q), its columns rolled so that the null block comes
+    first.  One gather, one stacked product and one
     scatter rotate those clusters' columns of every (standard,
     infinitesimal) pair, or (standard,) alone, in `factors` in place, by W
     and conj(W), which leaves the standard block reps[k] I as it is.  A 1x1
@@ -247,7 +264,7 @@ def _canonical_blocks(skew_blocks, starts, sizes, reps, factors, tol: Tolerances
             for f, rot in zip(pair, (w, q)):
                 f[:, cols] = (f[:, cols].transpose(1, 0, 2) @ rot).transpose(1, 0, 2)
         for k, p, null_dim in zip(ks.tolist(), pairs, null_dims.tolist()):
-            blocks[k] = [(values[k], None)] * null_dim + [(values[k], s) for s in p]
+            blocks[k] = [(values[k], None)] * null_dim + [(values[k], s * unit) for s in p]
     return [b for cluster in blocks for b in cluster]
 
 
@@ -261,7 +278,13 @@ def _youla_stack(c, tol: Tolerances):
     """youla_skew on every block of a stack c of shape (..., n, n), n >= 1, as stacks.
 
     Returns (Q, pairs, null_dims): Q of shape (K, n, n) for the K blocks, a
-    list of K pair lists and an integer array of K null dimensions.
+    list of K pair lists and an integer array of K null dimensions.  Each
+    block is taken in units of the norm of the matrix it comes from: the
+    decompositions divide their blocks by _unit of it, so that s_1 <= 1.
+    A pair is null when its mean is at most _null_cut(tol, n, scale), and
+    equal values are those within 64 n eps scale of each other, with scale
+    the larger of that unit and the block's own s_1, which is the noise
+    level of the block's values.
     np.linalg.svd takes c as it is given, so a 2-D c stays 2-D there.  Each
     step is a per-block numpy call or a stacked one that hands BLAS and
     LAPACK each block as the 2-D call would, so a block's result does not
@@ -271,7 +294,7 @@ def _youla_stack(c, tol: Tolerances):
     and the defect Q* Q - I in place, at the O(n) nonzeros of J and I.
     """
     n = c.shape[-1]
-    bound = (tol.resid_tol * (1.0 + np.sqrt(_sq_norms(c)))) ** 2
+    bound = _resid_bound(tol, 1.0 + np.sqrt(_sq_norms(c))) ** 2
     if (_sq_norms(c + np.swapaxes(c, -1, -2)) > bound).any():
         raise NotSkewSymmetric("matrix is not skew-symmetric")
 
@@ -279,7 +302,7 @@ def _youla_stack(c, tol: Tolerances):
     c, u, vh = (x.reshape(-1, n, n) for x in (c, u, vh))
     s = s.reshape(-1, n)
     scale = np.maximum(1.0, s[:, 0])
-    null_cut = max(tol.zero_tol, 64 * n * _EPS) * scale
+    null_cut = _null_cut(tol, n, scale)
     # pairs are kept or dropped whole, by the mean of their two values
     k = 2 * ((s[:, :n - 1:2] + s[:, 1::2]) / 2 > null_cut[:, None]).sum(axis=1)
 
@@ -379,7 +402,10 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     where pairs = [s1 >= s2 >= ... > 0] are the nonzero singular values of C
     (each of even multiplicity).  The construction works off one SVD
     C = U S V*.  The singular values count in pairs (s1, s2), (s3, s4), ...,
-    and a pair whose mean is at most the null cutoff is dropped whole.  On
+    and a pair whose mean is at most the null cutoff is dropped whole: C is
+    taken in units of the norm of the matrix it is a block of, and the cut
+    is _null_cut of the larger of that unit and s1 (_youla_stack); divide
+    a block of a matrix of another norm by it first.  On
     the span of the columns U_g of U for one group of equal singular values,
     the pairing map J x = U_g V_g* conj(x), V_g the group's columns of V, is
     C conj(x) / s; it is antiunitary with J J = -1, so a unit vector x pairs
@@ -415,8 +441,8 @@ def youla_skew(c, tol: Tolerances = DEFAULT_TOL):
     return q[0], pairs[0], int(null_dims[0])
 
 
-def _cluster_blocks(v, h_inf, sizes):
-    """skew_blocks of _canonical_blocks for V: the skew parts of V_k* H_I conj(V_k).
+def _cluster_blocks(v, h_inf, sizes, unit: float):
+    """skew_blocks of _canonical_blocks for V: the skew parts of V_k* H_I conj(V_k) / unit.
 
     H_I conj(V_c), V_c the columns of the clusters of more than one
     member, is one product, kept as long as the function.
@@ -428,7 +454,7 @@ def _cluster_blocks(v, h_inf, sizes):
     def skew_blocks(cols):
         at = np.searchsorted(multi, cols)  # their places among V_c's columns
         c = vc[:, at].transpose(1, 2, 0) @ hv[:, at].transpose(1, 0, 2)
-        return (c - np.swapaxes(c, 1, 2)) / 2  # exact skew-symmetry for youla_skew
+        return (c - np.swapaxes(c, 1, 2)) / (2 * unit)  # exact skew-symmetry for youla_skew
     return skew_blocks
 
 
@@ -449,13 +475,15 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     n = a.rows
     w, v = np.linalg.eigh(h_st)
     w, v = w[::-1], v[:, ::-1]
-    tau = _level_tol(w, tol)
-    starts, sizes, reps = _clusters(w, n, tau, -np.inf, "eigenvalue")
+    inf_norm = float(np.linalg.norm(h_inf))
+    starts, sizes, reps = _clusters(w, n, _level_tol(w, inf_norm, tol), -np.inf, "eigenvalue")
 
     # stage 3 first, on the clusters' blocks of V; X is V with their columns
     # turned
     x = v.copy()
-    pairs = _canonical_blocks(_cluster_blocks(x, h_inf, sizes), starts, sizes, reps, [(x,)], tol)
+    unit = _unit(inf_norm)
+    pairs = _canonical_blocks(_cluster_blocks(x, h_inf, sizes, unit), starts, sizes, reps,
+                              [(x,)], tol, unit)
     blocks, last = [], None
     for b in pairs:
         if b != last:  # equal blocks, as a cluster's Eigen blocks are, come in runs and share one
@@ -481,20 +509,23 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     u = DCMatrix._frozen(*_checked(x, np.negative(y, out=y)))  # no copy
     resid, gate = hermitian_residual(h_st, off, u, xc, k_mat, *_diagonals(n, pairs))
     # dropped by design: the spread of each cluster around the mean its
-    # blocks carry, and the parts of A that are not Hermitian, at most
-    # resid_tol / 2 each once the Hermitian check has passed.  The norms of
-    # w and K are those of A's Hermitian parts
-    half = tol.resid_tol / 2
-    check_residual(gate, n, (float(np.linalg.norm(w)), float(np.linalg.norm(k_mat))),
-                   2 * float(np.linalg.norm(y)),
-                   (float(np.linalg.norm(w - rep)) + half, half), tol)
+    # blocks carry, and the parts of A that are not Hermitian.  The norms of
+    # w and H_I are those of A's Hermitian parts
+    check_residual(gate, n, (float(np.linalg.norm(w)), inf_norm), 2 * float(np.linalg.norm(y)),
+                   (float(np.linalg.norm(w - rep)) + off[0], off[1]), tol)
     return SpectralDecomposition(u, blocks, resid)
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:
-    """The residual pair herm_spectral reports, recomputed (matrix.hermitian_residual)."""
+    """The residual pair herm_spectral reports, recomputed (matrix.hermitian_residual).
+
+    A, U and the block values are range-checked on entry (_check_range).
+    """
     if a.shape != dec.U.shape or dec.n != a.rows:
         raise ShapeMismatch("decomposition does not match the matrix shape")
+    _check_range(a)
+    _check_range(dec.U, "U's ")
+    _check_values("a block value", [v for b in dec.blocks for v in (b.lam, b.mu or 0)], a.rows)
     h_st, h_inf, off = _hermitian_halves(a)
     return hermitian_residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard),
                               *_diagonals(a.rows, [(b.lam, b.mu) for b in dec.blocks]))[0]
@@ -521,13 +552,23 @@ def verify_subeigenpair(a: DCMatrix, lam: float, mu: complex, x: DCMatrix, y: DC
     """Componentwise residuals of the coupled pair equations.
 
     With mu = 0 the check degenerates to two ordinary eigenpair residuals.
+    A, x, y, lam and mu are range-checked on entry, and a NaN or infinite
+    lam or mu raises NonFinite.  x and y must be appreciable, with nonzero
+    standard parts, and orthogonal: each part of x* y at most
+    _resid_bound of its scale, ||x_st|| ||y_st|| and ||x_st|| ||y_I|| +
+    ||x_I|| ||y_st||.
     """
     if a.rows != a.cols or x.shape != (a.rows, 1) or y.shape != (a.rows, 1):
         raise ShapeMismatch("subeigenpair check needs a square matrix and two column vectors")
-    if np.linalg.norm(x.standard) <= tol.zero_tol or np.linalg.norm(y.standard) <= tol.zero_tol:
+    for name, m in (("", a), ("x's ", x), ("y's ", y)):
+        _check_range(m, name)
+    _check_values("lam or mu", [lam, mu], a.rows)
+    if not (x.standard.any() and y.standard.any()):
         raise NotAppreciable("subeigenvectors must be appreciable")
+    xs, xi, ys, yi = (np.linalg.norm(f) for m in (x, y) for f in (m.standard, m.infinitesimal))
     ip = inner(x, y)
-    if abs(ip.standard) > tol.resid_tol or abs(ip.infinitesimal) > tol.resid_tol:
+    if (abs(ip.standard) > _resid_bound(tol, xs * ys)
+            or abs(ip.infinitesimal) > _resid_bound(tol, xs * yi + xi * ys)):
         raise NotOrthogonal("subeigenvectors must be orthogonal")
     # the columns [y, x] against one Sub block (lam, mu)
     cols = (np.hstack((y.standard, x.standard)), np.hstack((y.infinitesimal, x.infinitesimal)))
@@ -556,33 +597,39 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
     """Classify a double eigenvalue of the standard part via mu = y* A_I conj(x).
 
     The verdict and |mu| do not depend on which orthonormal basis of the
-    eigenspace is supplied; the phase of mu does.  Entries too large for
-    this arithmetic raise AccuracyError, as does an A_st so small against
-    A_I that the least-squares x_inf or y_inf overflows.  A NaN or infinite
+    eigenspace is supplied; the phase of mu does.  The rules are
+    herm_spectral's: x and y must be orthonormal to _resid_bound(tol, 1),
+    and span one level, each residual ||H_st x - lam_x x|| and |lam_x -
+    lam_y| at most its clustering tolerance (_level_tol), with H A's
+    Hermitian parts.  The value is DoubleSub when |y* H_I conj(x)|, the
+    singular value of the 2x2 skew block [x y]* H_I conj([x y]), exceeds
+    the null cut _youla_stack applies to it.  Entries too large for this
+    arithmetic raise AccuracyError, as does an A_st so small against A_I
+    that the least-squares x_inf or y_inf overflows.  A NaN or infinite
     entry of x_st or y_st raises NonFinite.
     """
-    _check_hermitian(a, tol, "classification applies to Hermitian matrices")
+    h_st, h_inf, _ = _check_hermitian(a, tol, "classification applies to Hermitian matrices")
     x = np.asarray(x_st, dtype=complex).reshape(-1)
     y = np.asarray(y_st, dtype=complex).reshape(-1)
     if x.size != a.rows or y.size != a.rows:
         raise ShapeMismatch("basis vectors must have length n")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFinite("x_st or y_st has a NaN or infinite entry")
-    ortho = 100 * tol.group_tol
+    ortho = _resid_bound(tol, 1.0)
     if (abs(np.vdot(x, x) - 1) > ortho or abs(np.vdot(y, y) - 1) > ortho
             or abs(np.vdot(x, y)) > ortho):
         raise BadEigenspace("vectors are not orthonormal")
     a_st, a_inf = a.standard, a.infinitesimal
-    scale = 1.0 + float(np.linalg.norm(a_st))
-    lam_x = float(np.vdot(x, a_st @ x).real)
-    lam_y = float(np.vdot(y, a_st @ y).real)
-    if (np.linalg.norm(a_st @ x - lam_x * x) > ortho * scale
-            or np.linalg.norm(a_st @ y - lam_y * y) > ortho * scale
-            or abs(lam_x - lam_y) > ortho * scale):
+    inf_norm = float(np.linalg.norm(h_inf))
+    tau = _level_tol(np.linalg.eigvalsh(h_st), inf_norm, tol)
+    lam_x = float(np.vdot(x, h_st @ x).real)
+    lam_y = float(np.vdot(y, h_st @ y).real)
+    if (np.linalg.norm(h_st @ x - lam_x * x) > tau or np.linalg.norm(h_st @ y - lam_y * y) > tau
+            or abs(lam_x - lam_y) > tau):
         raise BadEigenspace("vectors do not span a common eigenspace of the standard part")
     lam = (lam_x + lam_y) / 2
     mu = complex(np.vdot(y, a_inf @ np.conj(x)))
-    if abs(mu) <= tol.resid_tol:
+    if abs(np.vdot(y, h_inf @ np.conj(x))) <= _null_cut(tol, 2, _unit(inf_norm)):
         return DoubleEigClassification("DoubleEigen", lam, mu)
     m = lam * np.eye(a.rows) - a_st
     x_inf = np.linalg.lstsq(m, a_inf @ np.conj(x) - mu * y, rcond=None)[0]
@@ -596,11 +643,14 @@ def classify_multiplicity(dec: SpectralDecomposition, lam: float,
                           tol: Tolerances = DEFAULT_TOL) -> tuple[int, int]:
     """Total dimension p of blocks at lam and the number k of Sub blocks among them.
 
-    A block is at lam when its level lies within herm_spectral's clustering
-    tolerance of lam, so every value that herm_spectral merged into one
-    level finds that level.
+    A block is at lam when its level lies within tau of lam, tau the
+    _cluster_tol of the largest |level| as in herm_spectral, so every value
+    that herm_spectral merged into one level finds that level.  A NaN or
+    infinite lam raises NonFinite.
     """
-    tau = _level_tol([b.lam for b in dec.blocks], tol)
+    if not np.isfinite(lam):
+        raise NonFinite(f"lam is {lam!r}, not a finite number")
+    tau = _cluster_tol(tol, max((abs(b.lam) for b in dec.blocks), default=0.0))
     sel = [b for b in dec.blocks if abs(b.lam - lam) <= tau]
     if not sel:
         raise UnknownEigenvalue(f"no block matches {lam!r}")
@@ -610,7 +660,7 @@ def classify_multiplicity(dec: SpectralDecomposition, lam: float,
 
 
 def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
-    """(lambda_min(A_st), resid_tol ||A_st||_2) of a Hermitian matrix.
+    """(lambda_min(A_st), _resid_bound(tol, ||A_st||_2)) of a Hermitian matrix.
 
     The right eigenvalues and subeigenvalues of a Hermitian matrix are the
     eigenvalues of its standard part, with multiplicity (a Sub block holds
@@ -623,7 +673,7 @@ def _lowest_level(a: DCMatrix, tol: Tolerances) -> tuple[float, float]:
     w = np.linalg.eigvalsh(a_st)
     if not w.size:
         return math.inf, 0.0
-    return float(w[0]), tol.resid_tol * max(-float(w[0]), float(w[-1]))
+    return float(w[0]), _resid_bound(tol, max(-float(w[0]), float(w[-1])))
 
 
 def is_psd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:

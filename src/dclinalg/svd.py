@@ -8,7 +8,7 @@ A_st = P S Q* and B = P* A_I conj(Q), and runs the three stages of the
 spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
 
 1. the singular values above the rank cutoff, which is at least 10 tau,
-   form the positive clusters (_clusters, tau = group_tol * sigma_1); the
+   form the positive clusters (_clusters, tau = _cluster_tol(sigma_1)); the
    rest form one more cluster, at zero, which the last positive one must
    stand 10 tau clear of;
 2. U = P (I + X eps*j) and V = Q (I + Y eps*j), with X and Y complex
@@ -20,9 +20,10 @@ spectral decomposition, with its helpers for stages 1 and 3 (spectral.py):
    tall input X is B_ij / sigma_j, against the extra columns of a wide one
    Y is -B_ji / sigma_j;
 3. each positive cluster's remaining skew block goes to canonical form
-   (_canonical_blocks), rotating the columns of U and V alike.  The corner
-   at zero keeps its infinitesimal part, whose complex SVD gives D; its
-   standard part, at most the cutoff, is dropped.
+   (_canonical_blocks), rotating the columns of U and V alike, each block
+   judged against ||A_I||.  The corner at zero keeps its infinitesimal
+   part, whose complex SVD gives D, the values above the null cut of
+   ||A_I||; its standard part, at most the cutoff, is dropped.
 
 The four factor parts are frozen as computed, with no copy.  The residual
 pair is that of matrix.factor_residual, which verify_svd recomputes, so
@@ -43,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import (DCMatrix, _EPS, _check_range, _checked, _range_limit, check_residual,
-                     factor_residual)
+from .matrix import (DCMatrix, _check_range, _check_values, _checked, _cluster_tol, _null_cut,
+                     _range_limit, _unit, check_residual, factor_residual)
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import _block_diagonal, _canonical_blocks, _clusters, _diagonals
 
@@ -78,10 +79,15 @@ def assemble_layout(m: int, n: int, standard_blocks, infinitesimal_values) -> DC
                            infinitesimal_values)
 
 
-def _rank_cutoff(smax: float, dim: int, tol: Tolerances) -> float:
-    # a value within 10 tau = 10 group_tol sigma_1 of zero joins the cluster
-    # at zero, which the gap rule would otherwise make stand 10 tau clear
-    return max(tol.zero_tol, 64 * dim * _EPS, 10 * tol.group_tol) * smax
+def _rank(s: np.ndarray, dim: int, tol: Tolerances) -> int:
+    """How many of the descending s lie above the rank cutoff of a dim-wide A_st.
+
+    The cutoff is the null cut of sigma_1, and at least 10 tau: a value
+    within 10 tau = 10 _cluster_tol(sigma_1) of zero joins the cluster at
+    zero, which the gap rule would otherwise make stand 10 tau clear.
+    """
+    smax = float(s[0]) if s.size else 0.0
+    return int(np.sum(s > max(_null_cut(tol, dim, smax), 10 * _cluster_tol(tol, smax))))
 
 
 def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -91,10 +97,7 @@ def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
     as in dc_svd, rather than a rank of 0 from an infinite sigma_1.
     """
     _check_range(a)
-    svals = np.linalg.svd(a.standard, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > _rank_cutoff(float(svals[0]), max(a.shape), tol)))
+    return _rank(np.linalg.svd(a.standard, compute_uv=False), max(a.shape), tol)
 
 
 def _residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, blocks, inf_vals):
@@ -104,11 +107,18 @@ def _residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, blocks, inf_vals):
 
 
 def verify_svd(a: DCMatrix, res: SvdResult):
-    """The residual pair dc_svd reports, recomputed (matrix.factor_residual)."""
+    """The residual pair dc_svd reports, recomputed (matrix.factor_residual).
+
+    A, U, V and the layout's values are range-checked on entry (_check_range).
+    """
     if res.U.shape != (a.rows, a.rows) or res.V.shape != (a.cols, a.cols):
         raise ShapeMismatch("factors do not match the matrix shape")
     if res.standard_rank + res.infinitesimal_rank > min(a.shape):
         raise ShapeMismatch("layout is wider than the matrix: r + p exceeds min(m, n)")
+    for name, m in (("", a), ("U's ", res.U), ("V's ", res.V)):
+        _check_range(m, name)
+    _check_values("a layout value", [v for b in res.standard_blocks for v in (b.sigma, b.nu or 0)]
+                  + list(res.infinitesimal_values), max(a.shape))
     return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
 
 
@@ -175,9 +185,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     q_st = np.conj(qh.T, order="C")  # C-ordered, as DCMatrix holds it
     b = p_st.conj().T @ a.infinitesimal @ qh.T  # P* A_I conj(Q)
 
-    smax = float(s[0]) if k else 0.0
-    r = int(np.sum(s > _rank_cutoff(smax, big, tol)))
-    tau = tol.group_tol * smax
+    r = _rank(s, big, tol)
+    tau = _cluster_tol(tol, float(s[0]) if k else 0.0)
     # the values at or below the rank cutoff form one more cluster, at zero,
     # which the last positive cluster must stand 10 tau clear of.  Any value
     # above the cutoff stands that far from 0, so only a member of the
@@ -195,9 +204,12 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     if not (np.abs(u_inf).max(initial=0.0) <= limit and np.abs(v_inf).max(initial=0.0) <= limit):
         raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 
+    # stage 3 judges B's blocks against ||A_I|| = ||B||, in units of _unit of it
+    b_norm = float(np.linalg.norm(b))
+    unit = _unit(b_norm)
     blocks = tuple(SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
-        lambda cols: skew[cols[:, :, None], cols[:, None, :]], starts, sizes, reps,
-        [(u_st, u_inf), (v_st, v_inf)], tol))
+        lambda cols: skew[cols[:, :, None], cols[:, None, :]] / unit, starts, sizes, reps,
+        [(u_st, u_inf), (v_st, v_inf)], tol, unit))
 
     # the infinitesimal part of the corner at zero is B[r:, r:]; its standard
     # part, the values at or below the cutoff, is dropped.  The complex SVD
@@ -207,8 +219,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     p = 0
     if r < k:
         ug, d, vgh = np.linalg.svd(b[r:, r:])
-        gcut = max(tol.zero_tol, 64 * big * _EPS) * max(1.0, float(d[0]))
-        p = int(np.sum(d > gcut))
+        p = int(np.sum(d > _null_cut(tol, big, b_norm)))
         u_st[:, r:] = u_st[:, r:] @ ug
         u_inf[:, r:] = u_inf[:, r:] @ np.conj(ug)
         v_st[:, r:] = v_st[:, r:] @ vgh.T
@@ -220,7 +231,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     kept = np.zeros(k)
     kept[:r] = np.repeat(reps, sizes)
     # s and b carry the norms of A's two parts
-    check_residual(gate, big, (float(np.linalg.norm(s)), float(np.linalg.norm(b))),
+    check_residual(gate, big, (float(np.linalg.norm(s)), b_norm),
                    float(np.linalg.norm(u_inf)) + float(np.linalg.norm(v_inf)),
                    (float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))), tol)
     return SvdResult(u, v, blocks, inf_vals, r, p, resid)

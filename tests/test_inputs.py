@@ -18,6 +18,10 @@ from dclinalg import (
     NotSkewSymmetric,
     RightEigenPair,
     ShapeMismatch,
+    SpectralBlock,
+    SpectralDecomposition,
+    SvdResult,
+    classify_multiplicity,
     complex_right_eigs,
     dc_similar,
     dc_svd,
@@ -33,9 +37,13 @@ from dclinalg import (
     jsonio,
     mat_inv,
     simple_eig_lift,
+    identity,
     standard_rank,
     verify_eigenpair,
     verify_right_eigs,
+    verify_spectral,
+    verify_subeigenpair,
+    verify_svd,
     youla_skew,
 )
 from dclinalg.cli import main
@@ -115,7 +123,18 @@ NEAR_OVERFLOW = {"herm_spectral": (herm_spectral, AccuracyError),
                  "simple_eig_lift": (lambda a: simple_eig_lift(a, 0.0, np.eye(4)[0]),
                                      AccuracyError),
                  "double_eig_classify": (lambda a: double_eig_classify(a, *np.eye(4)[:2]),
-                                         AccuracyError)}
+                                         AccuracyError),
+                 # the verify routines check A, and what they are handed, on entry
+                 "verify_subeigenpair": (lambda a: verify_subeigenpair(
+                     a, 0.0, 1.0, DCMatrix(np.eye(4)[:, :1]), DCMatrix(np.eye(4)[:, 1:2])),
+                     AccuracyError),
+                 "verify_right_eigs": (lambda a: verify_right_eigs(
+                     a, [RightEigenPair(DualComplex(0), DCMatrix(np.eye(4)[:, :1]), (0.0, 0.0))],
+                     []), AccuracyError),
+                 "verify_spectral": (lambda a: verify_spectral(a, SpectralDecomposition(
+                     identity(4), (SpectralBlock("Eigen", 0.0),) * 4, (0.0, 0.0))), AccuracyError),
+                 "verify_svd": (lambda a: verify_svd(a, SvdResult(
+                     identity(4), identity(4), (), (), 0, 0, (0.0, 0.0))), AccuracyError)}
 
 
 def near_overflow(part):
@@ -289,11 +308,13 @@ def hermitian_eigenvector_with(value):
 
 
 COUPLED = from_scalars([[DualComplex(1), EPS_J], [-EPS_J, DualComplex(1)]])
+E12 = (DCMatrix(np.eye(2)[:, :1]), DCMatrix(np.eye(2)[:, 1:]))
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=str)
 @pytest.mark.parametrize("case", ["lift_x", "lift_hermitian_x", "lift_lam", "classify_x",
-                                  "classify_y", "similar_p", "similar_q"])
+                                  "classify_y", "similar_p", "similar_q", "verify_value",
+                                  "verify_sub_lam", "verify_sub_mu", "multiplicity_lam"])
 def test_non_finite_vector_or_scalar_argument_is_rejected(capfd, case, value):
     fn, args = {
         "lift_x": (simple_eig_lift, (DCMatrix(np.eye(2)), 1.0, [value, 0])),
@@ -303,5 +324,10 @@ def test_non_finite_vector_or_scalar_argument_is_rejected(capfd, case, value):
         "classify_y": (double_eig_classify, (COUPLED, [1, 0], [0, value])),
         "similar_p": (dc_similar, (DualComplex(value), DualComplex(1))),
         "similar_q": (dc_similar, (DualComplex(1), DualComplex(1, value))),
+        "verify_value": (verify_eigenpair, (DCMatrix(np.eye(2)), DualComplex(value),
+                                            DCMatrix(np.eye(2)[:, :1]))),
+        "verify_sub_lam": (verify_subeigenpair, (COUPLED, value, 1.0, *E12)),
+        "verify_sub_mu": (verify_subeigenpair, (COUPLED, 1.0, value, *E12)),
+        "multiplicity_lam": (classify_multiplicity, (herm_spectral(COUPLED), value)),
     }[case]
     raises_quietly(capfd, NonFinite, fn, *args)
