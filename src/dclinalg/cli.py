@@ -29,10 +29,12 @@ callers alike; argument errors raise argparse's SystemExit(2).
 Default tolerances can be overridden by --group-tol/--resid-tol/--zero-tol
 or the DCTOOL_TOL environment variable ("group=1e-7,resid=1e-8,zero=1e-11",
 or a single number for resid).  Each is relative (matrix._cluster_tol,
-_null_cut, _resid_bound): `verify` judges a residual by the bound the
-decomposition was held to, resid_tol times the norms of A and of the
-factors' infinitesimal parts plus the scale sqrt(n) of their unitarity
-defects (matrix._residual_scale), with no floor for rounding.
+_null_cut, _resid_bound).  `verify` holds a spectral or svd document to
+the gate its decomposition passed, matrix.check_residual with the same
+scales and the same dropped parts, measured from A alone, but with no
+floor for rounding; an eig document's residual pair goes to the same
+check with nothing dropped (spectral._judge_spectral, svd._judge_svd,
+eig._judge_eig).
 """
 
 from __future__ import annotations
@@ -49,12 +51,12 @@ from typing import Optional
 import numpy as np
 
 from . import jsonio
-from .eig import right_eigs, verify_right_eigs
+from .eig import _judge_eig, right_eigs
 from .errors import AccuracyError, DCError, NonFinite
-from .matrix import _resid_bound, _residual_scale, component_norms, gen_random
+from .matrix import gen_random
 from .scalar import Tolerances
-from .spectral import herm_spectral, verify_spectral
-from .svd import dc_svd, verify_svd
+from .spectral import _judge_spectral, herm_spectral
+from .svd import _judge_svd, dc_svd
 
 
 def _parse_env_tol(text: str) -> dict:
@@ -104,23 +106,14 @@ def _emit(doc, path: Optional[Path], compact: bool) -> None:
 
 
 def _verify_doc(doc, tol: Tolerances):
-    """(verify document, bound) of a result document.
-
-    The residual is judged by check_residual's bound with resid_tol and no
-    floor for rounding: _resid_bound of _residual_scale, with the norms of
-    A and, for factors_inf, of U_I twice, of U_I and V_I, or the largest
-    ||x_I|| of the eigenvectors.
-    """
+    """(verify document, verdict) of a result document; verdict is None when "ok"."""
     kind = doc.get("type") if isinstance(doc, dict) else None
     if kind == "spectral":
-        check, args = verify_spectral, jsonio.decode_spectral(doc)
-        reduce, factors = sum, [args[1].U] * 2
+        judge, args = _judge_spectral, jsonio.decode_spectral(doc)
     elif kind == "svd":
-        check, args = verify_svd, jsonio.decode_svd(doc)
-        reduce, factors = sum, [args[1].U, args[1].V]
+        judge, args = _judge_svd, jsonio.decode_svd(doc)
     elif kind == "eig":
-        check, args = verify_right_eigs, jsonio.decode_eig_result(doc)
-        reduce, factors = max, [p.vector for p in args[1] + args[2]]
+        judge, args = _judge_eig, jsonio.decode_eig_result(doc)
     else:
         raise jsonio.SchemaError(f"cannot verify a document of type {kind!r}")
     # the decoders take finite numbers only, so a residual that is inf, or
@@ -128,19 +121,14 @@ def _verify_doc(doc, tol: Tolerances):
     # multiply: an error, not a document, and no numpy warning on the way
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            residual = check(*args)
+            residual, verdict = judge(*args, tol)
     except NonFinite:
         residual = (np.nan, np.nan)
     if not np.isfinite(residual).all():
         raise AccuracyError(f"the {kind} residual leaves double range: the document's "
                             "values are too large for this arithmetic")
-    # the check has range-checked A and the factors, so their norms are finite
-    factors_inf = reduce([float(np.linalg.norm(f.infinitesimal)) for f in factors] or [0.0])
-    a = args[0]
-    bound = [_resid_bound(tol, scale)
-             for scale in _residual_scale(max(a.shape), component_norms(a), factors_inf)]
-    ok = residual[0] <= bound[0] and residual[1] <= bound[1]
-    return {"type": "verify", "target": kind, "residual": list(residual), "ok": ok}, bound
+    doc = {"type": "verify", "target": kind, "residual": list(residual), "ok": verdict is None}
+    return doc, verdict
 
 
 def _run_one(args, tol: Tolerances, input_path: Optional[Path],
@@ -158,7 +146,7 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
         with open(input_path, "r") as handle:
             doc = json.load(handle)
         if args.command == "verify":
-            out, bound = _verify_doc(doc, tol)
+            out, verdict = _verify_doc(doc, tol)
         else:
             # the parsed input's lists go before the decomposition runs
             a, doc = jsonio.decode_matrix(doc), None
@@ -170,8 +158,7 @@ def _run_one(args, tol: Tolerances, input_path: Optional[Path],
                 out = jsonio._eig_doc(a, *right_eigs(a, tol))
         _emit(out, output_path, args.json_compact)
         if args.command == "verify" and not out["ok"]:
-            print(f"dctool: {where}residual {tuple(out['residual'])} exceeds its bound "
-                  f"{tuple(bound)}", file=sys.stderr)
+            print(f"dctool: {where}{verdict}", file=sys.stderr)
             return 3
         return 0
     except json.JSONDecodeError as exc:

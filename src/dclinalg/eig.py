@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import Inconsistent, NonFinite, NotAppreciable, ShapeMismatch
 from .matrix import (DCMatrix, _EPS, _check_hermitian, _check_range, _check_values, _cluster_tol,
-                     _hermitian_parts, _null_cut, _resid_bound, dual_residual)
+                     _hermitian_parts, _norm, _null_cut, _resid_bound, _verdict, component_norms,
+                     dual_residual)
 from .scalar import DEFAULT_TOL, DualComplex, Tolerances
 from .spectral import _herm_spectral
 
@@ -104,6 +105,20 @@ def verify_right_eigs(a: DCMatrix, pairs, complex_pairs,
             raise NotAppreciable("an eigenvector must be appreciable")
         norms.append(dual_residual(a, (x_st, x_inf), (lam, lam_inf), axis=0))
     return tuple(max((float(n[i].max()) for n in norms), default=0.0) for i in (0, 1))
+
+
+def _judge_eig(a: DCMatrix, pairs, complex_pairs, tol: Tolerances):
+    """(pair, verdict) of an eig document: `dctool verify`'s judgment.
+
+    The eig routines gate no residual of their own, so nothing counts as
+    dropped: the pair of verify_right_eigs is held to check_residual with
+    no floor for rounding (_verdict), factors_inf the largest ||x_I||.
+    verdict is None, or check_residual's message.
+    """
+    pair = verify_right_eigs(a, pairs, complex_pairs)
+    x_inf = max([float(np.linalg.norm(p.vector.infinitesimal)) for p in pairs + complex_pairs]
+                or [0.0])
+    return pair, _verdict(pair, a.rows, component_norms(a), x_inf, (0.0, 0.0), tol)
 
 
 def _pairs(a: DCMatrix, x_st: np.ndarray, x_inf: np.ndarray, lam: np.ndarray,
@@ -254,7 +269,7 @@ def _eig_clusters(a: DCMatrix, tol: Tolerances):
         raise ShapeMismatch("eigenvalues need a square matrix")
     n = a.rows
     a_st, a_inf = a.standard, a.infinitesimal
-    inf_norm = float(np.linalg.norm(a_inf))
+    inf_norm = _norm(a_inf)
     accept, class_tol = _resid_bound(tol, inf_norm), _cluster_tol(tol, inf_norm)
     vals, vecs = np.linalg.eig(a_st)
     tau = _cluster_tol(tol, float(np.abs(vals).max(initial=0.0)))

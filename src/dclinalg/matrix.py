@@ -346,17 +346,33 @@ def _unit(norm: float) -> float:
     return math.ldexp(1.0, math.frexp(norm)[1])
 
 
-def _residual_scale(n: int, a_norms, factors_inf: float) -> tuple[float, float]:
-    """(||A_st|| + sqrt(n), ||A_I|| + (||A_st|| + 1) factors_inf), check_residual's scales.
+def _scaler(x: np.ndarray) -> float:
+    """The power of two nearest 1 / max |x_ij|, at most 2^1023: x times it is exact.
 
-    The sqrt(n) and + 1 terms are the scales of the unitarity defects of
-    the factors, which the residual includes.
+    Its largest entry then lies in [0.5, 1), unless x is so small that the
+    cap leaves it smaller, so norms of the scaled x neither underflow nor
+    overflow.
     """
-    return a_norms[0] + math.sqrt(n), a_norms[1] + (a_norms[0] + 1.0) * factors_inf
+    return math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(x).max()))[1]))
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_F where np.linalg.norm, which squares unscaled entries, reads 0 below about 1e-154.
+
+    Only a nonzero x whose plain norm reads below 1e-150 is scaled, by
+    _scaler(x), and its norm scaled back; every other x costs one
+    comparison more than the plain norm and gives it bit for bit.
+    """
+    norm = float(np.linalg.norm(x))
+    if norm < 1e-150 and x.any():
+        c = _scaler(x)
+        norm = float(np.linalg.norm(x * c)) / c
+    return norm
 
 
 def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, float],
-                   factors_inf: float, dropped: tuple[float, float], tol: Tolerances) -> None:
+                   factors_inf: float, dropped: tuple[float, float], tol: Tolerances,
+                   floor: bool = True) -> None:
     """Raise AccuracyError unless a decomposition's residual is explained.
 
     resid is the gate of factor_residual or hermitian_residual, which
@@ -365,17 +381,31 @@ def check_residual(resid: tuple[float, float], n: int, a_norms: tuple[float, flo
     decomposition chose to drop (cluster spreads, values below a cutoff,
     the parts of A that are not Hermitian), whose norms the caller passes
     in `dropped`.  Rounding error is bounded by _resid_bound(tol, scale, n)
-    of each of _residual_scale's two scales, n the larger dimension of A.
-    The caller passes a_norms = (||A_st||, ||A_I||) and factors_inf =
-    ||U_I|| + ||V_I||, from whatever unitarily equivalent form of them it
-    holds.  A non-finite residual always raises.
+    of two scales, ||A_st|| + sqrt(n) and ||A_I|| + (||A_st|| + 1)
+    factors_inf, n the larger dimension of A; the sqrt(n) and + 1 terms
+    are the scales of the unitarity defects of the factors.  The caller
+    passes a_norms = (||A_st||, ||A_I||) and factors_inf = ||U_I|| +
+    ||V_I||, from whatever unitarily equivalent form of them it holds.
+    With floor=False, as `dctool verify` judges (_verdict), the bound takes
+    resid_tol alone, with no floor for rounding.  A non-finite residual
+    always raises.
     """
-    bound = [_resid_bound(tol, scale, n) + d
-             for scale, d in zip(_residual_scale(n, a_norms, factors_inf), dropped)]
+    scales = a_norms[0] + math.sqrt(n), a_norms[1] + (a_norms[0] + 1.0) * factors_inf
+    bound = [_resid_bound(tol, scale, n if floor else 0) + d
+             for scale, d in zip(scales, dropped)]
     if not (math.isfinite(resid[0]) and math.isfinite(resid[1])
             and resid[0] <= bound[0] and resid[1] <= bound[1]):
         raise AccuracyError(f"residual ({resid[0]:.3e}, {resid[1]:.3e}) exceeds "
                             f"its bound ({bound[0]:.3e}, {bound[1]:.3e})")
+
+
+def _verdict(resid, n: int, a_norms, factors_inf: float, dropped, tol: Tolerances):
+    """check_residual with no floor for rounding as a verdict: None, or its message."""
+    try:
+        check_residual(resid, n, a_norms, factors_inf, dropped, tol, floor=False)
+    except AccuracyError as exc:
+        return str(exc)
+    return None
 
 
 def _range_limit(n: int) -> float:
@@ -431,12 +461,12 @@ def mat_inv(a: DCMatrix) -> DCMatrix:
         xinv = np.linalg.inv(x)
     except np.linalg.LinAlgError:
         raise SingularStandardPart("standard part is numerically singular") from None
-    # kappa_F does not change when X is scaled.  The power of 2 nearest
-    # 1 / max |X_ij|, at most 2^1023, scales both norms exactly and keeps
-    # them in range, where a tiny X would underflow ||X||_F and overflow
-    # ||X^-1||_F.  ||X^-1||_F of a nearly singular X still overflows to inf,
-    # and an X^-1 that inv overflowed makes it NaN; either fails the cut
-    c = math.ldexp(1.0, min(1023, -math.frexp(float(np.abs(x).max()))[1]))
+    # kappa_F does not change when X is scaled.  _scaler(X) scales both
+    # norms exactly and keeps them in range, where a tiny X would underflow
+    # ||X||_F and overflow ||X^-1||_F.  ||X^-1||_F of a nearly singular X
+    # still overflows to inf, and an X^-1 that inv overflowed makes it NaN;
+    # either fails the cut
+    c = _scaler(x)
     with np.errstate(over="ignore", invalid="ignore"):
         kappa = float(np.linalg.norm(x * c) * np.linalg.norm(xinv * (1 / c)))
     if not kappa * a.rows * _EPS < 1:  # also when kappa is inf or NaN
@@ -506,14 +536,15 @@ def _check_hermitian(a: DCMatrix, tol: Tolerances, message: str):
 def is_unitary(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True when U*U = I, i.e. U_st unitary and U_st* U_I complex symmetric.
 
-    The two parts of U* U - I are judged by _resid_bound against sqrt(n)
-    and ||U_I||, their scales in check_residual.  Entries too large for the
-    arithmetic raise AccuracyError (_check_range).
+    The two parts of U* U - I are judged as check_residual judges the
+    defects within a residual, with no floor for rounding (_verdict): against
+    sqrt(n) and ||U_I||.  Entries too large for the arithmetic raise
+    AccuracyError (_check_range).
     """
     _check_range(a)
-    scales = _residual_scale(a.rows, (0.0, 0.0), float(np.linalg.norm(a.infinitesimal)))
-    return a.rows == a.cols and all(
-        d <= _resid_bound(tol, scale) for d, scale in zip(unitarity_defect(a), scales))
+    return a.rows == a.cols and _verdict(unitarity_defect(a), a.rows, (0.0, 0.0),
+                                        float(np.linalg.norm(a.infinitesimal)), (0.0, 0.0),
+                                        tol) is None
 
 
 def inner(x: DCMatrix, y: DCMatrix) -> DualComplex:

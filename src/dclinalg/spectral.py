@@ -54,9 +54,11 @@ clusters of more than one member.  verify_spectral forms K by the same
 expression, 6 products, so the residual a spectral document stores is
 what `dctool verify` writes for it.  The gate, which bounds the two-sided
 residual and includes the defect, is compared with a bound scaled by the
-norms of A and of U's infinitesimal part, and AccuracyError is raised
-above it.  Entries too large for that arithmetic raise AccuracyError
-before any of it.
+norms of A and of U's infinitesimal part, plus what the layout drops by
+design (_dropped), and AccuracyError is raised above it; `dctool verify`
+holds a document to the same gate, with those parts measured from A
+alone (_judge_spectral).  Entries too large for that arithmetic raise
+AccuracyError before any of it.
 """
 
 from __future__ import annotations
@@ -87,12 +89,14 @@ from .matrix import (
     _checked,
     _cluster_tol,
     _hermitian_halves,
+    _norm,
     _null_cut,
     _range_limit,
     _resid_bound,
     _sandwich,
     _times_layout,
     _unit,
+    _verdict,
     check_residual,
     dual_residual,
     hermitian_residual,
@@ -198,6 +202,26 @@ def _level_tol(w, inf_norm: float, tol: Tolerances) -> float:
     """
     return max(_cluster_tol(tol, float(np.abs(w).max(initial=0.0))),
                inf_norm / _range_limit(len(w)))
+
+
+def _levels(w, inf_norm: float, tol: Tolerances):
+    """Stage 1 of herm_spectral: _clusters of the descending eigenvalues w of H_st."""
+    return _clusters(w, len(w), _level_tol(w, inf_norm, tol), -np.inf, "eigenvalue")
+
+
+def _dropped(w, rep, off, u_inf: float):
+    """What herm_spectral's layout drops by design, for check_residual.
+
+    That is the spread e = w - rep of the descending eigenvalues w of H_st
+    around the means rep that their blocks carry (_levels), and off, the
+    parts of A that are not Hermitian.  Stage 2 divides by the gaps between
+    means, not between eigenvalues, so the spread also reaches the
+    infinitesimal part: entry (i, j) of T_I moves by (e_i - e_j) P_ij, at
+    most (max e - min e) ||U_I|| in norm, since ||P|| = ||U_I|| = u_inf.
+    """
+    e = w - rep
+    return (float(np.linalg.norm(e)) + off[0],
+            off[1] + float(e.max(initial=0.0) - e.min(initial=0.0)) * u_inf)
 
 
 def _clusters(vals, count: int, tau: float, below: float, what: str):
@@ -475,8 +499,8 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     n = a.rows
     w, v = np.linalg.eigh(h_st)
     w, v = w[::-1], v[:, ::-1]
-    inf_norm = float(np.linalg.norm(h_inf))
-    starts, sizes, reps = _clusters(w, n, _level_tol(w, inf_norm, tol), -np.inf, "eigenvalue")
+    inf_norm = _norm(h_inf)
+    starts, sizes, reps = _levels(w, inf_norm, tol)
 
     # stage 3 first, on the clusters' blocks of V; X is V with their columns
     # turned
@@ -508,12 +532,31 @@ def _herm_spectral(a: DCMatrix, h_st, h_inf, off, tol: Tolerances) -> SpectralDe
     y = x @ p
     u = DCMatrix._frozen(*_checked(x, np.negative(y, out=y)))  # no copy
     resid, gate = hermitian_residual(h_st, off, u, xc, k_mat, *_diagonals(n, pairs))
-    # dropped by design: the spread of each cluster around the mean its
-    # blocks carry, and the parts of A that are not Hermitian.  The norms of
-    # w and H_I are those of A's Hermitian parts
-    check_residual(gate, n, (float(np.linalg.norm(w)), inf_norm), 2 * float(np.linalg.norm(y)),
-                   (float(np.linalg.norm(w - rep)) + off[0], off[1]), tol)
+    # the norms of w and H_I are those of A's Hermitian parts
+    u_inf = float(np.linalg.norm(y))
+    check_residual(gate, n, (float(np.linalg.norm(w)), inf_norm), 2 * u_inf,
+                   _dropped(w, rep, off, u_inf), tol)
     return SpectralDecomposition(u, blocks, resid)
+
+
+def _recomputed(a: DCMatrix, dec: SpectralDecomposition, tol: Optional[Tolerances] = None):
+    """(pair, gate, H_st, H_I, allowed) of dec against A, as verify_spectral checks it.
+
+    allowed is off, the norms of A's non-Hermitian parts, when A passes
+    herm_spectral's Hermitian entry check (_hermitian_halves) at tol, and
+    zero otherwise or without tol: only A that passes it has those parts
+    dropped by design.
+    """
+    if a.shape != dec.U.shape or dec.n != a.rows:
+        raise ShapeMismatch("decomposition does not match the matrix shape")
+    _check_range(a)
+    _check_range(dec.U, "U's ")
+    _check_values("a block value", [v for b in dec.blocks for v in (b.lam, b.mu or 0)], a.rows)
+    checked = tol is not None and _hermitian_halves(a, tol)
+    h_st, h_inf, off = checked or _hermitian_halves(a)
+    pair, gate = hermitian_residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard),
+                                    *_diagonals(a.rows, [(b.lam, b.mu) for b in dec.blocks]))
+    return pair, gate, h_st, h_inf, off if checked else (0.0, 0.0)
 
 
 def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, float]:
@@ -521,14 +564,26 @@ def verify_spectral(a: DCMatrix, dec: SpectralDecomposition) -> tuple[float, flo
 
     A, U and the block values are range-checked on entry (_check_range).
     """
-    if a.shape != dec.U.shape or dec.n != a.rows:
-        raise ShapeMismatch("decomposition does not match the matrix shape")
-    _check_range(a)
-    _check_range(dec.U, "U's ")
-    _check_values("a block value", [v for b in dec.blocks for v in (b.lam, b.mu or 0)], a.rows)
-    h_st, h_inf, off = _hermitian_halves(a)
-    return hermitian_residual(h_st, off, dec.U, *_sandwich(h_inf, dec.U.standard),
-                              *_diagonals(a.rows, [(b.lam, b.mu) for b in dec.blocks]))[0]
+    return _recomputed(a, dec)[0]
+
+
+def _judge_spectral(a: DCMatrix, dec: SpectralDecomposition, tol: Tolerances):
+    """(pair, verdict) of a spectral document: `dctool verify`'s judgment.
+
+    The gate is held to herm_spectral's check_residual with no floor for
+    rounding (_verdict): the same scales, and the same dropped parts
+    (_dropped), measured from A alone, never from the document's blocks.
+    The eigenvalues of H_st are clustered by herm_spectral's stage 1
+    (_levels), which raises IllConditionedGap where herm_spectral would.
+    verdict is None, or check_residual's message.
+    """
+    pair, gate, h_st, h_inf, off = _recomputed(a, dec, tol)
+    w = np.linalg.eigvalsh(h_st)[::-1]
+    inf_norm = _norm(h_inf)
+    _, sizes, reps = _levels(w, inf_norm, tol)
+    u_inf = float(np.linalg.norm(dec.U.infinitesimal))
+    return pair, _verdict(gate, a.rows, (float(np.linalg.norm(w)), inf_norm), 2 * u_inf,
+                         _dropped(w, np.repeat(reps, sizes), off, u_inf), tol)
 
 
 def subeigenpairs(dec: SpectralDecomposition):
@@ -620,7 +675,7 @@ def double_eig_classify(a: DCMatrix, x_st, y_st,
             or abs(np.vdot(x, y)) > ortho):
         raise BadEigenspace("vectors are not orthonormal")
     a_st, a_inf = a.standard, a.infinitesimal
-    inf_norm = float(np.linalg.norm(h_inf))
+    inf_norm = _norm(h_inf)
     tau = _level_tol(np.linalg.eigvalsh(h_st), inf_norm, tol)
     lam_x = float(np.vdot(x, h_st @ x).real)
     lam_y = float(np.vdot(y, h_st @ y).real)

@@ -33,7 +33,10 @@ infinitesimal part of the two-sided T = U* A V - L, formed directly, and
 the unitarity defects of U and V, 9 complex products in all.  A gate
 above its bound raises AccuracyError, and so do entries too large for the
 arithmetic, before any of it, and an A_st so small against A_I that X and
-Y, which scale as A_I / sigma, leave that range.
+Y, which scale as A_I / sigma, leave that range.  The bound allows what
+the layout drops by design (_dropped), and `dctool verify` holds a
+document to the same gate, with those parts measured from A alone
+(_judge_svd).
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import AccuracyError, ShapeMismatch
-from .matrix import (DCMatrix, _check_range, _check_values, _checked, _cluster_tol, _null_cut,
-                     _range_limit, _unit, check_residual, factor_residual)
+from .matrix import (DCMatrix, _check_range, _check_values, _checked, _cluster_tol, _norm,
+                     _null_cut, _range_limit, _unit, _verdict, check_residual, factor_residual)
 from .scalar import DEFAULT_TOL, Tolerances
 from .spectral import _block_diagonal, _canonical_blocks, _clusters, _diagonals
 
@@ -90,6 +93,38 @@ def _rank(s: np.ndarray, dim: int, tol: Tolerances) -> int:
     return int(np.sum(s > max(_null_cut(tol, dim, smax), 10 * _cluster_tol(tol, smax))))
 
 
+def _singular_clusters(s: np.ndarray, dim: int, tol: Tolerances):
+    """Stage 1 of dc_svd on the descending singular values s of a dim-wide A_st.
+
+    Returns (r, starts, sizes, reps).  The values at or below the rank
+    cutoff form one more cluster, at zero, which the last positive cluster
+    must stand 10 tau clear of.  Any value above the cutoff stands that far
+    from 0, so only a member of the cluster at zero can fail the last gap.
+    """
+    r = _rank(s, dim, tol)
+    tau = _cluster_tol(tol, float(s[0]) if s.size else 0.0)
+    return (r, *_clusters(s, r, tau, 0.0, "singular value"))
+
+
+def _null_rank(d: np.ndarray, dim: int, b_norm: float, tol: Tolerances) -> int:
+    """How many of the corner's descending values d lie above the null cut of ||A_I|| = b_norm."""
+    return int(np.sum(d > _null_cut(tol, dim, b_norm)))
+
+
+def _dropped(s, r: int, sizes, reps, d, p: int):
+    """What dc_svd's layout drops by design, for check_residual.
+
+    That is, on the standard part, the spread of the positive clusters of
+    the singular values s around the means reps that their blocks carry,
+    and the values at or below the rank cutoff (_singular_clusters); on
+    the infinitesimal part, the corner's values d past the p above the
+    null cut (_null_rank).
+    """
+    kept = np.zeros(len(s))
+    kept[:r] = np.repeat(reps, sizes)
+    return float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))
+
+
 def standard_rank(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> int:
     """Number of positive standard singular values; the numerical rank of A_st.
 
@@ -106,11 +141,8 @@ def _residual(a: DCMatrix, u: DCMatrix, v: DCMatrix, blocks, inf_vals):
                                                 inf_vals))
 
 
-def verify_svd(a: DCMatrix, res: SvdResult):
-    """The residual pair dc_svd reports, recomputed (matrix.factor_residual).
-
-    A, U, V and the layout's values are range-checked on entry (_check_range).
-    """
+def _recomputed(a: DCMatrix, res: SvdResult):
+    """(pair, gate) of res against A, as verify_svd checks it."""
     if res.U.shape != (a.rows, a.rows) or res.V.shape != (a.cols, a.cols):
         raise ShapeMismatch("factors do not match the matrix shape")
     if res.standard_rank + res.infinitesimal_rank > min(a.shape):
@@ -119,7 +151,41 @@ def verify_svd(a: DCMatrix, res: SvdResult):
         _check_range(m, name)
     _check_values("a layout value", [v for b in res.standard_blocks for v in (b.sigma, b.nu or 0)]
                   + list(res.infinitesimal_values), max(a.shape))
-    return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)[0]
+    return _residual(a, res.U, res.V, res.standard_blocks, res.infinitesimal_values)
+
+
+def verify_svd(a: DCMatrix, res: SvdResult):
+    """The residual pair dc_svd reports, recomputed (matrix.factor_residual).
+
+    A, U, V and the layout's values are range-checked on entry (_check_range).
+    """
+    return _recomputed(a, res)[0]
+
+
+def _judge_svd(a: DCMatrix, res: SvdResult, tol: Tolerances):
+    """(pair, verdict) of an svd document: `dctool verify`'s judgment.
+
+    The gate is held to dc_svd's check_residual with no floor for rounding
+    (_verdict): the same scales, and the same dropped parts (_dropped),
+    measured from A alone, never from the document's layout.  A's singular
+    values are cut and clustered by dc_svd's stage 1 (_singular_clusters),
+    which raises IllConditionedGap where dc_svd would.  Below rank r, the
+    corner P_r* A_I conj(Q_r) on the singular vectors past r gives D's
+    values, cut by _null_rank.  verdict is None, or check_residual's
+    message.
+    """
+    pair, gate = _recomputed(a, res)
+    k, big = min(a.shape), max(a.shape)
+    s = np.linalg.svd(a.standard, compute_uv=False)
+    r, _, sizes, reps = _singular_clusters(s, big, tol)
+    b_norm, d = _norm(a.infinitesimal), np.zeros(0)
+    if r < k:
+        p_st, _, qh = np.linalg.svd(a.standard)
+        d = np.linalg.svd(p_st[:, r:].conj().T @ a.infinitesimal @ qh[r:].T, compute_uv=False)
+    return pair, _verdict(gate, big, (float(np.linalg.norm(s)), b_norm),
+                         float(np.linalg.norm(res.U.infinitesimal))
+                         + float(np.linalg.norm(res.V.infinitesimal)),
+                         _dropped(s, r, sizes, reps, d, _null_rank(d, big, b_norm, tol)), tol)
 
 
 def _solve_xy(s: np.ndarray, b: np.ndarray, r: int, starts, sizes):
@@ -185,13 +251,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     q_st = np.conj(qh.T, order="C")  # C-ordered, as DCMatrix holds it
     b = p_st.conj().T @ a.infinitesimal @ qh.T  # P* A_I conj(Q)
 
-    r = _rank(s, big, tol)
-    tau = _cluster_tol(tol, float(s[0]) if k else 0.0)
-    # the values at or below the rank cutoff form one more cluster, at zero,
-    # which the last positive cluster must stand 10 tau clear of.  Any value
-    # above the cutoff stands that far from 0, so only a member of the
-    # cluster at zero can fail the last gap
-    starts, sizes, reps = _clusters(s, r, tau, 0.0, "singular value")
+    r, starts, sizes, reps = _singular_clusters(s, big, tol)
 
     x, y, skew = _solve_xy(s, b, r, starts, sizes)
     with np.errstate(over="ignore", invalid="ignore"):  # range-checked below
@@ -205,7 +265,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
         raise AccuracyError(f"U_I or V_I exceeds {limit:.3e}: A_st is too small against A_I")
 
     # stage 3 judges B's blocks against ||A_I|| = ||B||, in units of _unit of it
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     unit = _unit(b_norm)
     blocks = tuple(SingularBlock(sigma, nu) for sigma, nu in _canonical_blocks(
         lambda cols: skew[cols[:, :, None], cols[:, None, :]] / unit, starts, sizes, reps,
@@ -219,7 +279,7 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
     p = 0
     if r < k:
         ug, d, vgh = np.linalg.svd(b[r:, r:])
-        p = int(np.sum(d > _null_cut(tol, big, b_norm)))
+        p = _null_rank(d, big, b_norm, tol)
         u_st[:, r:] = u_st[:, r:] @ ug
         u_inf[:, r:] = u_inf[:, r:] @ np.conj(ug)
         v_st[:, r:] = v_st[:, r:] @ vgh.T
@@ -228,10 +288,8 @@ def dc_svd(a: DCMatrix, tol: Tolerances = DEFAULT_TOL) -> SvdResult:
 
     u, v = (DCMatrix._frozen(*_checked(*f)) for f in ((u_st, u_inf), (v_st, v_inf)))
     resid, gate = _residual(a, u, v, blocks, inf_vals)
-    kept = np.zeros(k)
-    kept[:r] = np.repeat(reps, sizes)
     # s and b carry the norms of A's two parts
     check_residual(gate, big, (float(np.linalg.norm(s)), b_norm),
                    float(np.linalg.norm(u_inf)) + float(np.linalg.norm(v_inf)),
-                   (float(np.linalg.norm(s - kept)), float(np.linalg.norm(d[p:]))), tol)
+                   _dropped(s, r, sizes, reps, d, p), tol)
     return SvdResult(u, v, blocks, inf_vals, r, p, resid)

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from dclinalg import (
     DCError,
     DCMatrix,
     SingularStandardPart,
+    SpectralBlock,
+    SpectralDecomposition,
     Tolerances,
     cli,
     errors,
@@ -571,6 +574,38 @@ def test_verify_of_a_huge_stored_value_is_a_numerical_failure(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("dctool: AccuracyError: ") and err.count("\n") == 1
     assert not ver.exists()
+
+
+def test_verify_of_a_residual_that_leaves_double_range_writes_nothing(tmp_path, capsys):
+    # every value is in range for n = 2, but U* U - I squares entries of
+    # 1e150, and its norm squares them again: the residual overflows
+    a = DCMatrix(np.diag([1e150, -1e150]))
+    dec = SpectralDecomposition(DCMatrix(np.full((2, 2), 1e150)),
+                                (SpectralBlock("Eigen", 1e150), SpectralBlock("Eigen", -1e150)),
+                                (0.0, 0.0))
+    doc, ver = tmp_path / "spectral.json", tmp_path / "verify.json"
+    doc.write_text(json.dumps(jsonio.encode_spectral(a, dec)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--input", str(doc), "--output", str(ver)]) == 3
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "dctool: AccuracyError: the spectral residual leaves double range: the document's "
+        "values are too large for this arithmetic\n")
+    assert not ver.exists()
+
+
+def test_a_failure_inside_numpy_linear_algebra_exits_numerical(tmp_path, monkeypatch, capsys):
+    # LinAlgError is a ValueError, which would read as malformed input (1)
+    def failing_eigh(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    out = tmp_path / "spectral.json"
+    assert main(["spectral", "--input", str(FIXTURES / "example2.json"),
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err == "dctool: LinAlgError: Eigenvalues did not converge\n"
+    assert not out.exists()
 
 
 def _gc_case(case, tmp_path):

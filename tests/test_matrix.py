@@ -25,6 +25,7 @@ from dclinalg import (
     vector_norm,
     zeros,
 )
+from dclinalg.matrix import _norm
 from oracle import phi
 
 EX2 = from_scalars([[1, EPS_J], [-EPS_J, 1]])
@@ -193,6 +194,18 @@ def test_inv_nearly_singular_standard_part_raises_without_warnings(svals):
         with pytest.raises(SingularStandardPart, match="numerically singular"):
             mat_inv(a)
     assert not seen
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e-170, 1e-300, 5e-324])
+def test_norm_of_a_part_too_small_to_square(scale):
+    # np.linalg.norm squares unscaled entries and reads 0 below about
+    # 1e-154; at 5e-324 the power of two that rescales the part would be
+    # 2^1073, and the cap at 2^1023 keeps it a float
+    x = scale * np.array([[3.0, 4.0j], [0.0, 0.0]])
+    assert _norm(x) == pytest.approx(5 * scale, rel=1e-15)
+    if scale == 1.0:
+        assert _norm(x) == float(np.linalg.norm(x))
+    assert _norm(np.zeros((2, 3), dtype=complex)) == 0.0
 
 
 def test_inv_of_condition_1e8_inverts():

@@ -5,7 +5,9 @@ verify_svd recompute, bit for bit, and `dctool verify` writes the residual
 the result document stores.  phi (oracle.phi) re-checks the factors of
 herm_spectral, dc_svd and mat_inv, and the pair and gate of
 matrix.factor_residual, with plain numpy products that share no code with
-the library's product rule.
+the library's product rule.  `dctool verify` holds a document to the gate
+its decomposition passed: it passes what the decomposition dropped by
+design, measured from A, and fails a document whose layout drops more.
 """
 
 import json
@@ -385,3 +387,100 @@ def test_verify_svd_sees_a_moved_coupling_or_tail_value(move):
         d[-1] += 1e-6
         moved = replace(res, infinitesimal_values=tuple(d))
     assert verify_svd(a, moved)[1] >= 1e-6
+
+
+# ------------------------------------- verify judges by the decomposition's gate
+
+def run_and_verify(tmp_path, command, a, mutate=None):
+    """(exit code of command, of verify, verify's document) for A through dctool.
+
+    mutate, if given, edits the result document before verify reads it.
+    """
+    src, out, ver = (tmp_path / f"{name}.json" for name in ("a", command, "verify"))
+    src.write_text(json.dumps(jsonio.encode_matrix(a)))
+    code = main([command, "--input", str(src), "--output", str(out)])
+    if mutate is not None:
+        doc = json.loads(out.read_text())
+        mutate(doc)
+        out.write_text(json.dumps(doc))
+    verified = main(["verify", "--input", str(out), "--output", str(ver)])
+    return code, verified, json.loads(ver.read_text())
+
+
+def unitary(rng, n):
+    return np.linalg.qr(cgauss(rng, n, n))[0]
+
+
+def dropped_sigma(sigma_3):
+    """P diag(1, 0.5, sigma_3) Q* + G eps*j, G of size 1e-3: sigma_3 below the rank cut."""
+    rng = np.random.default_rng(3201)
+    st = unitary(rng, 3) @ np.diag([1.0, 0.5, sigma_3]) @ unitary(rng, 3).conj().T
+    return DCMatrix(st, 1e-3 * cgauss(rng, 3, 3))
+
+
+def non_skew_infinitesimal():
+    """A Hermitian A_st with a non-skew A_I of 1e-15, which the entry check allows as rounding."""
+    rng = np.random.default_rng(3202)
+    a = DCMatrix(gen_random("hermitian", 4, 4, 2).standard, 1e-15 * rng.standard_normal((4, 4)))
+    assert is_hermitian(a) and (a.infinitesimal + a.infinitesimal.T).any()
+    return a
+
+
+# inputs whose result the decomposition passes with exit 0, and which verify
+# rejected when it kept a bound of its own that allowed nothing dropped
+DROPPED = {
+    "level-spread": ("spectral", lambda: DCMatrix(np.diag([1.0, 1.0 + 9e-9, -1.0, 0.5]))),
+    "sigma-5e-8": ("svd", lambda: dropped_sigma(5e-8)),
+    "sigma-5e-9": ("svd", lambda: dropped_sigma(5e-9)),
+    "non-skew-infinitesimal": ("spectral", non_skew_infinitesimal),
+}
+
+
+@pytest.mark.parametrize("name", DROPPED)
+def test_verify_passes_what_its_decomposition_dropped_by_design(tmp_path, name):
+    command, make = DROPPED[name]
+    code, verified, doc = run_and_verify(tmp_path, command, make())
+    assert (code, verified, doc["ok"]) == (0, 0, True)
+    assert doc["residual"] == json.loads((tmp_path / f"{command}.json").read_text())["residual"]
+
+
+def _drop_last_sigma(doc):
+    doc["standard_blocks"].pop()
+    doc["r"] -= 1
+
+
+def _merge_first_levels(doc):
+    mean = (doc["blocks"][0]["lambda"] + doc["blocks"][1]["lambda"]) / 2
+    doc["blocks"][0]["lambda"] = doc["blocks"][1]["lambda"] = mean
+
+
+def _move_one_entry(doc):
+    doc["matrix"]["standard"][0][1][0] += 1e-6
+
+
+@pytest.mark.parametrize("command, make, mutate", [
+    ("svd", lambda: gen_random("general", 5, 4, 3), _drop_last_sigma),
+    ("spectral", lambda: gen_random("hermitian", 5, 5, 4), _merge_first_levels),
+    ("spectral", lambda: DCMatrix(np.diag([1.0, 1.0 + 9e-9, -1.0, 0.5])), _move_one_entry),
+    ("spectral", lambda: gen_random("hermitian", 5, 5, 4), _move_one_entry),
+], ids=["svd-r-lowered", "spectral-levels-merged", "spectral-spread-non-hermitian",
+        "spectral-non-hermitian"])
+def test_verify_gives_a_tampered_layout_no_allowance(tmp_path, command, make, mutate):
+    # the factors are honest; what the layout now drops is no part of what
+    # the decomposition of A drops by design, and a non-Hermitian A has no
+    # non-Hermitian part dropped by design
+    code, verified, doc = run_and_verify(tmp_path, command, make(), mutate)
+    assert (code, verified, doc["ok"]) == (0, 3, False)
+
+
+def test_verify_at_a_cluster_width_the_levels_cannot_stand_exits_numerical(tmp_path, capsys):
+    # verify clusters A's eigenvalues by herm_spectral's stage 1 at its own
+    # tolerances; where that stage raises, verify raises with it
+    src, out, ver = (tmp_path / f"{name}.json" for name in ("a", "spectral", "verify"))
+    src.write_text(json.dumps(jsonio.encode_matrix(DCMatrix(np.diag([1.0, 1.0 + 2e-7, -1.0])))))
+    assert main(["spectral", "--input", str(src), "--output", str(out)]) == 0
+    assert main(["verify", "--input", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(out), "--output", str(ver), "--group-tol", "1e-7"]) == 3
+    assert capsys.readouterr().err.startswith("dctool: IllConditionedGap: ")
+    assert not ver.exists()

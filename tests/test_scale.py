@@ -20,6 +20,8 @@ import oracle
 from dclinalg import (
     DCMatrix,
     DualComplex,
+    SingularBlock,
+    assemble_layout,
     classify_multiplicity,
     conj_transpose,
     dc_similar,
@@ -67,6 +69,18 @@ def phi_defect(a, dec, c, t):
         at += b.dim
     pu, pa = oracle.phi(u), oracle.phi(a)
     t_mat = oracle.phi(conj_transpose(u)) @ pa @ pu - oracle.phi(DCMatrix(*sigma))
+    return np.linalg.norm(t_mat) / np.linalg.norm(pa)
+
+
+def svd_phi_defect(a, res, c, t):
+    """||phi(U)* phi(A) phi(V) - phi(L)|| / ||phi(A)|| at unit scale, as phi_defect."""
+    u, v = (DCMatrix(f.standard, f.infinitesimal / t) for f in (res.U, res.V))
+    layout = assemble_layout(
+        *a.shape, [SingularBlock(b.sigma / c, None if b.nu is None else b.nu / (c * t))
+                   for b in res.standard_blocks],
+        [d / (c * t) for d in res.infinitesimal_values])
+    pa = oracle.phi(a)
+    t_mat = oracle.phi(conj_transpose(u)) @ pa @ oracle.phi(v) - oracle.phi(layout)
     return np.linalg.norm(t_mat) / np.linalg.norm(pa)
 
 
@@ -155,6 +169,63 @@ def test_dctool_and_verify_answer_as_at_unit_scale(tmp_path, command, name):
         answers.append((code, run(tmp_path, "verify", "out.json", "v.json")))
         assert json.loads((tmp_path / "v.json").read_text())["ok"] is True
     assert answers == [(0, 0)] * len(GRID)
+
+
+def spread_level(delta, seed):
+    """W diag(1, 1 + delta, -1, 0.5) W* + 1e-3 K eps*j, K skew: one level spread by delta."""
+    w = gen_random("unitary", 4, 4, seed).standard
+    return DCMatrix(w @ np.diag([1.0, 1.0 + delta, -1.0, 0.5]) @ w.conj().T,
+                    1e-3 * gen_random("hermitian", 4, 4, seed + 1).infinitesimal)
+
+
+def planted_singular(values, seed):
+    """P diag(values) Q* + 1e-3 G eps*j, 4 x 3, P and Q unitary."""
+    p, q = (gen_random("unitary", n, n, seed + n).standard for n in (4, 3))
+    return DCMatrix(p[:, :3] @ np.diag(values) @ q.conj().T,
+                    1e-3 * gen_random("general", 4, 3, seed).infinitesimal)
+
+
+# spreads inside a cluster and singular values at or below the rank cut,
+# between resid_tol (1e-9) and the cluster cut (1e-8) or the rank cut (1e-7)
+DROPPED = {
+    "spectral-spread-2e-9": ("spectral", lambda: spread_level(2e-9, 3301)),
+    "spectral-spread-9e-9": ("spectral", lambda: spread_level(9e-9, 3303)),
+    "svd-spread-9e-9": ("svd", lambda: planted_singular([1.0 + 9e-9, 1.0, 0.5], 3305)),
+    "svd-sigma-5e-9": ("svd", lambda: planted_singular([1.0, 0.5, 5e-9], 3307)),
+    "svd-sigma-5e-8": ("svd", lambda: planted_singular([1.0, 0.5, 5e-8], 3309)),
+}
+
+
+@pytest.mark.parametrize("name", DROPPED)
+def test_verify_passes_every_document_its_decomposition_writes(tmp_path, name):
+    # verify holds a document to the gate its decomposition passed, with
+    # what that decomposition drops by design, at every scale
+    command, make = DROPPED[name]
+    a = make()
+    for c, t in GRID:
+        (tmp_path / "a.json").write_text(json.dumps(jsonio.encode_matrix(scaled(a, c, t))))
+        assert run(tmp_path, command, "a.json", "out.json") == 0, (c, t)
+        assert run(tmp_path, "verify", "out.json", "v.json") == 0, (c, t)
+        assert json.loads((tmp_path / "v.json").read_text())["ok"] is True
+
+
+@pytest.mark.parametrize("t", [1e-170, 1e-200])
+def test_infinitesimal_parts_whose_plain_norm_underflows_keep_their_blocks(t):
+    # np.linalg.norm reads ||A_I|| as 0 here, which judged the stage 3
+    # blocks against 1: six Eigen blocks and six 1 x 1 singular blocks
+    a = kron_ex2(3, 933)
+    b = scaled(a, 1.0, t)
+    dec = herm_spectral(b)
+    assert kinds(dec) == ["Sub"] * 3
+    np.testing.assert_allclose([abs(x.mu) / t for x in dec.blocks], 1.0, rtol=1e-12)
+    assert phi_defect(a, dec, 1.0, t) <= 1e-12
+    res = dc_svd(b)
+    assert [x.dim for x in res.standard_blocks] == [2] * 3
+    np.testing.assert_allclose([abs(x.nu) / t for x in res.standard_blocks], 1.0, rtol=1e-12)
+    assert svd_phi_defect(a, res, 1.0, t) <= 1e-12
+    pair = scaled(kron_ex2(1, 931), 1.0, t)
+    v = np.linalg.eigh(pair.standard)[1]
+    assert double_eig_classify(pair, v[:, 0], v[:, 1]).kind == "DoubleSub"
 
 
 # ------------------------------------------ the per-eigenvalue helpers agree
